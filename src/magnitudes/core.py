@@ -116,12 +116,18 @@ def _resolve(model, *elements):
     return model
 
 
-def _check_multiplier(n: int, minimum: int = 1) -> int:
-    if isinstance(n, bool) or not isinstance(n, int):
-        raise TypeError(f"multiplier must be an int, got {type(n).__name__}")
-    if n < minimum:
-        raise ValueError(f"multiplier must be >= {minimum}, got {n}")
-    return n
+def check_positive_int(value, what: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError(f"{what} must be an int, got {type(value).__name__}")
+    if value < 1:
+        raise ValueError(f"{what} must be >= 1, got {value}")
+    return value
+
+
+def check_precision(p) -> int:
+    if isinstance(p, bool) or not isinstance(p, int) or p < 0:
+        raise ValueError("precision must be an int >= 0")
+    return p
 
 
 def combine(a, b, model=None):
@@ -148,7 +154,7 @@ def subtract(b, a, model=None):
 def multiple(n: int, a, model=None):
     """n-fold sum of a, computed by binary doubling in O(log n) combines."""
     model = _resolve(model, a)
-    n = _check_multiplier(n)
+    n = check_positive_int(n, "multiplier")
     acc = None
     chunk = a
     while True:
@@ -166,7 +172,7 @@ def multiple_naive(n: int, a, model=None):
     Guarded to n <= 2**16 because it is linear.
     """
     model = _resolve(model, a)
-    n = _check_multiplier(n)
+    n = check_positive_int(n, "multiplier")
     if n > NAIVE_GUARD:
         raise ValueError(f"naive multiple guarded to n <= {NAIVE_GUARD}")
     acc = a
@@ -204,7 +210,7 @@ def shrink_below(a, n: int, model=None):
     Returns a scaled by 1/(n+1), so n of them fall short of a by a/(n+1).
     """
     model = _resolve(model, a)
-    n = _check_multiplier(n)
+    n = check_positive_int(n, "multiplier")
     if model.descriptor.discrete:
         raise DiscreteModelError(
             f"model '{model.descriptor.model_id}' has a smallest element; nothing shrinks below it"

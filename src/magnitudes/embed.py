@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Union
 
 from . import core
-from .core import Rel
+from .core import Rel, check_precision
 from .errors import (
     ModelMismatchError,
     ParseError,
@@ -33,12 +33,12 @@ from .models import (
     RAT,
     REAL,
     Model,
-    Overlap,
     PosRat,
     PosRealValue,
+    certify,
+    ladder,
     model_by_id,
     model_of,
-    real_compare,
     real_mul,
     real_scale,
 )
@@ -67,10 +67,9 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ApproxPolicy:
-    """Target precision plus the escalation ladder for certified comparisons."""
+    """Target precision of real-valued results."""
 
     precision: int = 30
-    schedule: tuple = (4, 8, 16, 32, 64, 128, 256)
 
     def __post_init__(self):
         if self.precision < 0:
@@ -186,8 +185,7 @@ def fourth_proportional(a, b, a_prime: PosRealValue, p: int) -> PosRealValue:
     model = model_of(a)
     model.check(b)
     REAL.check(a_prime)
-    if isinstance(p, bool) or not isinstance(p, int) or p < 0:
-        raise ValueError("precision must be an int >= 0")
+    check_precision(p)
     if model.order(a, b).is_equal:
         result = a_prime
     else:
@@ -315,7 +313,7 @@ def embeddings_compare(
     Any probe decides the global relation (two embeddings agreeing anywhere
     agree everywhere); probe independence is a tested law, not an
     assumption.  Real codomains may refuse with UndecidedError when the
-    certificates stay overlapped through the policy ladder.
+    certificates stay overlapped through the default ladder.
     """
     if phi.domain is not chi.domain or phi.codomain is not chi.codomain:
         raise ModelMismatchError("embeddings of different signatures are not comparable")
@@ -323,14 +321,10 @@ def embeddings_compare(
     y = evaluate(chi, probe, policy)
     if phi.codomain.descriptor.exact_order:
         return phi.codomain.order(x, y).tag
-    out = None
-    for p in policy.schedule:
-        out = real_compare(x, y, p)
-        if not isinstance(out, Overlap):
-            return out
-    raise UndecidedError(
-        f"embedding comparison overlapped through precision {policy.schedule[-1]}"
-    )
+    out, p = certify(x, y, ladder())
+    if out is None:
+        raise UndecidedError(f"embedding comparison overlapped through precision {p}")
+    return out
 
 
 # ---------------------------------------------------------------------------

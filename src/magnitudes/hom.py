@@ -41,11 +41,11 @@ from .models import (
     RAT,
     Interval,
     Model,
-    Overlap,
     PosRat,
     PosRealValue,
+    certify,
+    ladder,
     model_of,
-    real_compare,
     real_from_rat,
     real_scale,
     real_subtract,
@@ -149,16 +149,12 @@ def hom_compare(
             return Ordering3.equal()
         delta = psi(phi.domain, outcome.gap)
         return Ordering3(outcome.tag, delta)
-    for p in policy.schedule:
-        out = real_compare(x, y, p)
-        if isinstance(out, Overlap):
-            continue
-        big, small = (x, y) if out is Rel.GREATER else (y, x)
-        gap = real_subtract(big, small, known_gap_precision=p)
-        return Ordering3(out, psi(phi.domain, gap))
-    raise UndecidedError(
-        f"hom comparison overlapped through precision {policy.schedule[-1]}"
-    )
+    out, p = certify(x, y, ladder())
+    if out is None:
+        raise UndecidedError(f"hom comparison overlapped through precision {p}")
+    big, small = (x, y) if out is Rel.GREATER else (y, x)
+    gap = real_subtract(big, small, known_gap_precision=p)
+    return Ordering3(out, psi(phi.domain, gap))
 
 
 def psi(model: Model, a_prime) -> HomElement:
@@ -216,6 +212,7 @@ def _real_quotient(b: PosRealValue, a: PosRealValue, policy: ApproxPolicy) -> Po
     def refine(p: int) -> Interval:
         a_floor = a.approx(0).lo  # certified positive lower bound on a
         cap = p + 2 + max(0, a_floor.reciprocal().ceil_log2())
+        rungs = ladder(cap)
         if state["lo"] is None:
             blo, bhi = b.approx(2).lo, b.approx(2).hi
             alo, ahi = a.approx(2).lo, a.approx(2).hi
@@ -232,17 +229,8 @@ def _real_quotient(b: PosRealValue, a: PosRealValue, policy: ApproxPolicy) -> Po
             mid = PosRat(
                 lo.num * hi.den + hi.num * lo.den, 2 * lo.den * hi.den
             )
-            scaled = real_scale(a, mid)
-            verdict = None
-            rung = 4
-            while rung < cap:
-                verdict = real_compare(scaled, b, rung)
-                if not isinstance(verdict, Overlap):
-                    break
-                rung *= 2
-            if isinstance(verdict, Overlap) or verdict is None:
-                verdict = real_compare(scaled, b, cap)
-            if isinstance(verdict, Overlap):
+            verdict, _ = certify(real_scale(a, mid), b, rungs)
+            if verdict is None:
                 # |mid*a - b| <= 2^(1-cap), so |mid - d| <= 2^(1-cap)/a
                 eps = PosRat(2, 1) / (PosRat(2, 1) ** cap * a_floor)
                 new_lo = lo if lo + eps > mid else mid - eps

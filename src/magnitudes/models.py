@@ -17,9 +17,9 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass
 from math import gcd
-from typing import Callable, Optional, Union
+from typing import Callable, Iterable, Optional, Tuple, Union
 
-from .core import ModelDescriptor, Ordering3, Rel
+from .core import ModelDescriptor, Ordering3, Rel, check_positive_int
 from .errors import (
     InexactModelError,
     ModelMismatchError,
@@ -42,6 +42,8 @@ __all__ = [
     "real_scale",
     "real_compare",
     "real_compare_escalating",
+    "ladder",
+    "certify",
     "NAT",
     "RAT",
     "REAL",
@@ -50,19 +52,6 @@ __all__ = [
     "parse_element",
     "format_element",
 ]
-
-# Precision ladder for certified real comparisons; the last rung is the
-# default give-up point when no caller-specific cap applies.
-DEFAULT_SCHEDULE = (4, 8, 16, 32, 64, 128, 256)
-
-
-def _check_positive_int(value, what: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise TypeError(f"{what} must be an int, got {type(value).__name__}")
-    if value < 1:
-        raise ValueError(f"{what} must be >= 1, got {value}")
-    return value
-
 
 class PosRat:
     """Strictly positive rational, always in lowest terms.
@@ -74,8 +63,8 @@ class PosRat:
     __slots__ = ("num", "den")
 
     def __init__(self, num: int, den: int = 1):
-        _check_positive_int(num, "numerator")
-        _check_positive_int(den, "denominator")
+        check_positive_int(num, "numerator")
+        check_positive_int(den, "denominator")
         g = gcd(num, den)
         self.num = num // g
         self.den = den // g
@@ -140,7 +129,7 @@ class PosRat:
         return PosRat(self.num * n, self.den)
 
     def __pow__(self, n: int) -> "PosRat":
-        _check_positive_int(n, "exponent")
+        check_positive_int(n, "exponent")
         return PosRat._reduced(self.num**n, self.den**n)
 
     # -- order --------------------------------------------------------
@@ -169,6 +158,14 @@ class PosRat:
 
     def __hash__(self):
         return hash((self.num, self.den))
+
+    # A rational is its own degenerate interval [self, self], which lets
+    # certified comparisons read a point and an interval alike.
+    @property
+    def lo(self) -> "PosRat":
+        return self
+
+    hi = lo
 
     # -- rendering / misc ----------------------------------------------
 
@@ -411,16 +408,50 @@ def real_subtract(x: PosRealValue, y: PosRealValue, known_gap_precision: int = 0
 
     def refine(p: int) -> Interval:
         q = max(p + 2, known_gap_precision)
-        budget = q + 64
-        while True:
-            a, b = x.approx(q), y.approx(q)
-            if b.hi < a.lo:
-                return Interval(a.lo - b.hi, a.hi - b.lo).round_out(q)
-            q += 8
-            if q > budget:
-                raise OracleFailureError("difference not certified positive in budget")
+        rel, q = certify(x, y, range(q, q + 65, 8))
+        if rel is not Rel.GREATER:
+            raise OracleFailureError("difference not certified positive in budget")
+        a, b = x.approx(q), y.approx(q)
+        return Interval(a.lo - b.hi, a.hi - b.lo).round_out(q)
 
     return PosRealValue(refine, exact=exact)
+
+
+def ladder(cap: int = 256) -> Tuple[int, ...]:
+    """The precision ladder: 4, 8, 16, ... doubling while below cap, then cap.
+
+    Certified real comparisons escalate along it; 256 is the give-up point
+    when no caller-specific cap applies.
+    """
+    rungs = []
+    p = 4
+    while p < cap:
+        rungs.append(p)
+        p *= 2
+    rungs.append(cap)
+    return tuple(rungs)
+
+
+def certify(
+    x: Union[PosRat, PosRealValue], y: Union[PosRat, PosRealValue], rungs: Iterable[int]
+) -> Tuple[Optional[Rel], int]:
+    """First strict verdict on the rungs, with the rung that certified it.
+
+    A verdict needs disjoint intervals at one rung.  When no rung separates
+    the sides the answer is (None, last rung).  Either side may be an exact
+    PosRat, compared as a point without building an oracle for it.
+    """
+    # sides are read inline, not through a helper: an extra frame per level
+    # of a nested oracle chain (iterated roots) lowers its recursion ceiling
+    p = 0
+    for p in rungs:
+        a = x if isinstance(x, PosRat) else x.approx(p)
+        b = y if isinstance(y, PosRat) else y.approx(p)
+        if a.hi < b.lo:
+            return Rel.LESS, p
+        if b.hi < a.lo:
+            return Rel.GREATER, p
+    return None, p
 
 
 def real_compare(x: PosRealValue, y: PosRealValue, p: int) -> Union[Rel, Overlap]:
@@ -430,26 +461,14 @@ def real_compare(x: PosRealValue, y: PosRealValue, p: int) -> Union[Rel, Overlap
     (a true certificate); otherwise Overlap(p).  Equality of reals is not
     decidable and is never returned.
     """
-    a = x.approx(p)
-    b = y.approx(p)
-    if a.hi < b.lo:
-        return Rel.LESS
-    if b.hi < a.lo:
-        return Rel.GREATER
-    return Overlap(p)
+    rel, _ = certify(x, y, (p,))
+    return Overlap(p) if rel is None else rel
 
 
-def real_compare_escalating(
-    x: PosRealValue, y: PosRealValue, schedule=DEFAULT_SCHEDULE
-) -> Union[Rel, Overlap]:
-    """Walk the precision ladder until certified or exhausted."""
-    last = 0
-    for p in schedule:
-        out = real_compare(x, y, p)
-        if not isinstance(out, Overlap):
-            return out
-        last = p
-    return Overlap(last)
+def real_compare_escalating(x: PosRealValue, y: PosRealValue) -> Union[Rel, Overlap]:
+    """Walk the default precision ladder until certified or exhausted."""
+    rel, p = certify(x, y, ladder())
+    return Overlap(p) if rel is None else rel
 
 
 # ---------------------------------------------------------------------------

@@ -21,19 +21,21 @@ from dataclasses import dataclass
 from typing import Union
 
 from . import core, hom
-from .core import ModelDescriptor, Ordering3, Rel
+from .core import ModelDescriptor, Ordering3, Rel, check_precision
 from .errors import (
     InexactModelError,
     NotAboveOneError,
     OracleFailureError,
 )
 from .models import (
-    DEFAULT_SCHEDULE,
+    RAT_ONE,
     Interval,
     Model,
     Overlap,
     PosRat,
     PosRealValue,
+    certify,
+    ladder,
     real_compare_escalating,
     real_from_rat,
 )
@@ -53,8 +55,6 @@ __all__ = [
 PRECISION_GUARD = 8  # extra bits absorbing interval blow-up in power chains
 DYADIC_DENOMINATOR_LIMIT = 64
 
-RAT_ONE = PosRat(1, 1)
-
 
 @dataclass(frozen=True)
 class MulReal:
@@ -71,23 +71,20 @@ class MulReal:
         return self.value.approx(p)
 
 
-def into_mul(x: PosRealValue, schedule=DEFAULT_SCHEDULE) -> MulReal:
+def into_mul(x: PosRealValue) -> MulReal:
     """Certify x > 1 or refuse.
 
-    Walks the precision ladder: the first interval with lower endpoint
-    above 1 certifies membership; an interval entirely at or below 1
-    refutes it; exhaustion of the ladder is an honest refusal (x may be 1,
-    below 1, or undecidable at this policy).
+    Walks precision 0 and then the default ladder: the first interval with
+    lower endpoint above 1 certifies membership; an interval entirely at or
+    below 1 refutes it; exhaustion of the ladder is an honest refusal (x may
+    be 1, below 1, or undecidable at this policy).
     """
-    for p in (0, *schedule):
-        iv = x.approx(p)
-        if iv.lo > RAT_ONE:
-            return MulReal(x, p)
-        if iv.hi <= RAT_ONE:
-            raise NotAboveOneError("value certified not greater than one")
-    raise NotAboveOneError(
-        f"could not separate value from 1 at precision {schedule[-1]}"
-    )
+    verdict, p = certify(x, RAT_ONE, (0, *ladder()))
+    if verdict is Rel.GREATER:
+        return MulReal(x, p)
+    if verdict is Rel.LESS or x.approx(p).hi <= RAT_ONE:
+        raise NotAboveOneError("value certified not greater than one")
+    raise NotAboveOneError(f"could not separate value from 1 at precision {p}")
 
 
 class _MulRealModel(Model):
@@ -125,9 +122,9 @@ def mul_combine(x: MulReal, y: MulReal) -> MulReal:
     return into_mul(hom.product(x.value, y.value))
 
 
-def mul_compare(x: MulReal, y: MulReal, schedule=DEFAULT_SCHEDULE) -> Union[Rel, Overlap]:
+def mul_compare(x: MulReal, y: MulReal) -> Union[Rel, Overlap]:
     """Certified comparison; multiplicative order agrees with additive order."""
-    return real_compare_escalating(x.value, y.value, schedule)
+    return real_compare_escalating(x.value, y.value)
 
 
 def mul_multiple(n: int, x: MulReal) -> MulReal:
@@ -164,8 +161,7 @@ def nth_root(x: MulReal, n: int, p: int) -> MulReal:
     """
     if isinstance(n, bool) or not isinstance(n, int) or n < 1:
         raise ValueError("root index must be an int >= 1")
-    if isinstance(p, bool) or not isinstance(p, int) or p < 0:
-        raise ValueError("precision must be an int >= 0")
+    check_precision(p)
     if n == 1:
         x.value.approx(p)
         return x
@@ -181,23 +177,11 @@ def nth_root(x: MulReal, n: int, p: int) -> MulReal:
 
     def refine(prec: int) -> Interval:
         cap = prec + 2
+        rungs = ladder(cap)
         lo, hi = state["lo"], state["hi"]
         while not Interval(lo, hi).width_at_most(prec):
             mid = PosRat(lo.num * hi.den + hi.num * lo.den, 2 * lo.den * hi.den)
-            powered = mid**n
-            verdict = None
-            rung = 4
-            while True:
-                iv = x.value.approx(min(rung, cap))
-                if powered > iv.hi:
-                    verdict = Rel.GREATER
-                    break
-                if powered < iv.lo:
-                    verdict = Rel.LESS
-                    break
-                if rung >= cap:
-                    break
-                rung *= 2
+            verdict, _ = certify(mid**n, x.value, rungs)
             if verdict is None:
                 # mid^n inside x's cap-interval: |mid - r| <= 2^-cap
                 eps = PosRat(2, 1) / PosRat(2, 1) ** cap
@@ -225,8 +209,7 @@ def pow(x: MulReal, y, p: int = 30) -> MulReal:
     genuinely real exponents) is bracketed monotonically between dyadic
     exponents k/2^t and (k+1)/2^t.
     """
-    if isinstance(p, bool) or not isinstance(p, int) or p < 0:
-        raise ValueError("precision must be an int >= 0")
+    check_precision(p)
     if isinstance(y, int) and not isinstance(y, bool):
         y = PosRat(y, 1)
     if isinstance(y, PosRat):

@@ -23,13 +23,7 @@ from . import core
 from .core import Rel
 from .errors import InexactModelError
 from .mediants import simplest_in
-from .models import (
-    Model,
-    Overlap,
-    PosRat,
-    model_of,
-    real_compare,
-)
+from .models import Model, PosRat, certify, ladder, model_of
 
 __all__ = [
     "Ratio",
@@ -154,21 +148,11 @@ def ratio_value_exact(r: Ratio) -> PosRat:
     return r.antecedent / r.consequent
 
 
-def _schedule_for(cap: int) -> Tuple[int, ...]:
-    rungs = []
-    p = 4
-    while p < cap:
-        rungs.append(p)
-        p *= 2
-    rungs.append(cap)
-    return tuple(rungs)
-
-
-def _rel_vs_fraction(x, y, n: int, m: int, model: Model, schedule) -> Tuple[Optional[Rel], Rel]:
+def _rel_vs_fraction(x, y, n: int, m: int, model: Model, rungs) -> Tuple[Optional[Rel], Rel]:
     """Relation of the ratio x:y to the fraction n/m.
 
     Compares m*x against n*y.  Returns (certified, guess): certified is None
-    when a real comparison stays overlapped at the schedule cap; guess is a
+    when a real comparison stays overlapped at the ladder cap; guess is a
     best-effort direction used only to steer the search, never for verdicts.
     """
     u = core.multiple(m, x, model)
@@ -176,12 +160,9 @@ def _rel_vs_fraction(x, y, n: int, m: int, model: Model, schedule) -> Tuple[Opti
     if model.descriptor.exact_order:
         tag = model.order(u, v).tag
         return tag, tag
-    out = None
-    for p in schedule:
-        out = real_compare(u, v, p)
-        if not isinstance(out, Overlap):
-            return out, out
-    cap = schedule[-1]
+    out, cap = certify(u, v, rungs)
+    if out is not None:
+        return out, out
     mid_u = u.approx(cap).midpoint()
     mid_v = v.approx(cap).midpoint()
     return None, (Rel.GREATER if mid_u > mid_v else Rel.LESS)
@@ -193,7 +174,7 @@ def _exact_separator(lower: PosRat, upper: PosRat) -> Witness:
     return Witness(m=s.den, n=s.num)
 
 
-def _boundary_upgrade(j: int, k: int, eq_pair, lt_pair, schedule) -> Optional[Witness]:
+def _boundary_upgrade(j: int, k: int, eq_pair, lt_pair, rungs) -> Optional[Witness]:
     """Sharpen a boundary separator into a strictly certified witness.
 
     Inputs: j*a = k*b exactly on eq_pair while lt_pair's ratio is certified
@@ -207,8 +188,8 @@ def _boundary_upgrade(j: int, k: int, eq_pair, lt_pair, schedule) -> Optional[Wi
     for _ in range(64):
         m_star, n_star = p * j, p * k - 1
         if n_star >= 1:
-            first, _ = _rel_vs_fraction(a, b, n_star, m_star, model_eq, schedule)
-            second, _ = _rel_vs_fraction(a2, b2, n_star, m_star, model_lt, schedule)
+            first, _ = _rel_vs_fraction(a, b, n_star, m_star, model_eq, rungs)
+            second, _ = _rel_vs_fraction(a2, b2, n_star, m_star, model_lt, rungs)
             if first is Rel.GREATER and second is Rel.LESS:
                 return Witness(m=m_star, n=n_star)
         p *= 2
@@ -240,26 +221,26 @@ def ratio_compare(a, b, a2, b2, fuel: int = 64) -> RatioRel:
         return RatioRel.less(_exact_separator(v1, v2))
 
     cap = max(16, 4 * fuel)
-    schedule = _schedule_for(cap)
+    rungs = ladder(cap)
     lo = (0, 1)  # fractions as (numerator, denominator); 0/1 and 1/0 bracket
     hi = (1, 0)
     spent = 0
     while spent < fuel:
         spent += 1
         sn, sm = lo[0] + hi[0], lo[1] + hi[1]
-        r1, g1 = _rel_vs_fraction(a, b, sn, sm, model1, schedule)
-        r2, g2 = _rel_vs_fraction(a2, b2, sn, sm, model2, schedule)
+        r1, g1 = _rel_vs_fraction(a, b, sn, sm, model1, rungs)
+        r2, g2 = _rel_vs_fraction(a2, b2, sn, sm, model2, rungs)
 
         if r1 is Rel.GREATER and r2 in (Rel.LESS, Rel.EQUAL):
             return RatioRel.greater(Witness(m=sm, n=sn), spent)
         if r2 is Rel.GREATER and r1 in (Rel.LESS, Rel.EQUAL):
             return RatioRel.less(Witness(m=sm, n=sn), spent)
         if r1 is Rel.EQUAL and r2 is Rel.LESS:
-            w = _boundary_upgrade(sm, sn, (a, b, model1), (a2, b2, model2), schedule)
+            w = _boundary_upgrade(sm, sn, (a, b, model1), (a2, b2, model2), rungs)
             if w is not None:
                 return RatioRel.greater(w, spent)
         if r2 is Rel.EQUAL and r1 is Rel.LESS:
-            w = _boundary_upgrade(sm, sn, (a2, b2, model2), (a, b, model1), schedule)
+            w = _boundary_upgrade(sm, sn, (a2, b2, model2), (a, b, model1), rungs)
             if w is not None:
                 return RatioRel.less(w, spent)
         if r1 is Rel.EQUAL and r2 is Rel.EQUAL:
@@ -285,17 +266,17 @@ def verify_witness(w: Witness, a, b, a2, b2, fuel: int = 64) -> bool:
 
     m*a > n*b must be exactly or certificate-grade strict; m*a2 <= n*b2 is
     accepted exactly on exact models, and on the real model when no strict
-    'greater' certificate is obtainable on the precision schedule.
+    'greater' certificate is obtainable on the precision ladder.
     """
     if w.m < 1 or w.n < 1:
         return False
     model1 = model_of(a)
     model2 = model_of(a2)
-    schedule = _schedule_for(max(16, 4 * fuel))
-    first, _ = _rel_vs_fraction(a, b, w.n, w.m, model1, schedule)
+    rungs = ladder(max(16, 4 * fuel))
+    first, _ = _rel_vs_fraction(a, b, w.n, w.m, model1, rungs)
     if first is not Rel.GREATER:
         return False
-    second, _ = _rel_vs_fraction(a2, b2, w.n, w.m, model2, schedule)
+    second, _ = _rel_vs_fraction(a2, b2, w.n, w.m, model2, rungs)
     if second is Rel.GREATER:
         return False
     if second is None and model2.descriptor.exact_order:

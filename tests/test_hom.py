@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from magnitudes.core import compare
-from magnitudes.embed import evaluate
+from magnitudes.embed import ApproxPolicy, evaluate
 from magnitudes.errors import ModelMismatchError, NotSymmetricError
 from magnitudes.hom import (
     EndoElement,
@@ -17,7 +17,7 @@ from magnitudes.hom import (
     psi,
     quotient,
 )
-from magnitudes.models import NAT, RAT, PosRat, real_from_rat
+from magnitudes.models import NAT, RAT, Interval, PosRat, real_from_rat
 
 from conftest import isqrt_real, opaque
 
@@ -160,6 +160,13 @@ class TestQuotient:
     def test_nat_rejected(self):
         with pytest.raises(NotSymmetricError):
             quotient(6, 4)
+
+    def test_real_interval_pinned(self):
+        # candidates are judged on the quotient's ladder; recorded output
+        d = quotient(isqrt_real(3), isqrt_real(2), ApproxPolicy(60))
+        assert d.approx(60) == Interval(
+            PosRat(45185110396297924497, 1 << 65), PosRat(90370220792595849031, 1 << 66)
+        )
 
     def test_order_against_unit(self):
         b, a = PosRat(7, 2), PosRat(2, 1)

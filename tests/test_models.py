@@ -19,7 +19,9 @@ from magnitudes.models import (
     Overlap,
     PosRat,
     PosRealValue,
+    certify,
     format_element,
+    ladder,
     model_of,
     nat_make,
     parse_element,
@@ -29,6 +31,7 @@ from magnitudes.models import (
     real_compare,
     real_from_rat,
     real_mul,
+    real_scale,
     real_subtract,
 )
 
@@ -227,6 +230,50 @@ class TestRealCompare:
     def test_exact_order_refused(self, sqrt2):
         with pytest.raises(InexactModelError):
             REAL.order(sqrt2, sqrt2)
+
+
+class TestCertify:
+    # verdicts and rungs below were recorded by walking the former
+    # (4, 8, ..., 256) schedule with real_compare, one rung at a time
+
+    def test_ladder(self):
+        assert ladder(256) == ladder() == (4, 8, 16, 32, 64, 128, 256)
+        assert ladder(48) == (4, 8, 16, 32, 48)
+        assert ladder(16) == (4, 8, 16)
+        assert ladder(3) == (3,)
+
+    @pytest.mark.parametrize(
+        "q, rel, rung",
+        [
+            (PosRat(3, 2), Rel.LESS, 4),
+            (PosRat(7, 5), Rel.GREATER, 8),
+            (PosRat(141421, 100000), Rel.GREATER, 32),
+            (PosRat(707106781, 500000000), Rel.GREATER, 32),
+        ],
+    )
+    def test_first_separating_rung(self, q, rel, rung):
+        assert certify(isqrt_real(2), real_from_rat(q), ladder()) == (rel, rung)
+        # an exact side is compared as a point, with the same outcome
+        assert certify(isqrt_real(2), q, ladder()) == (rel, rung)
+        assert certify(q, isqrt_real(2), ladder()) == (rel.swapped(), rung)
+
+    def test_two_sqrt2_oracles_never_strict(self):
+        alt = real_scale(isqrt_real(8), PosRat(1, 2))
+        assert certify(isqrt_real(2), alt, ladder()) == (None, 256)
+        assert certify(isqrt_real(2), alt, ladder(48)) == (None, 48)
+
+    def test_rungs_walked_in_order(self):
+        seen = []
+
+        def refine(p):
+            seen.append(p)
+            return isqrt_real(2).approx(p)
+
+        assert certify(PosRealValue(refine), PosRat(141421, 100000), ladder()) == (
+            Rel.GREATER,
+            32,
+        )
+        assert seen == [4, 8, 16, 32]
 
 
 class TestModelDispatch:

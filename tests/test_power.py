@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from magnitudes.core import Rel
 from magnitudes.errors import NotAboveOneError
-from magnitudes.models import PosRat, real_from_rat
+from magnitudes.models import Interval, PosRat, real_from_rat
 from magnitudes.power import (
     MulReal,
     int_nth_root,
@@ -41,6 +41,16 @@ class TestIntoMul:
     def test_sqrt2_certifies(self, sqrt2):
         x = into_mul(sqrt2)
         assert x.value.approx(x.certified_above_one).lo > PosRat(1, 1)
+        assert x.certified_above_one == 4
+
+    def test_certified_precision(self):
+        assert as_mul(17, 16).certified_above_one == 0
+        assert into_mul(isqrt_real(3)).certified_above_one == 4
+
+    def test_one_refuted_not_merely_unseparated(self):
+        # [1, 1] never separates from 1, so the refusal comes from hi <= 1
+        with pytest.raises(NotAboveOneError, match="^value certified not greater than one$"):
+            into_mul(real_from_rat(PosRat(1, 1)))
 
 
 class TestMulCombine:
@@ -94,6 +104,13 @@ class TestNthRoot:
     def test_sqrt2_against_isqrt_oracle(self):
         r = nth_root(as_mul(2), 2, 30)
         assert r.approx(30).intersects(isqrt_real(2).approx(30))
+
+    def test_interval_pinned(self):
+        # bisection candidates are judged on x's ladder; recorded output
+        r = nth_root(into_mul(isqrt_real(3)), 5, 60)
+        assert r.approx(60) == Interval(
+            PosRat(321700602283434705, 1 << 58), PosRat(1286802409133738821, 1 << 60)
+        )
 
     def test_exact_cube(self):
         r = nth_root(as_mul(8), 3, 20)

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from magnitudes.errors import InexactModelError
 from magnitudes.models import PosRat, real_from_rat
 from magnitudes.ratio import (
+    RatioRel,
     Witness,
     have_ratio_witness,
     make_ratio,
@@ -131,6 +132,21 @@ class TestRatioCompareReal:
         if got.is_unknown:
             assert got.fuel_spent == 12
             assert got.precision_cap >= 16
+
+    @pytest.mark.parametrize("fuel, cap", [(3, 16), (64, 256), (100, 400)])
+    def test_unknown_reports_fuel_and_cap(self, fuel, cap):
+        # the walk needs ~10^4 steps, so every fuel budget here runs out
+        one = real_from_rat(PosRat(1, 1))
+        got = ratio_compare(isqrt_real(10**8 + 1), one, isqrt_real(10**8 + 1), one, fuel=fuel)
+        assert got == RatioRel.unknown(fuel, cap)
+
+    def test_pinned_real_witnesses(self, sqrt2):
+        one = real_from_rat(PosRat(1, 1))
+        assert ratio_compare(sqrt2, one, isqrt_real(3), one) == RatioRel.less(Witness(2, 3), 3)
+        three, two = real_from_rat(PosRat(3, 1)), real_from_rat(PosRat(2, 1))
+        assert ratio_compare(three, two, isqrt_real(2), one, fuel=20) == RatioRel.greater(
+            Witness(7, 10), 6
+        )
 
     @settings(max_examples=40, deadline=None)
     @given(rationals, rationals)
