@@ -67,6 +67,6 @@ except Exception as exc:
 
 q = quotient(real_from_rat(PosRat(2, 1)), sqrt2)
 iv = q.approx(25)
-print(f"2 / sqrt2 ~ {iv.midpoint().decimal(8)} (= sqrt2, by bisection with certificates)")
+print(f"2 / sqrt2 ~ {iv.midpoint().decimal(8)} (= sqrt2, by interval division)")
 back = product(q, sqrt2)
 print("round trip contains 2:", back.approx(30).contains(PosRat(2, 1)))

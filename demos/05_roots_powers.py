@@ -3,7 +3,8 @@
 The reals above one form a magnitude space whose "addition" is
 multiplication: its n-fold multiple is x^n, and the unique embedding of
 the additive reals into it sending 1 to x evaluates to x^y.  Rational
-exponents go through bisected roots; everything irrational is bracketed
+exponents go through integer roots of scaled interval endpoints;
+everything irrational (or with a very large denominator) is bracketed
 between dyadic exponents by monotonicity.
 """
 
@@ -30,7 +31,7 @@ print("\n== multiplicative multiples are powers ==")
 print("2^3 =", mul_multiple(3, into_mul(real_from_rat(PosRat(2, 1)))).value.exact)
 print("(3/2)^10 =", mul_multiple(10, x).value.exact)
 
-print("\n== roots by bisection against certified comparisons ==")
+print("\n== roots from integer roots of interval endpoints ==")
 two = into_mul(real_from_rat(PosRat(2, 1)))
 r = nth_root(two, 2, 40)
 iv = r.approx(40)

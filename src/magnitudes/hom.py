@@ -10,8 +10,8 @@ When the domain carries a designated unit, the map sending a' to the unique
 embedding with unit -> a' is an isomorphism onto the embedding space; it
 induces the product a * b = (embedding for b)(a) and, in symmetric models,
 the quotient b / a.  On rationals these collapse to fraction arithmetic; on
-reals the quotient is computed by bisection against certified product
-comparisons rather than by a reciprocal primitive.
+reals the quotient is interval division, with input precision chosen from
+magnitude bounds as for the product.
 """
 
 from __future__ import annotations
@@ -41,13 +41,11 @@ from .models import (
     RAT,
     Interval,
     Model,
-    PosRat,
     PosRealValue,
     certify,
     ladder,
     model_of,
     real_from_rat,
-    real_scale,
     real_subtract,
 )
 
@@ -197,52 +195,21 @@ def quotient(b, a, policy: ApproxPolicy = DEFAULT_POLICY):
 
 
 def _real_quotient(b: PosRealValue, a: PosRealValue, policy: ApproxPolicy) -> PosRealValue:
-    """d = b / a by bisection on rational candidates.
+    """d = b / a by interval division of deeper input refinements.
 
-    Candidates are judged only through certified comparisons of mid * a
-    against b; when a comparison stays overlapped at the working precision
-    the candidate is already within the provable sensitivity bound and the
-    bracket collapses around it.
+    The input precision comes from magnitude bounds: the width of
+    [b.lo/a.hi, b.hi/a.lo] is at most (B + A)/A^2 times the input width,
+    with B an upper bound on b and A a positive lower bound on a.
     """
     if b.exact is not None and a.exact is not None:
         return real_from_rat(b.exact / a.exact)
 
-    state: dict = {"lo": None, "hi": None}
-
     def refine(p: int) -> Interval:
-        a_floor = a.approx(0).lo  # certified positive lower bound on a
-        cap = p + 2 + max(0, a_floor.reciprocal().ceil_log2())
-        rungs = ladder(cap)
-        if state["lo"] is None:
-            blo, bhi = b.approx(2).lo, b.approx(2).hi
-            alo, ahi = a.approx(2).lo, a.approx(2).hi
-            lo_raw = blo / (ahi + ahi)  # lo*a <= blo/2 < b
-            hi_raw = (bhi + bhi) / alo  # hi*a >= 2*bhi > b
-            # snap the bracket onto dyadic grids (down for lo, up for hi) so
-            # every later midpoint stays dyadic and representation size is
-            # linear in the bisection depth
-            grid = max(4, lo_raw.reciprocal().ceil_log2() + 2)
-            state["lo"] = PosRat((lo_raw.num << grid) // lo_raw.den, 1 << grid)
-            state["hi"] = PosRat(-((-(hi_raw.num << 4)) // hi_raw.den), 1 << 4)
-        lo, hi = state["lo"], state["hi"]
-        while not Interval(lo, hi).width_at_most(p):
-            mid = PosRat(
-                lo.num * hi.den + hi.num * lo.den, 2 * lo.den * hi.den
-            )
-            verdict, _ = certify(real_scale(a, mid), b, rungs)
-            if verdict is None:
-                # |mid*a - b| <= 2^(1-cap), so |mid - d| <= 2^(1-cap)/a
-                eps = PosRat(2, 1) / (PosRat(2, 1) ** cap * a_floor)
-                new_lo = lo if lo + eps > mid else mid - eps
-                new_hi = hi if mid + eps > hi else mid + eps
-                state["lo"], state["hi"] = new_lo, new_hi
-                return Interval(new_lo, new_hi)
-            if verdict is Rel.GREATER:
-                hi = mid
-            else:
-                lo = mid
-            state["lo"], state["hi"] = lo, hi
-        return Interval(lo, hi)
+        a_floor = a.approx(0).lo
+        gain = (b.approx(0).hi + a_floor) / (a_floor * a_floor)
+        q = p + 2 + max(0, gain.ceil_log2())
+        bi, ai = b.approx(q), a.approx(q)
+        return Interval(bi.lo / ai.hi, bi.hi / ai.lo).round_out(p + 2)
 
     result = PosRealValue(refine)
     result.approx(policy.precision)

@@ -1535,17 +1535,20 @@ def _shrink_candidates(value):
     return []
 
 
-def _shrink(spec: LawSpec, model: Model, inputs: dict, tolerance) -> dict:
-    """Greedy per-field reduction while the law keeps failing."""
+def _shrink(spec: LawSpec, model: Model, inputs: dict, tolerance, kind: type) -> dict:
+    """Greedy per-field reduction while the law keeps failing the same way.
+
+    A candidate counts as failing only when its check raises an exception
+    of exactly ``kind``, so the shrunk counterexample cannot drift to a
+    different fault.
+    """
 
     def fails(candidate: dict) -> bool:
         try:
             spec.check(model, candidate, tolerance)
             return False
-        except (LawFailure, MagnitudeError):
-            return True
-        except Exception:
-            return True
+        except Exception as err:
+            return type(err) is kind
 
     budget = 200
     improved = True
@@ -1576,7 +1579,9 @@ def run_suite(
 
     Each law draws its own reproducible generator stream.  The first failing
     trial is shrunk to a locally minimal counterexample and recorded; the
-    law then stops.  Returns one LawReport per applicable law.
+    law then stops.  A domain error (any MagnitudeError) raised by a check
+    is a failure too, recorded under its type name.  Returns one LawReport
+    per applicable law.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -1595,13 +1600,16 @@ def run_suite(
             inputs = spec.gen(model, rng)
             try:
                 spec.check(model, inputs, tolerance)
-            except LawFailure as failure:
-                shrunk = _shrink(spec, model, inputs, tolerance)
+            except (LawFailure, MagnitudeError) as failure:
+                shrunk = _shrink(spec, model, inputs, tolerance, type(failure))
                 try:
                     spec.check(model, shrunk, tolerance)
+                except type(failure) as at_minimum:
+                    failure = at_minimum
+                if isinstance(failure, LawFailure):
                     observed, expected = failure.observed, failure.expected
-                except LawFailure as at_minimum:
-                    observed, expected = at_minimum.observed, at_minimum.expected
+                else:
+                    observed, expected = f"{type(failure).__name__}: {failure}", "no domain error"
                 report.failures.append(
                     {
                         "inputs": _render_inputs(shrunk),

@@ -7,12 +7,12 @@ at oracle level, every base x > 1 determines a unique embedding of the
 additive positive reals into it sending 1 to x; evaluating that embedding
 at y is x^y.
 
-The computable route is roots by bisection plus integer powers: rational
-exponents m/n go through an n-th root and an m-fold multiplicative
-multiple; irrational (or large-denominator) exponents are bracketed between
-dyadic ones, which cost one iterated-square-root chain.  Uniqueness of the
-embedding is what the law suite leans on: any two correct evaluators must
-agree wherever their intervals are queried.
+The computable route is integer roots of scaled interval endpoints plus
+integer powers: rational exponents m/n go through an n-th root and an
+m-fold multiplicative multiple; irrational (or large-denominator) exponents
+are bracketed between dyadic ones, which cost one iterated-square-root
+chain.  Uniqueness of the embedding is what the law suite leans on: any two
+correct evaluators must agree wherever their intervals are queried.
 """
 
 from __future__ import annotations
@@ -53,7 +53,7 @@ __all__ = [
 ]
 
 PRECISION_GUARD = 8  # extra bits absorbing interval blow-up in power chains
-DYADIC_DENOMINATOR_LIMIT = 64
+DYADIC_DENOMINATOR_LIMIT = 1024
 
 
 @dataclass(frozen=True)
@@ -133,31 +133,36 @@ def mul_multiple(n: int, x: MulReal) -> MulReal:
 
 
 def int_nth_root(k: int, n: int) -> int:
-    """Largest r with r**n <= k, by bisection on bit-length brackets."""
+    """Largest r with r**n <= k, by Newton's iteration from above.
+
+    The root has at most m = ceil(bits/n) bits.  The root of k's top bits,
+    found recursively for m // 2 bits and rounded up, starts the iteration
+    above r and close enough that each step doubles the correct bits.
+    """
     if k < 1 or n < 1:
         raise ValueError("positive arguments only")
     if n == 1 or k == 1:
         return k
-    hi = 1 << -(-k.bit_length() // n)  # 2^ceil(bits/n) >= true root
-    lo = 1
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if mid**n <= k:
-            lo = mid
-        else:
-            hi = mid
-    return lo
+    m = -(-k.bit_length() // n)  # r < 2^m
+    if m == 1:
+        return 1
+    s = m // 2
+    x = (int_nth_root(k >> (n * s), n) + 1) << s  # x^n > k
+    while True:
+        y = ((n - 1) * x + k // x ** (n - 1)) // n
+        if y >= x:
+            return x
+        x = y
 
 
 def nth_root(x: MulReal, n: int, p: int) -> MulReal:
     """r > 1 with r^n = x, refined to precision p.
 
     Exact rational bases with perfect n-th power numerator and denominator
-    short-circuit to the exact root.  Otherwise r is bisected in rationals;
-    each candidate is judged by comparing its exact n-th power against x's
-    interval, and a candidate the comparison cannot separate from x is
-    already within 2^-(p+1) of the root (the bracket keeps every candidate
-    at least 1, so the power map never contracts).
+    short-circuit to the exact root.  Otherwise x's (prec + 2)-interval is
+    scaled by 2^(n(prec + 2)) and its endpoints go through integer roots.
+    Since x > 1 that interval starts above 3/4, where the root map
+    contracts, so the result is narrower than 2^-prec.
     """
     if isinstance(n, bool) or not isinstance(n, int) or n < 1:
         raise ValueError("root index must be an int >= 1")
@@ -172,29 +177,12 @@ def nth_root(x: MulReal, n: int, p: int) -> MulReal:
         if root_num**n == q.num and root_den**n == q.den:
             return into_mul(real_from_rat(PosRat(root_num, root_den)))
 
-    exponent = max(1, x.value.approx(0).hi.ceil_log2())
-    state = {"lo": RAT_ONE, "hi": PosRat(2, 1) ** -(-exponent // n)}
-
     def refine(prec: int) -> Interval:
-        cap = prec + 2
-        rungs = ladder(cap)
-        lo, hi = state["lo"], state["hi"]
-        while not Interval(lo, hi).width_at_most(prec):
-            mid = PosRat(lo.num * hi.den + hi.num * lo.den, 2 * lo.den * hi.den)
-            verdict, _ = certify(mid**n, x.value, rungs)
-            if verdict is None:
-                # mid^n inside x's cap-interval: |mid - r| <= 2^-cap
-                eps = PosRat(2, 1) / PosRat(2, 1) ** cap
-                new_lo = lo if lo + eps > mid else mid - eps
-                new_hi = hi if mid + eps > hi else mid + eps
-                state["lo"], state["hi"] = new_lo, new_hi
-                return Interval(new_lo, new_hi)
-            if verdict is Rel.GREATER:
-                hi = mid
-            else:
-                lo = mid
-            state["lo"], state["hi"] = lo, hi
-        return Interval(lo, hi)
+        q = prec + 2
+        iv = x.value.approx(q)
+        lo = int_nth_root((iv.lo.num << (n * q)) // iv.lo.den, n)
+        hi = int_nth_root(-((-(iv.hi.num << (n * q))) // iv.hi.den), n) + 1
+        return Interval(PosRat(lo, 1 << q), PosRat(hi, 1 << q))
 
     value = PosRealValue(refine)
     value.approx(p)
@@ -204,14 +192,16 @@ def nth_root(x: MulReal, n: int, p: int) -> MulReal:
 def pow(x: MulReal, y, p: int = 30) -> MulReal:
     """x^y for y a positive rational or real; result refined to precision p.
 
-    Integer y is a multiplicative multiple; rational y = m/n with modest n
-    goes through the n-th root; anything else (large denominators,
-    genuinely real exponents) is bracketed monotonically between dyadic
-    exponents k/2^t and (k+1)/2^t.
+    Integer y is a multiplicative multiple; rational y = m/n with n up to
+    DYADIC_DENOMINATOR_LIMIT goes through the n-th root; anything else
+    (larger denominators, genuinely real exponents) is bracketed
+    monotonically between dyadic exponents k/2^t and (k+1)/2^t.
     """
     check_precision(p)
     if isinstance(y, int) and not isinstance(y, bool):
         y = PosRat(y, 1)
+    if isinstance(y, PosRealValue) and y.exact is not None:
+        y = y.exact
     if isinstance(y, PosRat):
         if y.den == 1:
             out = mul_multiple(y.num, x)
@@ -222,20 +212,10 @@ def pow(x: MulReal, y, p: int = 30) -> MulReal:
             out = mul_multiple(y.num, root)
             out.value.approx(p)
             return out
-        return _pow_bracketed(x, _rat_dyadic_bounds(y), p)
+        y = real_from_rat(y)
     if isinstance(y, PosRealValue):
-        if y.exact is not None:
-            return pow(x, y.exact, p)
         return _pow_bracketed(x, _real_dyadic_bounds(y), p)
     raise TypeError(f"unsupported exponent type {type(y).__name__}")
-
-
-def _rat_dyadic_bounds(y: PosRat):
-    def bounds(t: int):
-        klo, rem = divmod(y.num << t, y.den)
-        return klo, klo if rem == 0 else klo + 1
-
-    return bounds
 
 
 def _real_dyadic_bounds(y: PosRealValue):

@@ -23,7 +23,7 @@ from . import core
 from .core import Rel
 from .errors import InexactModelError
 from .mediants import simplest_in
-from .models import Model, PosRat, certify, ladder, model_of
+from .models import RAT, Model, PosRat, certify, ladder, model_of
 
 __all__ = [
     "Ratio",
@@ -151,14 +151,18 @@ def ratio_value_exact(r: Ratio) -> PosRat:
 def _rel_vs_fraction(x, y, n: int, m: int, model: Model, rungs) -> Tuple[Optional[Rel], Rel]:
     """Relation of the ratio x:y to the fraction n/m.
 
-    Compares m*x against n*y.  Returns (certified, guess): certified is None
-    when a real comparison stays overlapped at the ladder cap; guess is a
-    best-effort direction used only to steer the search, never for verdicts.
+    Compares m*x against n*y, exactly when both are exact points.  Returns
+    (certified, guess): certified is None when a real comparison stays
+    overlapped at the ladder cap; guess is a best-effort direction used only
+    to steer the search, never for verdicts.
     """
     u = core.multiple(m, x, model)
     v = core.multiple(n, y, model)
     if model.descriptor.exact_order:
         tag = model.order(u, v).tag
+        return tag, tag
+    if u.exact is not None and v.exact is not None:
+        tag = RAT.order(u.exact, v.exact).tag
         return tag, tag
     out, cap = certify(u, v, rungs)
     if out is not None:

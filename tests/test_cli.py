@@ -54,12 +54,20 @@ class TestExitCodes:
         assert "domain error" in err
 
     def test_unknown_verdict_maps_to_two(self):
+        # the mediant walk needs 1000 steps to reach 1000/1
+        code, out, _ = run_cli(
+            "ratio", "cmp", "--model", "rat", "--model2", "real",
+            "1000/1", "1000/1", "--fuel", "8",
+        )
+        assert code == EXIT_UNDECIDED
+        assert out.startswith("unknown (fuel spent 8)")
+
+    def test_exact_real_points_decide_equal(self):
         code, out, _ = run_cli(
             "ratio", "cmp", "--model", "rat", "--model2", "real",
             "2/3", "2/3", "--fuel", "8",
         )
-        assert code == EXIT_UNDECIDED
-        assert out.startswith("unknown (fuel spent 8)")
+        assert (code, out) == (EXIT_OK, "equal\n")
 
     def test_usage_error(self):
         code, _, err = run_cli("ratio", "cmp", "--model", "rat", "3/2")

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -17,7 +18,7 @@ from magnitudes.hom import (
     psi,
     quotient,
 )
-from magnitudes.models import NAT, RAT, Interval, PosRat, real_from_rat
+from magnitudes.models import NAT, RAT, Interval, PosRat, real_from_rat, real_scale
 
 from conftest import isqrt_real, opaque
 
@@ -162,11 +163,25 @@ class TestQuotient:
             quotient(6, 4)
 
     def test_real_interval_pinned(self):
-        # candidates are judged on the quotient's ladder; recorded output
+        # interval division of the inputs' 63-bit intervals; recorded output
         d = quotient(isqrt_real(3), isqrt_real(2), ApproxPolicy(60))
-        assert d.approx(60) == Interval(
-            PosRat(45185110396297924497, 1 << 65), PosRat(90370220792595849031, 1 << 66)
+        iv = d.approx(60)
+        assert iv == Interval(
+            PosRat(5648138799537240563, 1 << 62), PosRat(5648138799537240565, 1 << 62)
         )
+        # sqrt(3)/sqrt(2) = sqrt(6)/2: the interval holds isqrt's bracket
+        s = math.isqrt(6 << 400)
+        assert iv.lo <= PosRat(s, 1 << 201) and PosRat(s + 1, 1 << 201) <= iv.hi
+
+    def test_tiny_divisor_width_contract(self, sqrt2):
+        # a = sqrt(2)/2^400: the input precision must grow with 1/a^2
+        tiny = PosRat(1, 1 << 400)
+        d = quotient(isqrt_real(3), real_scale(sqrt2, tiny), ApproxPolicy(60))
+        iv = d.approx(60)
+        assert iv.width_at_most(60)
+        s = math.isqrt(6 << 1000)
+        assert iv.lo * tiny <= PosRat(s, 1 << 501)
+        assert PosRat(s + 1, 1 << 501) <= iv.hi * tiny
 
     def test_order_against_unit(self):
         b, a = PosRat(7, 2), PosRat(2, 1)

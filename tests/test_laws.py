@@ -1,7 +1,7 @@
 import pytest
 
 from magnitudes import core, laws, ratio
-from magnitudes.errors import NotGreaterError
+from magnitudes.errors import NotAboveOneError, NotGreaterError, UndecidedError
 from magnitudes.models import model_of
 
 
@@ -122,3 +122,45 @@ class TestShrinking:
             inputs = report.failures[0]["inputs"]
             # shrinking drives toward unit-like values
             assert all(len(text) <= 12 for text in inputs.values()), inputs
+
+
+def _throwaway_law(monkeypatch, check, law_set="throwaway_set"):
+    """Register a one-off law, first in the registry, for one test only."""
+    spec = laws.LawSpec(
+        "throwaway", "test-only law", law_set, ("nat",), lambda model, rng: {"n": 1000}, check
+    )
+    monkeypatch.setattr(laws, "_REGISTRY", [spec] + laws._REGISTRY)
+
+
+class TestRunnerRobustness:
+    def test_domain_error_recorded_with_type(self, monkeypatch):
+        def check(model, v, tol):
+            raise NotAboveOneError("refused")
+
+        _throwaway_law(monkeypatch, check)
+        (report,) = laws.run_suite("nat", "throwaway_set", trials=3)
+        assert report.failures == [
+            {"inputs": {"n": "1"}, "observed": "NotAboveOneError: refused", "expected": "no domain error"}
+        ]
+
+    def test_domain_error_does_not_abort_the_set(self, monkeypatch):
+        def check(model, v, tol):
+            raise UndecidedError("stalled")
+
+        _throwaway_law(monkeypatch, check, law_set="core_axioms")
+        reports = laws.run_suite("nat", "core_axioms", trials=2)
+        assert reports[0].law_id == "throwaway" and not reports[0].passed
+        assert len(reports) > 1 and all(r.passed for r in reports[1:])
+
+    def test_shrink_keeps_the_failure_kind(self, monkeypatch):
+        # n >= 100 breaks the law; n = 1 raises a domain error instead, which
+        # must not count as the same failure while shrinking
+        def check(model, v, tol):
+            if v["n"] == 1:
+                raise UndecidedError("different fault")
+            if v["n"] >= 100:
+                laws._fail(v["n"], "n < 100")
+
+        _throwaway_law(monkeypatch, check)
+        (report,) = laws.run_suite("nat", "throwaway_set", trials=1)
+        assert report.failures == [{"inputs": {"n": "100"}, "observed": "100", "expected": "n < 100"}]

@@ -1,0 +1,49 @@
+"""Cross-check of the real operators against mpmath at 1000 bits.
+
+mpmath evaluates each value with 64 more bits than the interval's width,
+so its error is far below what the containment check can see.
+"""
+
+from fractions import Fraction
+
+import pytest
+
+from magnitudes.embed import ApproxPolicy
+from magnitudes.hom import quotient
+from magnitudes.models import PosRat
+from magnitudes.power import into_mul, nth_root, pow as mul_pow
+
+from conftest import isqrt_real
+
+mpmath = pytest.importorskip("mpmath")
+
+P = 1000
+SLACK = Fraction(1, 1 << (P + 32))
+
+
+def _holds(iv, value) -> bool:
+    man, exp = value.man_exp
+    v = man * Fraction(2) ** exp
+    lo, hi = Fraction(iv.lo.num, iv.lo.den), Fraction(iv.hi.num, iv.hi.den)
+    return iv.width_at_most(P) and lo - SLACK <= v <= hi + SLACK
+
+
+@pytest.fixture
+def mp():
+    with mpmath.workprec(P + 64):
+        yield mpmath.mp
+
+
+def test_quotient(mp):
+    d = quotient(isqrt_real(3), isqrt_real(2), ApproxPolicy(P))
+    assert _holds(d.approx(P), mpmath.sqrt(3) / mpmath.sqrt(2))
+
+
+def test_nth_root(mp):
+    r = nth_root(into_mul(isqrt_real(3)), 5, P)
+    assert _holds(r.approx(P), mpmath.root(mpmath.sqrt(3), 5))
+
+
+def test_pow_97th_root(mp):
+    got = mul_pow(into_mul(isqrt_real(2)), PosRat(1, 97), P)
+    assert _holds(got.approx(P), mpmath.power(mpmath.sqrt(2), mpmath.mpf(1) / 97))

@@ -86,10 +86,15 @@ class TestMulMultiple:
 
 
 class TestIntNthRoot:
-    @given(st.integers(1, 10**18), st.integers(1, 12))
+    @given(st.integers(1, 10**600), st.integers(1, 200))
     def test_floor_root(self, k, n):
         r = int_nth_root(k, n)
         assert r**n <= k < (r + 1) ** n
+
+    def test_large_cube_root(self):
+        k = 3 << 20000
+        r = int_nth_root(k, 3)
+        assert r**3 <= k < (r + 1) ** 3
 
     def test_matches_isqrt(self):
         for k in (1, 2, 3, 99, 10**12, 10**12 + 1):
@@ -106,11 +111,23 @@ class TestNthRoot:
         assert r.approx(30).intersects(isqrt_real(2).approx(30))
 
     def test_interval_pinned(self):
-        # bisection candidates are judged on x's ladder; recorded output
+        # integer roots of x's scaled 62-bit endpoints; recorded output
         r = nth_root(into_mul(isqrt_real(3)), 5, 60)
-        assert r.approx(60) == Interval(
-            PosRat(321700602283434705, 1 << 58), PosRat(1286802409133738821, 1 << 60)
+        iv = r.approx(60)
+        assert iv == Interval(
+            PosRat(2573604818267477641, 1 << 61), PosRat(5147209636534955283, 1 << 62)
         )
+        # the root of sqrt(3) is 3^(1/10), checked in exact arithmetic
+        assert iv.lo**10 <= PosRat(3, 1) <= iv.hi**10
+
+    @pytest.mark.parametrize("n", [2, 7])
+    def test_base_just_above_one(self, n):
+        x = PosRat((1 << 200) + 1, 1 << 200)
+        r = nth_root(as_mul(x.num, x.den), n, 4)
+        for p in (4, 30, 300):
+            iv = r.approx(p)
+            assert iv.width_at_most(p)
+            assert iv.lo**n <= x <= iv.hi**n
 
     def test_exact_cube(self):
         r = nth_root(as_mul(8), 3, 20)
@@ -170,6 +187,14 @@ class TestPow:
         got = mul_pow(as_mul(8), PosRat(2, 3), 30)
         assert got.approx(30).contains(PosRat(4, 1))
 
+    def test_denominator_above_64_at_300_bits(self):
+        # 2^(67/68): the dyadic path's 300+ square roots cannot certify the
+        # last one above 1, so this exponent must take the 68th-root path
+        got = mul_pow(as_mul(2), PosRat(67, 68), 300)
+        iv = got.approx(300)
+        assert iv.width_at_most(300)
+        assert iv.lo**68 <= PosRat(2**67, 1) <= iv.hi**68
+
     def test_large_denominator_uses_dyadic_path(self):
         y = PosRat(100001, 100000)
         got = mul_pow(as_mul(2), y, 20)
@@ -217,10 +242,10 @@ class TestPow:
     def test_root_path_agrees_with_dyadic_path(self, base, m, n):
         # two independent evaluators of one embedding must agree wherever
         # their intervals are queried
-        from magnitudes.power import _pow_bracketed, _rat_dyadic_bounds
+        from magnitudes.power import _pow_bracketed, _real_dyadic_bounds
 
         y = PosRat(m, n)
         p = 24
         via_root = mul_pow(as_mul(base), y, p)
-        via_dyadic = _pow_bracketed(as_mul(base), _rat_dyadic_bounds(y), p)
+        via_dyadic = _pow_bracketed(as_mul(base), _real_dyadic_bounds(real_from_rat(y)), p)
         assert via_root.approx(p).intersects(via_dyadic.approx(p))

@@ -143,16 +143,25 @@ class TestRatioCompareReal:
     def test_pinned_real_witnesses(self, sqrt2):
         one = real_from_rat(PosRat(1, 1))
         assert ratio_compare(sqrt2, one, isqrt_real(3), one) == RatioRel.less(Witness(2, 3), 3)
+        # an exact real pair meets 3/2 exactly, as its rat-model twin does,
+        # and both sharpen that boundary into the same witness
         three, two = real_from_rat(PosRat(3, 1)), real_from_rat(PosRat(2, 1))
-        assert ratio_compare(three, two, isqrt_real(2), one, fuel=20) == RatioRel.greater(
-            Witness(7, 10), 6
-        )
+        want = RatioRel.greater(Witness(16, 23), 3)
+        assert ratio_compare(three, two, isqrt_real(2), one, fuel=20) == want
+        assert ratio_compare(PosRat(3, 1), PosRat(2, 1), isqrt_real(2), one, fuel=20) == want
 
     @settings(max_examples=40, deadline=None)
     @given(rationals, rationals)
     def test_promoted_pairs_never_strict(self, a, b):
         got = ratio_compare(a, b, real_from_rat(a), real_from_rat(b), fuel=12)
         assert got.kind in ("equal", "unknown")
+
+    def test_exact_points_decide_equal(self):
+        # 3/2 : 5/7 = 21/10 on both sides; exact points compare exactly
+        a, b = PosRat(3, 2), PosRat(5, 7)
+        ra, rb = real_from_rat(a), real_from_rat(b)
+        assert ratio_compare(a, b, ra, rb, fuel=12).is_equal
+        assert ratio_compare(ra, rb, ra, rb, fuel=12).is_equal
 
     def test_sqrt_ratios_detected(self):
         # sqrt8 : sqrt2 = 2 exactly; compare against 3:1
