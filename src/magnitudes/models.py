@@ -433,23 +433,31 @@ def ladder(cap: int = 256) -> Tuple[int, ...]:
 
 
 def certify(
-    x: Union[PosRat, PosRealValue], y: Union[PosRat, PosRealValue], rungs: Iterable[int]
+    x: Union[PosRat, PosRealValue],
+    y: Union[PosRat, PosRealValue],
+    rungs: Iterable[int],
+    m: int = 1,
+    n: int = 1,
 ) -> Tuple[Optional[Rel], int]:
-    """First strict verdict on the rungs, with the rung that certified it.
+    """First strict verdict of m*x against n*y on the rungs, with its rung.
 
-    A verdict needs disjoint intervals at one rung.  When no rung separates
-    the sides the answer is (None, last rung).  Either side may be an exact
-    PosRat, compared as a point without building an oracle for it.
+    A verdict needs disjoint scaled intervals at one rung.  When no rung
+    separates the sides the answer is (None, last rung).  Either side may be
+    an exact PosRat, compared as a point without building an oracle for it.
+    At rung p a real side is read ceil(log2) of its multiplier bits deeper,
+    so its scaled interval is no wider than 2^-p, as multiple(m, x).approx(p)
+    would be; the multiple itself is never built.
     """
+    ex, ey = (m - 1).bit_length(), (n - 1).bit_length()
     # sides are read inline, not through a helper: an extra frame per level
     # of a nested oracle chain (iterated roots) lowers its recursion ceiling
     p = 0
     for p in rungs:
-        a = x if isinstance(x, PosRat) else x.approx(p)
-        b = y if isinstance(y, PosRat) else y.approx(p)
-        if a.hi < b.lo:
+        a = x if isinstance(x, PosRat) else x.approx(p + ex)
+        b = y if isinstance(y, PosRat) else y.approx(p + ey)
+        if m * a.hi.num * b.lo.den < n * b.lo.num * a.hi.den:
             return Rel.LESS, p
-        if b.hi < a.lo:
+        if n * b.hi.num * a.lo.den < m * a.lo.num * b.hi.den:
             return Rel.GREATER, p
     return None, p
 

@@ -7,11 +7,14 @@ way it orders m*a2 against n*b2.  A strict verdict is certified by a witness
 n/m separates the two ratio values.
 
 The engine decides exact-model comparisons outright by collapsing each ratio
-to a reduced fraction.  Mixed or real comparisons walk the mediant tree of
-candidate separating fractions, classifying each candidate with certified
-interval comparisons at escalating precision; an explicit fuel budget makes
-the search total, with Unknown as the honest out-of-budget answer: equal,
-or closer than fuel resolves, never a wrong verdict.
+to a reduced fraction.  Mixed or real comparisons walk the Stern-Brocot tree
+of candidate separating fractions, one mediant per unit of fuel.  A
+candidate n/m costs a few integer multiplications: exact points compare by
+cross-multiplication, and real operands are weighed as m*x against n*y on
+the precision ladder from their own cached intervals (``models.certify``),
+with no multiple or other oracle built.  The fuel budget makes the search
+total, with Unknown as the honest out-of-budget answer: equal, or closer
+than fuel resolves, never a wrong verdict.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from . import core
 from .core import Rel
 from .errors import InexactModelError
 from .mediants import simplest_in
-from .models import RAT, Model, PosRat, certify, ladder, model_of
+from .models import PosRat, PosRealValue, certify, ladder, model_of
 
 __all__ = [
     "Ratio",
@@ -148,28 +151,36 @@ def ratio_value_exact(r: Ratio) -> PosRat:
     return r.antecedent / r.consequent
 
 
-def _rel_vs_fraction(x, y, n: int, m: int, model: Model, rungs) -> Tuple[Optional[Rel], Rel]:
-    """Relation of the ratio x:y to the fraction n/m.
+def _rel_vs_fraction(x, y, n: int, m: int, rungs) -> Tuple[Optional[Rel], Rel]:
+    """Relation of the ratio x:y to the fraction n/m: m*x against n*y.
 
-    Compares m*x against n*y, exactly when both are exact points.  Returns
+    Builds no oracle.  Exact points (nat, rat, real with ``exact`` set)
+    compare by integer cross-multiplication; otherwise ``certify`` weighs
+    m*x against n*y from the operands' own cached intervals.  Returns
     (certified, guess): certified is None when a real comparison stays
-    overlapped at the ladder cap; guess is a best-effort direction used only
-    to steer the search, never for verdicts.
+    overlapped at the ladder cap; guess, from the scaled midpoints of the
+    cap's intervals, only steers the search, never decides a verdict.
     """
-    u = core.multiple(m, x, model)
-    v = core.multiple(n, y, model)
-    if model.descriptor.exact_order:
-        tag = model.order(u, v).tag
-        return tag, tag
-    if u.exact is not None and v.exact is not None:
-        tag = RAT.order(u.exact, v.exact).tag
-        return tag, tag
-    out, cap = certify(u, v, rungs)
-    if out is not None:
-        return out, out
-    mid_u = u.approx(cap).midpoint()
-    mid_v = v.approx(cap).midpoint()
-    return None, (Rel.GREATER if mid_u > mid_v else Rel.LESS)
+    if isinstance(x, PosRealValue) and x.exact is not None:
+        x = x.exact
+    if isinstance(y, PosRealValue) and y.exact is not None:
+        y = y.exact
+    if isinstance(x, int):
+        lhs, rhs = m * x, n * y
+    elif isinstance(x, PosRat) and isinstance(y, PosRat):
+        lhs, rhs = m * x.num * y.den, n * y.num * x.den
+    else:
+        out, cap = certify(x, y, rungs, m, n)
+        if out is not None:
+            return out, out
+        a = x if isinstance(x, PosRat) else x.approx(cap + (m - 1).bit_length())
+        b = y if isinstance(y, PosRat) else y.approx(cap + (n - 1).bit_length())
+        # m*(a.lo + a.hi) against n*(b.lo + b.hi), denominators cleared
+        lhs = m * (a.lo.num * a.hi.den + a.hi.num * a.lo.den) * b.lo.den * b.hi.den
+        rhs = n * (b.lo.num * b.hi.den + b.hi.num * b.lo.den) * a.lo.den * a.hi.den
+        return None, (Rel.GREATER if lhs > rhs else Rel.LESS)
+    tag = Rel.GREATER if lhs > rhs else Rel.LESS if lhs < rhs else Rel.EQUAL
+    return tag, tag
 
 
 def _exact_separator(lower: PosRat, upper: PosRat) -> Witness:
@@ -186,14 +197,14 @@ def _boundary_upgrade(j: int, k: int, eq_pair, lt_pair, rungs) -> Optional[Witne
     (pk - 1)/(pj) still exceeds lt_pair's ratio but falls strictly below
     k/j, giving a witness with both inequalities strict.
     """
-    a, b, model_eq = eq_pair
-    a2, b2, model_lt = lt_pair
+    a, b = eq_pair
+    a2, b2 = lt_pair
     p = 1
     for _ in range(64):
         m_star, n_star = p * j, p * k - 1
         if n_star >= 1:
-            first, _ = _rel_vs_fraction(a, b, n_star, m_star, model_eq, rungs)
-            second, _ = _rel_vs_fraction(a2, b2, n_star, m_star, model_lt, rungs)
+            first, _ = _rel_vs_fraction(a, b, n_star, m_star, rungs)
+            second, _ = _rel_vs_fraction(a2, b2, n_star, m_star, rungs)
             if first is Rel.GREATER and second is Rel.LESS:
                 return Witness(m=m_star, n=n_star)
         p *= 2
@@ -232,28 +243,29 @@ def ratio_compare(a, b, a2, b2, fuel: int = 64) -> RatioRel:
     while spent < fuel:
         spent += 1
         sn, sm = lo[0] + hi[0], lo[1] + hi[1]
-        r1, g1 = _rel_vs_fraction(a, b, sn, sm, model1, rungs)
-        r2, g2 = _rel_vs_fraction(a2, b2, sn, sm, model2, rungs)
+        r1, g1 = _rel_vs_fraction(a, b, sn, sm, rungs)
+        r2, g2 = _rel_vs_fraction(a2, b2, sn, sm, rungs)
 
         if r1 is Rel.GREATER and r2 in (Rel.LESS, Rel.EQUAL):
             return RatioRel.greater(Witness(m=sm, n=sn), spent)
         if r2 is Rel.GREATER and r1 in (Rel.LESS, Rel.EQUAL):
             return RatioRel.less(Witness(m=sm, n=sn), spent)
         if r1 is Rel.EQUAL and r2 is Rel.LESS:
-            w = _boundary_upgrade(sm, sn, (a, b, model1), (a2, b2, model2), rungs)
+            w = _boundary_upgrade(sm, sn, (a, b), (a2, b2), rungs)
             if w is not None:
                 return RatioRel.greater(w, spent)
         if r2 is Rel.EQUAL and r1 is Rel.LESS:
-            w = _boundary_upgrade(sm, sn, (a2, b2, model2), (a, b, model1), rungs)
+            w = _boundary_upgrade(sm, sn, (a2, b2), (a, b), rungs)
             if w is not None:
                 return RatioRel.less(w, spent)
         if r1 is Rel.EQUAL and r2 is Rel.EQUAL:
             return RatioRel.equal(spent)
 
-        # no separator here: steer by the certified tags when available,
-        # by midpoint guesses otherwise
-        d1 = r1 if r1 is not None else g1
-        d2 = r2 if r2 is not None else g2
+        # no separator here: steer by the certified tags.  An uncertified
+        # side follows a strictly certified one, which keeps the certified
+        # ratio inside the bracket; midpoint guesses steer only otherwise
+        d1 = r1 if r1 is not None else (r2 if r2 in (Rel.GREATER, Rel.LESS) else g1)
+        d2 = r2 if r2 is not None else (r1 if r1 in (Rel.GREATER, Rel.LESS) else g2)
         if d1 is Rel.GREATER and d2 is Rel.GREATER:
             lo = (sn, sm)
         elif d1 is Rel.LESS and d2 is Rel.LESS:
@@ -274,13 +286,16 @@ def verify_witness(w: Witness, a, b, a2, b2, fuel: int = 64) -> bool:
     """
     if w.m < 1 or w.n < 1:
         return False
-    model1 = model_of(a)
+    core.check_positive_int(w.m, "multiplier")
+    core.check_positive_int(w.n, "multiplier")
+    model_of(a).check(b)
     model2 = model_of(a2)
+    model2.check(b2)
     rungs = ladder(max(16, 4 * fuel))
-    first, _ = _rel_vs_fraction(a, b, w.n, w.m, model1, rungs)
+    first, _ = _rel_vs_fraction(a, b, w.n, w.m, rungs)
     if first is not Rel.GREATER:
         return False
-    second, _ = _rel_vs_fraction(a2, b2, w.n, w.m, model2, rungs)
+    second, _ = _rel_vs_fraction(a2, b2, w.n, w.m, rungs)
     if second is Rel.GREATER:
         return False
     if second is None and model2.descriptor.exact_order:

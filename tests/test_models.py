@@ -1,4 +1,6 @@
+import math
 import threading
+from fractions import Fraction
 
 import pytest
 from hypothesis import given
@@ -274,6 +276,65 @@ class TestCertify:
             32,
         )
         assert seen == [4, 8, 16, 32]
+
+    @given(rationals, rationals, st.integers(1, 10**6), st.integers(1, 10**6))
+    def test_multipliers_on_points_match_fractions(self, x, y, m, n):
+        want = (m * Fraction(x.num, x.den) > n * Fraction(y.num, y.den)) - (
+            m * Fraction(x.num, x.den) < n * Fraction(y.num, y.den)
+        )
+        rel, rung = certify(x, y, ladder(), m, n)
+        assert rel is {1: Rel.GREATER, -1: Rel.LESS, 0: None}[want]
+        assert rung == 4 or rel is None
+
+    @given(
+        st.integers(2, 1000),
+        st.integers(2, 1000),
+        st.integers(1, 1000),
+        st.integers(1, 1000),
+    )
+    def test_multipliers_on_roots_match_isqrt(self, k, l, m, n):
+        # m*sqrt(k) against n*sqrt(l) is the sign of m^2 k - n^2 l; distinct
+        # values here differ by more than 2^-20, so the ladder certifies them
+        lhs, rhs = m * m * k, n * n * l
+        rel, _ = certify(isqrt_real(k), isqrt_real(l), ladder(), m, n)
+        assert rel is (Rel.GREATER if lhs > rhs else Rel.LESS if lhs < rhs else None)
+        # a rational side q = c/d: compare m^2 k d^2 against n^2 c^2
+        c, d = math.isqrt(l * 10**6) + 1, 1000
+        q = PosRat(c, d)
+        rel, _ = certify(isqrt_real(k), q, ladder(), m, n)
+        lhs, rhs = m * m * k * d * d, n * n * c * c
+        assert rel is (Rel.GREATER if lhs > rhs else Rel.LESS if lhs < rhs else None)
+
+    def test_unit_multipliers_read_the_rungs(self):
+        # m = n = 1 reads each side at exactly the rungs; m, n > 1 read
+        # ceil(log2 multiplier) bits deeper
+        def recorded(k, seen):
+            def refine(p):
+                seen.append(p)
+                return isqrt_real(k).approx(p)
+
+            return PosRealValue(refine)
+
+        sx = []
+        alt = real_scale(isqrt_real(8), PosRat(1, 2))
+        assert certify(recorded(2, sx), alt, ladder()) == (None, 256)
+        assert sx == [4, 8, 16, 32, 64, 128, 256]
+        sx, sy = [], []
+        assert certify(recorded(2, sx), recorded(3, sy), ladder(48)) == (Rel.LESS, 4)
+        assert (sx, sy) == ([4], [4])
+        sx, sy = [], []
+        assert certify(recorded(2, sx), recorded(8, sy), ladder(48), 4, 2) == (None, 48)
+        assert (sx, sy) == ([6, 10, 18, 34, 50], [5, 9, 17, 33, 49])
+        sx, sy = [], []
+        assert certify(recorded(2, sx), recorded(3, sy), ladder(), 5, 3) == (Rel.GREATER, 4)
+        assert (sx, sy) == ([7], [6])
+
+    def test_overlapped_multiples_give_last_rung(self):
+        # 2*sqrt(2) = sqrt(8) and 3*sqrt(2) = 3*(sqrt(8)/2): never strict
+        assert certify(isqrt_real(2), isqrt_real(8), ladder(40), 2, 1) == (None, 40)
+        alt = real_scale(isqrt_real(8), PosRat(1, 2))
+        assert certify(isqrt_real(2), alt, ladder(), 3, 3) == (None, 256)
+        assert certify(PosRat(3, 7), PosRat(1, 7), (4, 9), 1, 3) == (None, 9)
 
 
 class TestModelDispatch:

@@ -4,8 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from magnitudes.errors import InexactModelError
-from magnitudes.models import PosRat, real_from_rat
+from magnitudes.errors import InexactModelError, ModelMismatchError
+from magnitudes.models import PosRat, PosRealValue, real_from_rat, real_scale
 from magnitudes.ratio import (
     RatioRel,
     Witness,
@@ -113,6 +113,15 @@ class TestVerifyWitness:
     def test_rejects_nonpositive(self):
         assert not verify_witness(Witness(0, 1), 1, 2, 1, 2)
 
+    def test_rejects_malformed_witness_and_pairs(self):
+        # multipliers must be ints and each pair must come from one model
+        with pytest.raises(TypeError):
+            verify_witness(Witness(1.5, 2), PosRat(1, 1), PosRat(1, 1), PosRat(1, 1), PosRat(1, 1))
+        with pytest.raises(ModelMismatchError):
+            verify_witness(Witness(1, 2), 3, PosRat(1, 1), 1, 1)
+        with pytest.raises(ModelMismatchError):
+            verify_witness(Witness(1, 2), 3, 1, real_from_rat(PosRat(1, 1)), 1)
+
 
 class TestRatioCompareReal:
     def test_sqrt2_vs_3_2(self, sqrt2):
@@ -194,3 +203,59 @@ class TestNearEqualRatios:
         got = ratio_compare(sqrt2, one, close, PosRat(1, 1), fuel=256)
         assert got.is_less, got
         assert verify_witness(got.witness, close, PosRat(1, 1), sqrt2, one, fuel=256)
+
+
+class TestConstantCostCandidates:
+    def test_no_oracle_built_per_candidate(self, monkeypatch):
+        # each candidate m*x against n*y reads the operands' cached
+        # intervals; no multiple (a real_add chain) is built for it
+        one = real_from_rat(PosRat(1, 1))
+        a, b, c = isqrt_real(2), isqrt_real(2), isqrt_real(3)
+
+        def refuse(self, *args, **kwargs):
+            raise AssertionError("a real oracle was built during the ratio search")
+
+        monkeypatch.setattr(PosRealValue, "__init__", refuse)
+        assert ratio_compare(a, one, b, one, fuel=256) == RatioRel.unknown(256, 1024)
+        got = ratio_compare(a, one, c, one, fuel=256)
+        assert got.is_less
+        assert verify_witness(got.witness, c, one, a, one, fuel=256)
+        assert not verify_witness(got.witness, a, one, c, one, fuel=256)
+
+
+def scaled_root(k: int, s: Fraction) -> PosRealValue:
+    return real_scale(isqrt_real(k), PosRat(s.numerator, s.denominator))
+
+
+class TestSteering:
+    def test_uncertified_side_follows_certified_one(self):
+        # at a candidate where one pair certifies and the other stays
+        # overlapped, the walk must steer by the certified side: a midpoint
+        # guess can send it into a subtree that holds neither ratio, and the
+        # walk then ends Unknown at fuel 64
+        s, t = Fraction(2, 9), Fraction(57, 256)
+        want = Witness(m=265, n=59)
+        got = ratio_compare(scaled_root(42, s), isqrt_real(42), scaled_root(42, t), isqrt_real(42))
+        assert got == RatioRel.less(want, 35)
+        got = ratio_compare(scaled_root(42, t), isqrt_real(42), scaled_root(42, s), isqrt_real(42))
+        assert got == RatioRel.greater(want, 35)
+        # 59/265 separates the two ratios: 265*s <= 59 < 265*t
+        assert want.m * s <= want.n < want.m * t
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.sampled_from([2, 3, 5, 6, 7, 10, 42, 59]),
+        st.fractions(min_value=Fraction(1, 100), max_value=100, max_denominator=300),
+        st.fractions(min_value=Fraction(1, 100), max_value=100, max_denominator=300),
+    )
+    def test_scaled_roots_follow_the_sign_of_s_minus_t(self, k, s, t):
+        # s*sqrt(k) : sqrt(k) against t*sqrt(k) : sqrt(k) is s against t;
+        # sqrt(k) cancels from m*s*sqrt(k) > n*sqrt(k), so witnesses are
+        # checked on s and t alone, in exact arithmetic
+        got = ratio_compare(scaled_root(k, s), isqrt_real(k), scaled_root(k, t), isqrt_real(k))
+        if got.is_greater:
+            assert s > t and got.witness.m * s > got.witness.n >= got.witness.m * t
+        elif got.is_less:
+            assert s < t and got.witness.m * t > got.witness.n >= got.witness.m * s
+        else:
+            assert got.is_unknown
