@@ -2,10 +2,11 @@
 
 The reals above one form a magnitude space whose "addition" is
 multiplication: its n-fold multiple is x^n, and the unique embedding of
-the additive reals into it sending 1 to x evaluates to x^y.  Rational
-exponents go through integer roots of scaled interval endpoints;
-everything irrational (or with a very large denominator) is bracketed
-between dyadic exponents by monotonicity.
+the additive reals into it sending 1 to x evaluates to x^y.  Each power
+is one oracle node on x's interval endpoints scaled to integers: a
+rational exponent with a small denominator costs one integer root per
+endpoint; a real exponent (or a very large denominator) is bracketed
+between dyadic exponents and read off a table of successive square roots.
 """
 
 from magnitudes import (

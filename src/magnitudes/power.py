@@ -7,17 +7,20 @@ at oracle level, every base x > 1 determines a unique embedding of the
 additive positive reals into it sending 1 to x; evaluating that embedding
 at y is x^y.
 
-The computable route is integer roots of scaled interval endpoints plus
-integer powers: rational exponents m/n go through an n-th root and an
-m-fold multiplicative multiple; irrational (or large-denominator) exponents
-are bracketed between dyadic ones, which cost one iterated-square-root
-chain.  Uniqueness of the embedding is what the law suite leans on: any two
-correct evaluators must agree wherever their intervals are queried.
+The computable route is integer arithmetic on x's interval endpoints
+scaled by 2^w: a rational exponent m/n with n up to w costs one integer
+n-th root per endpoint; a real exponent, or a larger denominator, is
+bracketed between dyadic exponents k/2^w and read off Briggs' table of
+successive square roots.  Each power is one oracle node.  Uniqueness of
+the embedding is what the law suite leans on: any two correct evaluators
+(the square-and-multiply ``mul_multiple`` is the other one) must agree
+wherever their intervals are queried.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import isqrt
 from typing import Union
 
 from . import core, hom
@@ -52,8 +55,7 @@ __all__ = [
     "pow",
 ]
 
-PRECISION_GUARD = 8  # extra bits absorbing interval blow-up in power chains
-DYADIC_DENOMINATOR_LIMIT = 1024
+PRECISION_GUARD = 8  # extra bits absorbing rounding in the scaled-integer power
 
 
 @dataclass(frozen=True)
@@ -156,109 +158,103 @@ def int_nth_root(k: int, n: int) -> int:
 
 
 def nth_root(x: MulReal, n: int, p: int) -> MulReal:
-    """r > 1 with r^n = x, refined to precision p.
-
-    Exact rational bases with perfect n-th power numerator and denominator
-    short-circuit to the exact root.  Otherwise x's (prec + 2)-interval is
-    scaled by 2^(n(prec + 2)) and its endpoints go through integer roots.
-    Since x > 1 that interval starts above 3/4, where the root map
-    contracts, so the result is narrower than 2^-prec.
-    """
+    """r > 1 with r^n = x, refined to precision p: the power x^(1/n)."""
     if isinstance(n, bool) or not isinstance(n, int) or n < 1:
         raise ValueError("root index must be an int >= 1")
     check_precision(p)
     if n == 1:
         x.value.approx(p)
         return x
-    if x.value.exact is not None:
-        q = x.value.exact
-        root_num = int_nth_root(q.num, n)
-        root_den = int_nth_root(q.den, n)
-        if root_num**n == q.num and root_den**n == q.den:
-            return into_mul(real_from_rat(PosRat(root_num, root_den)))
-
-    def refine(prec: int) -> Interval:
-        q = prec + 2
-        iv = x.value.approx(q)
-        lo = int_nth_root((iv.lo.num << (n * q)) // iv.lo.den, n)
-        hi = int_nth_root(-((-(iv.hi.num << (n * q))) // iv.hi.den), n) + 1
-        return Interval(PosRat(lo, 1 << q), PosRat(hi, 1 << q))
-
-    value = PosRealValue(refine)
-    value.approx(p)
-    return into_mul(value)
+    return pow(x, PosRat(1, n), p)
 
 
 def pow(x: MulReal, y, p: int = 30) -> MulReal:
-    """x^y for y a positive rational or real; result refined to precision p.
+    """x^y for y a positive int, rational or real; result refined to precision p.
 
-    Integer y is a multiplicative multiple; rational y = m/n with n up to
-    DYADIC_DENOMINATOR_LIMIT goes through the n-th root; anything else
-    (larger denominators, genuinely real exponents) is bracketed
-    monotonically between dyadic exponents k/2^t and (k+1)/2^t.
+    An exact base whose numerator and denominator are perfect n-th powers,
+    raised to an exact y = m/n, gives the exact point.  Otherwise one oracle
+    node raises the integer-scaled endpoints of x's interval to the
+    endpoints of y's: the lower ones rounding down at every step, the upper
+    ones rounding up.  x > 1 makes x^y increasing in both x and y, so the
+    enclosure is rigorous; a query too wide for its precision is retried at
+    a deeper working precision.
     """
     check_precision(p)
     if isinstance(y, int) and not isinstance(y, bool):
         y = PosRat(y, 1)
-    if isinstance(y, PosRealValue) and y.exact is not None:
-        y = y.exact
     if isinstance(y, PosRat):
-        if y.den == 1:
-            out = mul_multiple(y.num, x)
-            out.value.approx(p)
-            return out
-        if y.den <= DYADIC_DENOMINATOR_LIMIT:
-            root = nth_root(x, y.den, p + PRECISION_GUARD)
-            out = mul_multiple(y.num, root)
-            out.value.approx(p)
-            return out
         y = real_from_rat(y)
-    if isinstance(y, PosRealValue):
-        return _pow_bracketed(x, _real_dyadic_bounds(y), p)
-    raise TypeError(f"unsupported exponent type {type(y).__name__}")
-
-
-def _real_dyadic_bounds(y: PosRealValue):
-    def bounds(t: int):
-        iv = y.approx(t)
-        klo = (iv.lo.num << t) // iv.lo.den
-        khi = -((-(iv.hi.num << t)) // iv.hi.den)
-        return klo, khi
-
-    return bounds
-
-
-def _dyadic_pow(x: MulReal, k: int, t: int) -> MulReal:
-    """x^(k/2^t) via t iterated square roots and one integer power."""
-    root = x
-    for _ in range(t):
-        root = nth_root(root, 2, 4)
-    return mul_multiple(k, root)
-
-
-def _pow_bracketed(x: MulReal, bounds, p: int) -> MulReal:
-    """Monotone dyadic bracketing: x > 1 makes y -> x^y increasing."""
+    if not isinstance(y, PosRealValue):
+        raise TypeError(f"unsupported exponent type {type(y).__name__}")
+    b, e = x.value.exact, y.exact
+    if b is not None and e is not None:
+        num, den = int_nth_root(b.num, e.den), int_nth_root(b.den, e.den)
+        if num**e.den == b.num and den**e.den == b.den:
+            return into_mul(real_from_rat(PosRat(num, den) ** e.num))
 
     def refine(prec: int) -> Interval:
-        t = prec + PRECISION_GUARD
+        w = prec + prec.bit_length() + PRECISION_GUARD
         for _ in range(8):
-            klo, khi = bounds(t)
-            if klo < 1:
-                t += 16
-                continue
-            low_iv = _dyadic_pow(x, klo, t).approx(prec + 2)
-            if khi == klo:
-                iv = low_iv
-            else:
-                high_iv = _dyadic_pow(x, khi, t).approx(prec + 2)
-                iv = Interval(low_iv.lo, high_iv.hi)
-            if iv.width_at_most(prec):
-                return iv
-            t += 16
-        raise OracleFailureError(
-            f"power bracketing did not reach width 2^-{prec} in budget"
-        )
+            xi, yi = x.value.approx(w), y.approx(w)
+            # x^y > 1 also keeps the floor chain's bound positive
+            lo = max(_scaled_pow(_ticks(xi.lo, w, 0), yi.lo, w, 0), 1 << w)
+            hi = _scaled_pow(_ticks(xi.hi, w, 1), yi.hi, w, 1)
+            excess = (hi - lo).bit_length() - (w - prec)
+            if excess <= 0:
+                return Interval(PosRat(lo, 1 << w), PosRat(hi, 1 << w))
+            w += excess + PRECISION_GUARD
+        raise OracleFailureError(f"power did not reach width 2^-{prec} in budget")
 
     value = PosRealValue(refine)
     value.approx(p)
     return into_mul(value)
+
+
+# Scaled-integer arithmetic: an int a stands for a/2^w.  ``up`` is 0 to
+# round down and 1 to round up; for positive k, (k - 1) // d + 1 is the
+# ceiling of k/d, and the same shift turns floor roots into ceiling roots.
+
+
+def _ticks(q: PosRat, w: int, up: int) -> int:
+    return ((q.num << w) - up) // q.den + up
+
+
+def _mul(a: int, b: int, w: int, up: int) -> int:
+    return ((a * b - up) >> w) + up
+
+
+def _int_pow(a: int, k: int, w: int, up: int) -> int:
+    """(a/2^w)^k by square-and-multiply."""
+    out = 1 << w
+    while k:
+        if k & 1:
+            out = _mul(out, a, w, up)
+        k >>= 1
+        if k:
+            a = _mul(a, a, w, up)
+    return out
+
+
+def _scaled_pow(a: int, e: PosRat, w: int, up: int) -> int:
+    """(a/2^w)^e, for a > 0.
+
+    A denominator n <= w costs one integer n-th root: the fraction r/n of
+    e = q + r/n is the root of a^r * 2^(w(n - r)), about n*w bits.  Larger
+    denominators bracket e by k/2^w and multiply in Briggs' table of
+    successive square roots, s_i = (a/2^w)^(2^-i), over the set fraction
+    bits of k: w square roots of 2w-bit integers.
+    """
+    if e.den <= w:
+        q, r = divmod(e.num, e.den)
+        out = _int_pow(a, q, w, up)
+        if r:
+            k = a**r << (w * (e.den - r))
+            out = _mul(out, int_nth_root(k - up, e.den) + up, w, up)
+        return out
+    k = _ticks(e, w, up)
+    out = _int_pow(a, k >> w, w, up)
+    for i in range(w - 1, -1, -1):
+        a = isqrt((a << w) - up) + up
+        if k >> i & 1:
+            out = _mul(out, a, w, up)
+    return out

@@ -1,5 +1,6 @@
 import io
 import json
+from fractions import Fraction
 
 import pytest
 
@@ -68,6 +69,22 @@ class TestExitCodes:
             "2/3", "2/3", "--fuel", "8",
         )
         assert (code, out) == (EXIT_OK, "equal\n")
+
+    def test_pow_large_denominator_at_300_bits(self):
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workprec(400):
+            man, exp = mpmath.power(2, mpmath.mpf(1) / 2049).man_exp
+        want = man * Fraction(2) ** exp
+        code, out, _ = run_cli("pow", "2", "1/2049", "-p", "300")
+        assert code == EXIT_OK
+        # the midpoint is printed truncated to 90 digits, which adds < 10^-90
+        # to the half-width 2^-301 of the interval
+        mid = Fraction(out.split(" ± ")[0])
+        assert abs(mid - want) < Fraction(1, 2**301) + Fraction(1, 10**90)
+        code, out, _ = run_cli("pow", "2", "1/2049", "-p", "300", "--format", "json")
+        payload = json.loads(out)["result"]
+        lo, hi = Fraction(payload["lo"]), Fraction(payload["hi"])
+        assert lo <= want <= hi and hi - lo <= Fraction(1, 2**300)
 
     def test_usage_error(self):
         code, _, err = run_cli("ratio", "cmp", "--model", "rat", "3/2")

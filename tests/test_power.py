@@ -111,11 +111,13 @@ class TestNthRoot:
         assert r.approx(30).intersects(isqrt_real(2).approx(30))
 
     def test_interval_pinned(self):
-        # integer roots of x's scaled 62-bit endpoints; recorded output
+        # one integer 5th root per endpoint of x's interval scaled by 2^74
+        # (w = 60 + 6 + 8); recorded output
         r = nth_root(into_mul(isqrt_real(3)), 5, 60)
         iv = r.approx(60)
         assert iv == Interval(
-            PosRat(2573604818267477641, 1 << 61), PosRat(5147209636534955283, 1 << 62)
+            PosRat(10541485335623588417993, 1 << 73),
+            PosRat(21082970671247176835987, 1 << 74),
         )
         # the root of sqrt(3) is 3^(1/10), checked in exact arithmetic
         assert iv.lo**10 <= PosRat(3, 1) <= iv.hi**10
@@ -188,8 +190,8 @@ class TestPow:
         assert got.approx(30).contains(PosRat(4, 1))
 
     def test_denominator_above_64_at_300_bits(self):
-        # 2^(67/68): the dyadic path's 300+ square roots cannot certify the
-        # last one above 1, so this exponent must take the 68th-root path
+        # 2^(67/68): 68 is below the working precision, so this takes one
+        # 68th root per endpoint
         got = mul_pow(as_mul(2), PosRat(67, 68), 300)
         iv = got.approx(300)
         assert iv.width_at_most(300)
@@ -237,15 +239,29 @@ class TestPow:
         with pytest.raises(TypeError):
             mul_pow(as_mul(2), 1.5, 10)
 
-    @settings(max_examples=12, deadline=None)
-    @given(st.integers(2, 12), st.integers(1, 6), st.integers(2, 6))
-    def test_root_path_agrees_with_dyadic_path(self, base, m, n):
-        # two independent evaluators of one embedding must agree wherever
-        # their intervals are queried
-        from magnitudes.power import _pow_bracketed, _real_dyadic_bounds
-
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.sampled_from(
+            [PosRat(2), PosRat(3, 2), PosRat((1 << 200) + 1, 1 << 200), PosRat(10**6)]
+        ),
+        st.integers(1, 40),
+        st.integers(2, 200),
+        st.sampled_from([4, 30, 300, 1000]),
+    )
+    def test_rational_exponent_encloses_exact_power(self, base, m, n, p):
+        # n <= w takes an integer root, n > w the square-root table; either
+        # way lo^n <= b^m <= hi^n in exact arithmetic
         y = PosRat(m, n)
-        p = 24
-        via_root = mul_pow(as_mul(base), y, p)
-        via_dyadic = _pow_bracketed(as_mul(base), _real_dyadic_bounds(real_from_rat(y)), p)
-        assert via_root.approx(p).intersects(via_dyadic.approx(p))
+        x = as_mul(base.num, base.den)
+        iv = mul_pow(x, y, p).approx(p)
+        assert iv.width_at_most(p)
+        assert iv.lo**y.den <= base**y.num <= iv.hi**y.den
+        # two independent evaluators of one embedding must agree
+        via_root = mul_multiple(m, nth_root(x, n, p))
+        assert iv.intersects(via_root.approx(p))
+
+    def test_numerator_far_above_denominator(self):
+        base, y = PosRat(10**6 + 1), PosRat(1000, 3)
+        iv = mul_pow(as_mul(base.num), y, 300).approx(300)
+        assert iv.width_at_most(300)
+        assert iv.lo**3 <= base**1000 <= iv.hi**3
