@@ -96,7 +96,10 @@ class PosRat:
     # -- arithmetic ---------------------------------------------------
 
     def __add__(self, other: "PosRat") -> "PosRat":
-        return PosRat(self.num * other.den + other.num * self.den, self.den * other.den)
+        num = self.num * other.den + other.num * self.den
+        den = self.den * other.den
+        g = gcd(num, den)
+        return PosRat._reduced(num // g, den // g)
 
     def __sub__(self, other: "PosRat") -> "PosRat":
         from .errors import NotGreaterError
@@ -104,7 +107,9 @@ class PosRat:
         num = self.num * other.den - other.num * self.den
         if num <= 0:
             raise NotGreaterError("difference of positive rationals needs the minuend larger")
-        return PosRat(num, self.den * other.den)
+        den = self.den * other.den
+        g = gcd(num, den)
+        return PosRat._reduced(num // g, den // g)
 
     def __mul__(self, other: "PosRat") -> "PosRat":
         g1 = gcd(self.num, other.den)
@@ -258,15 +263,9 @@ class Interval:
         hi = self.hi if self.hi <= other.hi else other.hi
         return Interval(lo, hi)
 
-    def add(self, other: "Interval") -> "Interval":
-        return Interval(self.lo + other.lo, self.hi + other.hi)
-
     def mul(self, other: "Interval") -> "Interval":
         # positivity makes endpoint products monotone
         return Interval(self.lo * other.lo, self.hi * other.hi)
-
-    def scale(self, q: PosRat) -> "Interval":
-        return Interval(self.lo * q, self.hi * q)
 
     def midpoint(self) -> PosRat:
         return PosRat(
@@ -305,9 +304,13 @@ class PosRealValue:
 
     ``exact`` optionally records that the value is a known rational point,
     enabling exact fast paths downstream.
+
+    A sum or rational scaling also records its direct terms in ``_terms``,
+    as (value, coefficient) pairs; every other value is a leaf of the
+    linear DAG those terms span.
     """
 
-    __slots__ = ("_refine", "_cache", "_best", "_lock", "exact")
+    __slots__ = ("_refine", "_cache", "_best", "_lock", "exact", "_terms")
 
     def __init__(self, refine: Callable[[int], Interval], exact: Optional[PosRat] = None):
         self._refine = refine
@@ -315,6 +318,7 @@ class PosRealValue:
         self._best: Optional[Interval] = None
         self._lock = threading.Lock()
         self.exact = exact
+        self._terms: Optional[tuple] = None
 
     def approx(self, p: int) -> Interval:
         if isinstance(p, bool) or not isinstance(p, int):
@@ -325,7 +329,13 @@ class PosRealValue:
             cached = self._cache.get(p)
             if cached is not None:
                 return cached
-            raw = self._refine(p)
+            try:
+                raw = self._refine(p)
+            except RecursionError:
+                # non-linear oracles (products, quotients, roots) still nest
+                # one refine inside another; past the interpreter's depth
+                # the caller gets the typed resource error
+                raise OracleFailureError(f"oracle nesting too deep at precision {p}") from None
             if not raw.width_at_most(p):
                 raise OracleFailureError(f"refinement wider than 2^-{p}")
             if self._best is None:
@@ -357,29 +367,102 @@ def real_approx(x: PosRealValue, p: int) -> Interval:
     return x.approx(p)
 
 
-def real_add(x: PosRealValue, y: PosRealValue) -> PosRealValue:
-    """Sum oracle: endpoint sums of slightly deeper input refinements.
+def _flatten(terms: tuple) -> list:
+    """Leaves of the linear DAG under a node's terms, with total coefficients.
 
-    Results are rounded outward onto the dyadic grid; without that, chained
-    sums and products square their denominators at every level.
+    Coefficients are pushed down in topological order over distinct nodes,
+    so a shared subnode is expanded once however many paths reach it
+    (multiple(2^k, x) has k nodes but 2^k paths).  Both walks keep their own
+    stacks, so a chain's depth costs memory, not interpreter frames.  Each
+    leaf comes back as (source, num, den, extra): source is the leaf, or its
+    exact point; num/den is its coefficient; extra = max(0, ceil(log2 num/den)).
     """
-    exact = x.exact + y.exact if (x.exact is not None and y.exact is not None) else None
+    # count each inner node's parents, so it is expanded after all of them
+    parents: dict = {}
+    stack = [child for child, _ in terms]
+    while stack:
+        node = stack.pop()
+        if node._terms is None or node.exact is not None:
+            continue
+        if node in parents:
+            parents[node] += 1
+        else:
+            parents[node] = 1
+            stack.extend(child for child, _ in node._terms)
+    weight: dict = {}
+    ready = [(terms, RAT_ONE)]
+    while ready:
+        node_terms, c = ready.pop()
+        for child, k in node_terms:
+            share = c if k is RAT_ONE else c * k
+            prev = weight.get(child)
+            weight[child] = share if prev is None else prev + share
+            if child in parents:
+                parents[child] -= 1
+                if not parents[child]:
+                    ready.append((child._terms, weight[child]))
+    leaves = []
+    for node, c in weight.items():
+        if node not in parents:
+            leaves.append((node if node.exact is None else node.exact, c.num, c.den, max(0, c.ceil_log2())))
+    return leaves
+
+
+def _linear(terms: tuple, exact: Optional[PosRat]) -> PosRealValue:
+    """One node for sum of c*x over terms, refined from its leaves directly.
+
+    With n leaves, refine(p) works on the grid w = p + ceil(log2 3n).  Each
+    leaf is read at w plus its coefficient's bits, so its scaled interval is
+    no wider than 2^-w, and its endpoints are floored and ceiled onto the
+    grid as integers: 3n ticks of 2^-w at most, so width <= 2^-p.  A single
+    scaling (n = 1) reads its leaf at p + 2 + extra.
+    """
+    leaves = None
 
     def refine(p: int) -> Interval:
-        return x.approx(p + 2).add(y.approx(p + 2)).round_out(p + 2)
+        nonlocal leaves
+        if leaves is None:  # under the node's lock, on first refine
+            leaves = _flatten(terms)
+        w = p + (3 * len(leaves) - 1).bit_length()
+        lo_ticks = hi_ticks = 0
+        for src, u, v, extra in leaves:
+            iv = src if src.__class__ is PosRat else src.approx(w + extra)
+            lo_ticks += (iv.lo.num * u << w) // (iv.lo.den * v)
+            hi_ticks -= (-(iv.hi.num * u) << w) // (iv.hi.den * v)
+        hi = PosRat(hi_ticks, 1 << w)
+        if lo_ticks >= 1:
+            return Interval(PosRat(lo_ticks, 1 << w), hi)
+        # the grid floor reached zero: keep the exact lower sum (reads hit the cache)
+        lo = None
+        for src, u, v, extra in leaves:
+            a = (src if src.__class__ is PosRat else src.approx(w + extra)).lo
+            term = PosRat(a.num * u, a.den * v)
+            lo = term if lo is None else lo + term
+        return Interval(lo, hi)
 
-    return PosRealValue(refine, exact=exact)
+    value = PosRealValue(refine, exact=exact)
+    value._terms = terms
+    return value
+
+
+def real_add(x: PosRealValue, y: PosRealValue) -> PosRealValue:
+    """Sum node x + y.
+
+    Nested sums and scalings refine as one linear node over their leaves
+    (see _linear): integer endpoint sums on one dyadic grid, ceil(log2 3n)
+    guard bits for n leaves, and no recursion through the chain.
+    """
+    exact = x.exact + y.exact if (x.exact is not None and y.exact is not None) else None
+    return _linear(((x, RAT_ONE), (y, RAT_ONE)), exact)
 
 
 def real_scale(x: PosRealValue, q: PosRat) -> PosRealValue:
-    """x scaled by an exact rational factor q > 0."""
+    """x scaled by an exact rational factor q > 0, as a linear node.
+
+    Alone over a leaf x it reads x at p + 2 + max(0, ceil(log2 q)).
+    """
     exact = x.exact * q if x.exact is not None else None
-    extra = max(0, q.ceil_log2())
-
-    def refine(p: int) -> Interval:
-        return x.approx(p + 2 + extra).scale(q).round_out(p + 2)
-
-    return PosRealValue(refine, exact=exact)
+    return _linear(((x, q),), exact)
 
 
 def real_mul(x: PosRealValue, y: PosRealValue) -> PosRealValue:

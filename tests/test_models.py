@@ -1,4 +1,5 @@
 import math
+import sys
 import threading
 from fractions import Fraction
 
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from magnitudes import core
 from magnitudes.core import Rel
 from magnitudes.errors import (
     InexactModelError,
@@ -205,6 +207,155 @@ class TestRealArithmetic:
         assert iv.hi > PosRat(158578, 100000)
 
 
+NON_SQUARES = [k for k in range(2, 80) if math.isqrt(k) ** 2 != k]
+
+
+def recorded(k, seen):
+    """sqrt(k) that records each precision it is refined at."""
+
+    def refine(p):
+        seen.append(p)
+        return isqrt_real(k).approx(p)
+
+    return PosRealValue(refine)
+
+
+def brackets(iv, const, roots):
+    """iv contains const + sum(c * sqrt(k) for k, c in roots), checked against
+    integer square roots on a grid far finer than iv's endpoints."""
+    total = Fraction(sum(roots.values()))
+    bits = max(iv.lo.den, iv.hi.den).bit_length() + 80 + math.ceil(total).bit_length()
+    lo = const + sum(c * Fraction(math.isqrt(k << 2 * bits), 1 << bits) for k, c in roots.items())
+    hi = lo + total / (1 << bits)
+    return Fraction(iv.lo.num, iv.lo.den) <= lo and hi <= Fraction(iv.hi.num, iv.hi.den)
+
+
+@st.composite
+def linear_dags(draw):
+    """Random DAG of real_add/real_scale over exact and sqrt leaves.
+
+    Returns (nodes, refs): refs[i] = (const, {k: coefficient}) is node i's
+    value, const + sum of coefficient * sqrt(k).  Operands are drawn from
+    all earlier nodes, so subnodes are shared; core.multiple adds doubling
+    DAGs up to 700 nodes deep.
+    """
+    nodes, refs = [], []
+    for _ in range(draw(st.integers(1, 4))):
+        if draw(st.booleans()):
+            q = draw(st.fractions(min_value=Fraction(1, 1 << 20), max_value=1 << 20))
+            nodes.append(real_from_rat(PosRat(q.numerator, q.denominator)))
+            refs.append((q, {}))
+        else:
+            k = draw(st.sampled_from(NON_SQUARES))
+            nodes.append(isqrt_real(k))
+            refs.append((Fraction(0), {k: Fraction(1)}))
+    for _ in range(draw(st.integers(1, 25))):
+        i = draw(st.integers(0, len(nodes) - 1))
+        ci, ri = refs[i]
+        op = draw(st.sampled_from(("add", "scale", "multiple")))
+        if op == "add":
+            j = draw(st.integers(0, len(nodes) - 1))
+            cj, rj = refs[j]
+            nodes.append(real_add(nodes[i], nodes[j]))
+            refs.append((ci + cj, {k: ri.get(k, 0) + rj.get(k, 0) for k in ri.keys() | rj.keys()}))
+            continue
+        if op == "scale":
+            q = draw(st.builds(Fraction, st.integers(1, 1 << 70), st.integers(1, 1 << 70)))
+            nodes.append(real_scale(nodes[i], PosRat(q.numerator, q.denominator)))
+        else:
+            q = Fraction(draw(st.integers(1, 1 << 700)))
+            nodes.append(core.multiple(q.numerator, nodes[i], REAL))
+        refs.append((ci * q, {k: c * q for k, c in ri.items()}))
+    return nodes, refs
+
+
+class TestLinearNodes:
+    @pytest.mark.parametrize("depth", [1000, 10000])
+    @pytest.mark.parametrize("p", [4, 30, 300])
+    def test_deep_add_chain(self, depth, p):
+        ks = [NON_SQUARES[i % len(NON_SQUARES)] for i in range(depth)]
+        acc = isqrt_real(ks[0])
+        for k in ks[1:]:
+            acc = real_add(acc, isqrt_real(k))
+        iv = acc.approx(p)
+        assert iv.width_at_most(p)
+        roots = {}
+        for k in ks:
+            roots[k] = roots.get(k, 0) + 1
+        assert brackets(iv, 0, roots)
+
+    def test_deep_scale_chain(self):
+        acc = isqrt_real(2)
+        for i in range(3000):
+            acc = real_scale(acc, PosRat(3, 2) if i % 2 else PosRat(2, 3))
+        for p in (4, 30, 300):
+            iv = acc.approx(p)
+            assert iv.width_at_most(p)
+            assert brackets(iv, 0, {2: Fraction(1)})
+
+    @given(linear_dags(), st.integers(0, 200))
+    def test_random_dags_contain_and_meet_width(self, dag, p):
+        nodes, refs = dag
+        for node, (const, roots) in reversed(list(zip(nodes, refs))):
+            iv = node.approx(p)
+            assert iv.width_at_most(p)
+            assert brackets(iv, const, roots)
+
+    def test_leaf_read_precisions(self):
+        # one scaling reads its leaf at p + 2 + ceil(log2 q), as a lone
+        # scaling always has; the 200-node doubling DAG of multiple(2^200, x)
+        # is one leaf with coefficient 2^200, read once at 60 + 2 + 200
+        seen = []
+        real_scale(recorded(2, seen), PosRat(5, 1)).approx(30)
+        real_scale(recorded(2, seen), PosRat(1, 3)).approx(30)
+        assert seen == [35, 32]
+        seen = []
+        assert core.multiple(2**200, recorded(2, seen), REAL).approx(60).width_at_most(60)
+        assert seen == [262]
+
+    def test_value_below_the_grid_keeps_exact_lower_end(self):
+        # two leaves at p = 10 use the 2^-13 grid, whose floor here is 0
+        tiny = PosRat(1, 1 << 100)
+        x = real_scale(real_add(isqrt_real(2), real_from_rat(PosRat(1, 3))), tiny)
+        iv = x.approx(10)
+        assert iv.width_at_most(10)
+        assert iv.lo == (PosRat(math.isqrt(2 << 26), 1 << 13) + PosRat(1, 3)) * tiny
+
+    def test_concurrent_refines_of_shared_leaves(self):
+        # sums sharing leaves, refined from many threads: every thread sees
+        # the one cached interval per (node, precision)
+        leaves = [isqrt_real(k) for k in NON_SQUARES[:6]]
+        sums = [core.multiple(3, real_add(leaves[i], leaves[i + 1]), REAL) for i in range(5)]
+        seen = {}
+
+        def worker(offset):
+            for step in range(40):
+                node = (offset + step) % len(sums)
+                p = 8 + (step * 7) % 50
+                seen.setdefault((node, p), []).append(sums[node].approx(p))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(i,)) for i in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        for (node, p), ivs in seen.items():
+            assert all(iv is ivs[0] for iv in ivs) and ivs[0].width_at_most(p)
+
+    def test_deep_nonlinear_chain_is_a_typed_error(self):
+        acc = isqrt_real(2)
+        for _ in range(3000):
+            acc = real_mul(acc, isqrt_real(3))
+        with pytest.raises(OracleFailureError, match="nesting too deep"):
+            acc.approx(4)
+
+
 class TestRealCompare:
     def test_exact_points_certify(self):
         a = real_from_rat(PosRat(1, 3))
@@ -308,13 +459,6 @@ class TestCertify:
     def test_unit_multipliers_read_the_rungs(self):
         # m = n = 1 reads each side at exactly the rungs; m, n > 1 read
         # ceil(log2 multiplier) bits deeper
-        def recorded(k, seen):
-            def refine(p):
-                seen.append(p)
-                return isqrt_real(k).approx(p)
-
-            return PosRealValue(refine)
-
         sx = []
         alt = real_scale(isqrt_real(8), PosRat(1, 2))
         assert certify(recorded(2, sx), alt, ladder()) == (None, 256)
