@@ -22,7 +22,6 @@ from magnitudes.power import pow as mul_pow
 
 print("== membership is certified, not assumed ==")
 x = into_mul(real_from_rat(PosRat(3, 2)))
-print("3/2 certified above one at precision", x.certified_above_one)
 try:
     into_mul(real_from_rat(PosRat(1, 1)))
 except Exception as exc:

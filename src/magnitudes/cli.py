@@ -26,7 +26,7 @@ from .embed import (
     fourth_proportional,
 )
 from .core import multiple
-from .errors import MagnitudeError, NotAboveOneError, UndecidedError
+from .errors import MagnitudeError, UndecidedError
 from .models import (
     PosRat,
     PosRealValue,
@@ -317,9 +317,6 @@ def main(argv=None, out=sys.stdout, err=sys.stderr) -> int:
     except UndecidedError as exc:
         print(f"undecided: {exc}", file=err)
         return EXIT_UNDECIDED
-    except NotAboveOneError as exc:
-        print(f"domain error: {exc}", file=err)
-        return EXIT_DOMAIN
     except MagnitudeError as exc:
         print(f"domain error: {exc}", file=err)
         return EXIT_DOMAIN

@@ -186,10 +186,7 @@ def fourth_proportional(a, b, a_prime: PosRealValue, p: int) -> PosRealValue:
     model.check(b)
     REAL.check(a_prime)
     check_precision(p)
-    if model.order(a, b).is_equal:
-        result = a_prime
-    else:
-        result = real_scale(a_prime, ratio_as_fraction(b, a, model))
+    result = real_scale(a_prime, ratio_as_fraction(b, a, model))
     result.approx(p)
     return result
 

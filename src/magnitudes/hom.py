@@ -10,8 +10,8 @@ When the domain carries a designated unit, the map sending a' to the unique
 embedding with unit -> a' is an isomorphism onto the embedding space; it
 induces the product a * b = (embedding for b)(a) and, in symmetric models,
 the quotient b / a.  On rationals these collapse to fraction arithmetic; on
-reals the quotient is interval division, with input precision chosen from
-magnitude bounds as for the product.
+reals they are the product and quotient nodes of :mod:`magnitudes.models`
+(``real_mul``, ``real_div``).
 """
 
 from __future__ import annotations
@@ -39,13 +39,11 @@ from .embed import (
 from .models import (
     NAT,
     RAT,
-    Interval,
     Model,
-    PosRealValue,
     certify,
     ladder,
     model_of,
-    real_from_rat,
+    real_div,
     real_subtract,
 )
 
@@ -191,26 +189,6 @@ def quotient(b, a, policy: ApproxPolicy = DEFAULT_POLICY):
         )
     if model is RAT:
         return b / a
-    return _real_quotient(b, a, policy)
-
-
-def _real_quotient(b: PosRealValue, a: PosRealValue, policy: ApproxPolicy) -> PosRealValue:
-    """d = b / a by interval division of deeper input refinements.
-
-    The input precision comes from magnitude bounds: the width of
-    [b.lo/a.hi, b.hi/a.lo] is at most (B + A)/A^2 times the input width,
-    with B an upper bound on b and A a positive lower bound on a.
-    """
-    if b.exact is not None and a.exact is not None:
-        return real_from_rat(b.exact / a.exact)
-
-    def refine(p: int) -> Interval:
-        a_floor = a.approx(0).lo
-        gain = (b.approx(0).hi + a_floor) / (a_floor * a_floor)
-        q = p + 2 + max(0, gain.ceil_log2())
-        bi, ai = b.approx(q), a.approx(q)
-        return Interval(bi.lo / ai.hi, bi.hi / ai.lo).round_out(p + 2)
-
-    result = PosRealValue(refine)
+    result = real_div(b, a)
     result.approx(policy.precision)
     return result

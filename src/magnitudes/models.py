@@ -23,6 +23,7 @@ from .core import ModelDescriptor, Ordering3, Rel, check_positive_int
 from .errors import (
     InexactModelError,
     ModelMismatchError,
+    NotGreaterError,
     OracleFailureError,
     ParseError,
 )
@@ -39,9 +40,9 @@ __all__ = [
     "real_add",
     "real_subtract",
     "real_mul",
+    "real_div",
     "real_scale",
     "real_compare",
-    "real_compare_escalating",
     "ladder",
     "certify",
     "NAT",
@@ -102,8 +103,6 @@ class PosRat:
         return PosRat._reduced(num // g, den // g)
 
     def __sub__(self, other: "PosRat") -> "PosRat":
-        from .errors import NotGreaterError
-
         num = self.num * other.den - other.num * self.den
         if num <= 0:
             raise NotGreaterError("difference of positive rationals needs the minuend larger")
@@ -129,9 +128,6 @@ class PosRat:
 
     def reciprocal(self) -> "PosRat":
         return PosRat._reduced(self.den, self.num)
-
-    def scale_int(self, n: int) -> "PosRat":
-        return PosRat(self.num * n, self.den)
 
     def __pow__(self, n: int) -> "PosRat":
         check_positive_int(n, "exponent")
@@ -263,28 +259,11 @@ class Interval:
         hi = self.hi if self.hi <= other.hi else other.hi
         return Interval(lo, hi)
 
-    def mul(self, other: "Interval") -> "Interval":
-        # positivity makes endpoint products monotone
-        return Interval(self.lo * other.lo, self.hi * other.hi)
-
     def midpoint(self) -> PosRat:
         return PosRat(
             self.lo.num * self.hi.den + self.hi.num * self.lo.den,
             2 * self.lo.den * self.hi.den,
         )
-
-    def round_out(self, p: int) -> "Interval":
-        """Enclosing interval with endpoints on the 2^-p dyadic grid.
-
-        Keeps representation size linear under long oracle chains (exact
-        endpoint arithmetic would otherwise square denominators at every
-        composition).  Widens by at most 2^(1-p).  The lower endpoint keeps
-        its exact value when the grid floor would reach zero.
-        """
-        lo_ticks = (self.lo.num << p) // self.lo.den
-        hi_ticks = -((-(self.hi.num << p)) // self.hi.den)
-        lo = self.lo if lo_ticks < 1 else PosRat(lo_ticks, 1 << p)
-        return Interval(lo, PosRat(hi_ticks, 1 << p))
 
 
 @dataclass(frozen=True)
@@ -459,10 +438,26 @@ def real_add(x: PosRealValue, y: PosRealValue) -> PosRealValue:
 def real_scale(x: PosRealValue, q: PosRat) -> PosRealValue:
     """x scaled by an exact rational factor q > 0, as a linear node.
 
-    Alone over a leaf x it reads x at p + 2 + max(0, ceil(log2 q)).
+    Scaling by 1 is x itself, so no node is built.  Alone over a leaf x a
+    scaling reads x at p + 2 + max(0, ceil(log2 q)).
     """
+    if q == RAT_ONE:
+        return x
     exact = x.exact * q if x.exact is not None else None
     return _linear(((x, q),), exact)
+
+
+def _round_out(lo_num: int, lo_den: int, hi_num: int, hi_den: int, w: int) -> Interval:
+    """[lo_num/lo_den, hi_num/hi_den] floored and ceiled onto the 2^-w grid.
+
+    The rounding rule of products, quotients and differences: it keeps
+    representation size linear in precision under long chains and widens by
+    at most 2^(1-w).  A lower end whose floor would reach zero stays exact.
+    """
+    lo_ticks = (lo_num << w) // lo_den
+    hi_ticks = -((-hi_num << w) // hi_den)
+    lo = PosRat(lo_num, lo_den) if lo_ticks < 1 else PosRat(lo_ticks, 1 << w)
+    return Interval(lo, PosRat(hi_ticks, 1 << w))
 
 
 def real_mul(x: PosRealValue, y: PosRealValue) -> PosRealValue:
@@ -473,7 +468,31 @@ def real_mul(x: PosRealValue, y: PosRealValue) -> PosRealValue:
     def refine(p: int) -> Interval:
         bound = x.approx(0).hi + y.approx(0).hi
         q = p + 2 + max(0, bound.ceil_log2())
-        return x.approx(q).mul(y.approx(q)).round_out(p + 2)
+        a, b = x.approx(q), y.approx(q)
+        # positivity makes endpoint products monotone
+        lo_num, lo_den = a.lo.num * b.lo.num, a.lo.den * b.lo.den
+        return _round_out(lo_num, lo_den, a.hi.num * b.hi.num, a.hi.den * b.hi.den, p + 2)
+
+    return PosRealValue(refine)
+
+
+def real_div(x: PosRealValue, y: PosRealValue) -> PosRealValue:
+    """Quotient oracle x / y by interval division of deeper input refinements.
+
+    The input precision comes from magnitude bounds: the width of
+    [x.lo/y.hi, x.hi/y.lo] is at most (X + Y)/Y^2 times the input width,
+    with X an upper bound on x and Y a positive lower bound on y.
+    """
+    if x.exact is not None and y.exact is not None:
+        return real_from_rat(x.exact / y.exact)
+
+    def refine(p: int) -> Interval:
+        y_floor = y.approx(0).lo
+        gain = (x.approx(0).hi + y_floor) / (y_floor * y_floor)
+        q = p + 2 + max(0, gain.ceil_log2())
+        a, b = x.approx(q), y.approx(q)
+        lo_num, lo_den = a.lo.num * b.hi.den, a.lo.den * b.hi.num
+        return _round_out(lo_num, lo_den, a.hi.num * b.lo.den, a.hi.den * b.lo.num, p + 2)
 
     return PosRealValue(refine)
 
@@ -495,7 +514,10 @@ def real_subtract(x: PosRealValue, y: PosRealValue, known_gap_precision: int = 0
         if rel is not Rel.GREATER:
             raise OracleFailureError("difference not certified positive in budget")
         a, b = x.approx(q), y.approx(q)
-        return Interval(a.lo - b.hi, a.hi - b.lo).round_out(q)
+        # certified at q: a.lo > b.hi, so both differences are positive
+        lo_num = a.lo.num * b.hi.den - b.hi.num * a.lo.den
+        hi_num = a.hi.num * b.lo.den - b.lo.num * a.hi.den
+        return _round_out(lo_num, a.lo.den * b.hi.den, hi_num, a.hi.den * b.lo.den, q)
 
     return PosRealValue(refine, exact=exact)
 
@@ -553,12 +575,6 @@ def real_compare(x: PosRealValue, y: PosRealValue, p: int) -> Union[Rel, Overlap
     decidable and is never returned.
     """
     rel, _ = certify(x, y, (p,))
-    return Overlap(p) if rel is None else rel
-
-
-def real_compare_escalating(x: PosRealValue, y: PosRealValue) -> Union[Rel, Overlap]:
-    """Walk the default precision ladder until certified or exhausted."""
-    rel, p = certify(x, y, ladder())
     return Overlap(p) if rel is None else rel
 
 
@@ -689,7 +705,7 @@ class RealModel(Model):
     def certainly_greater(self, a, b) -> bool:
         # Overlap at the top of the default ladder counts as 'not greater':
         # honest for searches that only need a sound upper answer.
-        return real_compare_escalating(a, b) is Rel.GREATER
+        return certify(a, b, ladder())[0] is Rel.GREATER
 
     def scale(self, a: PosRealValue, q: PosRat) -> PosRealValue:
         return real_scale(a, q)

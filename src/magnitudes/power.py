@@ -7,6 +7,11 @@ at oracle level, every base x > 1 determines a unique embedding of the
 additive positive reals into it sending 1 to x; evaluating that embedding
 at y is x^y.
 
+Membership is certified once, when a value enters through ``into_mul``.
+The space is closed under products and positive powers, so a product
+(one ``real_mul`` node), a power and a root stay in it without a second
+certification walk.
+
 The computable route is integer arithmetic on x's interval endpoints
 scaled by 2^w: a rational exponent m/n with n up to w costs one integer
 n-th root per endpoint; a real exponent, or a larger denominator, is
@@ -23,7 +28,7 @@ from dataclasses import dataclass
 from math import isqrt
 from typing import Union
 
-from . import core, hom
+from . import core
 from .core import ModelDescriptor, Ordering3, Rel, check_precision
 from .errors import (
     InexactModelError,
@@ -39,8 +44,8 @@ from .models import (
     PosRealValue,
     certify,
     ladder,
-    real_compare_escalating,
     real_from_rat,
+    real_mul,
 )
 
 __all__ = [
@@ -60,14 +65,15 @@ PRECISION_GUARD = 8  # extra bits absorbing rounding in the scaled-integer power
 
 @dataclass(frozen=True)
 class MulReal:
-    """A real certified strictly greater than one.
+    """A real strictly greater than one.
 
-    ``certified_above_one`` records a precision whose interval already has
-    lower endpoint above 1; the certificate travels with the value.
+    Only ``into_mul`` certifies membership, because only it takes values
+    from outside the space.  Products and positive powers of members are
+    members (x*y > y > 1, and x^y > 1 for x > 1, y > 0), so every other
+    operation here wraps its result by closure, without refining it again.
     """
 
     value: PosRealValue
-    certified_above_one: int
 
     def approx(self, p: int) -> Interval:
         return self.value.approx(p)
@@ -83,7 +89,7 @@ def into_mul(x: PosRealValue) -> MulReal:
     """
     verdict, p = certify(x, RAT_ONE, (0, *ladder()))
     if verdict is Rel.GREATER:
-        return MulReal(x, p)
+        return MulReal(x)
     if verdict is Rel.LESS or x.approx(p).hi <= RAT_ONE:
         raise NotAboveOneError("value certified not greater than one")
     raise NotAboveOneError(f"could not separate value from 1 at precision {p}")
@@ -120,13 +126,14 @@ MUL = _MulRealModel()
 
 
 def mul_combine(x: MulReal, y: MulReal) -> MulReal:
-    """Product; closure certificate recomputed (x*y > y > 1)."""
-    return into_mul(hom.product(x.value, y.value))
+    """Product, one ``real_mul`` node; above one by closure (x*y > y > 1)."""
+    return MulReal(real_mul(x.value, y.value))
 
 
 def mul_compare(x: MulReal, y: MulReal) -> Union[Rel, Overlap]:
     """Certified comparison; multiplicative order agrees with additive order."""
-    return real_compare_escalating(x.value, y.value)
+    rel, p = certify(x.value, y.value, ladder())
+    return Overlap(p) if rel is None else rel
 
 
 def mul_multiple(n: int, x: MulReal) -> MulReal:
@@ -190,7 +197,7 @@ def pow(x: MulReal, y, p: int = 30) -> MulReal:
     if b is not None and e is not None:
         num, den = int_nth_root(b.num, e.den), int_nth_root(b.den, e.den)
         if num**e.den == b.num and den**e.den == b.den:
-            return into_mul(real_from_rat(PosRat(num, den) ** e.num))
+            return MulReal(real_from_rat(PosRat(num, den) ** e.num))
 
     def refine(prec: int) -> Interval:
         w = prec + prec.bit_length() + PRECISION_GUARD
@@ -207,7 +214,7 @@ def pow(x: MulReal, y, p: int = 30) -> MulReal:
 
     value = PosRealValue(refine)
     value.approx(p)
-    return into_mul(value)
+    return MulReal(value)
 
 
 # Scaled-integer arithmetic: an int a stands for a/2^w.  ``up`` is 0 to

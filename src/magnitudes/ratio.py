@@ -266,11 +266,7 @@ def ratio_compare(a, b, a2, b2, fuel: int = 64) -> RatioRel:
         # ratio inside the bracket; midpoint guesses steer only otherwise
         d1 = r1 if r1 is not None else (r2 if r2 in (Rel.GREATER, Rel.LESS) else g1)
         d2 = r2 if r2 is not None else (r1 if r1 in (Rel.GREATER, Rel.LESS) else g2)
-        if d1 is Rel.GREATER and d2 is Rel.GREATER:
-            lo = (sn, sm)
-        elif d1 is Rel.LESS and d2 is Rel.LESS:
-            hi = (sn, sm)
-        elif Rel.GREATER in (d1, d2):
+        if Rel.GREATER in (d1, d2):
             lo = (sn, sm)
         else:
             hi = (sn, sm)

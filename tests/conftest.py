@@ -19,6 +19,16 @@ def isqrt_real(k: int) -> PosRealValue:
     return PosRealValue(refine)
 
 
+def recorded(k: int, seen: list) -> PosRealValue:
+    """sqrt(k) that records each precision it is refined at."""
+
+    def refine(p: int) -> Interval:
+        seen.append(p)
+        return isqrt_real(k).approx(p)
+
+    return PosRealValue(refine)
+
+
 def opaque(x: PosRealValue) -> PosRealValue:
     """Strip the exact-point fast path so interval code paths are exercised."""
     return PosRealValue(x.approx)

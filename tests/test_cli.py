@@ -54,6 +54,12 @@ class TestExitCodes:
         assert code == EXIT_DOMAIN
         assert "domain error" in err
 
+    def test_pow_of_base_near_one(self):
+        # 1 + 2^-300 and its cube root are above one by closure, though no
+        # rung up to 256 separates the root from 1
+        base = f"{(1 << 300) + 1}/{1 << 300}"
+        assert run_cli("pow", base, "1/3", "-p", "10")[:2] == (EXIT_OK, "1.000 ± 2^-10\n")
+
     def test_unknown_verdict_maps_to_two(self):
         # the mediant walk needs 1000 steps to reach 1000/1
         code, out, _ = run_cli(

@@ -146,6 +146,10 @@ class TestProduct:
         iv = got.approx(30)
         assert iv.contains(PosRat(2, 1)) and iv.width_at_most(30)
 
+    def test_real_product_is_one_node(self):
+        # the product node itself, not a scaling by 1/1 wrapped around it
+        assert product(isqrt_real(2), isqrt_real(3))._terms is None
+
     @given(rationals, rationals, rationals)
     def test_order_preserved(self, a, b, c):
         assert (

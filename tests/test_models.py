@@ -23,6 +23,7 @@ from magnitudes.models import (
     Overlap,
     PosRat,
     PosRealValue,
+    _round_out,
     certify,
     format_element,
     ladder,
@@ -39,7 +40,7 @@ from magnitudes.models import (
     real_subtract,
 )
 
-from conftest import isqrt_real
+from conftest import isqrt_real, recorded
 
 rationals = st.builds(PosRat, st.integers(1, 1 << 16), st.integers(1, 1 << 16))
 
@@ -107,10 +108,11 @@ class TestInterval:
         assert point.width_at_most(100)
 
     def test_round_out_encloses(self):
-        iv = Interval(PosRat(10, 7), PosRat(11, 7))
-        out = iv.round_out(8)
-        assert out.lo <= iv.lo and iv.hi <= out.hi
+        out = _round_out(10, 7, 22, 14, 8)
+        assert out.lo <= PosRat(10, 7) and PosRat(11, 7) <= out.hi
         assert out.lo.den == 256 and out.hi.den in (1, 2, 4, 8, 16, 32, 64, 128, 256)
+        # a lower end that floors to zero on the grid stays exact
+        assert _round_out(2, 1000, 1, 3, 8).lo == PosRat(1, 500)
 
     @given(rationals, rationals)
     def test_intersect(self, a, b):
@@ -193,6 +195,9 @@ class TestRealArithmetic:
         eight = isqrt_real(8)
         assert s.approx(25).intersects(eight.approx(25))
 
+    def test_scale_by_one_is_identity(self, sqrt2):
+        assert real_scale(sqrt2, PosRat(1, 1)) is sqrt2
+
     def test_mul_contains(self, sqrt2):
         prod = real_mul(sqrt2, sqrt2)
         assert prod.approx(30).contains(PosRat(2, 1))
@@ -208,16 +213,6 @@ class TestRealArithmetic:
 
 
 NON_SQUARES = [k for k in range(2, 80) if math.isqrt(k) ** 2 != k]
-
-
-def recorded(k, seen):
-    """sqrt(k) that records each precision it is refined at."""
-
-    def refine(p):
-        seen.append(p)
-        return isqrt_real(k).approx(p)
-
-    return PosRealValue(refine)
 
 
 def brackets(iv, const, roots):

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from magnitudes.core import Rel
 from magnitudes.errors import NotAboveOneError
-from magnitudes.models import Interval, PosRat, real_from_rat
+from magnitudes.models import RAT_ONE, Interval, PosRat, certify, ladder, real_from_rat
 from magnitudes.power import (
     MulReal,
     int_nth_root,
@@ -18,7 +18,7 @@ from magnitudes.power import (
     pow as mul_pow,
 )
 
-from conftest import isqrt_real, opaque
+from conftest import isqrt_real, opaque, recorded
 
 
 def as_mul(num, den=1) -> MulReal:
@@ -28,7 +28,8 @@ def as_mul(num, den=1) -> MulReal:
 class TestIntoMul:
     def test_rational_above_one(self):
         x = as_mul(3, 2)
-        assert x.value.approx(x.certified_above_one).lo > PosRat(1, 1)
+        assert x.value.exact == PosRat(3, 2)
+        assert certify(x.value, RAT_ONE, (0, *ladder()))[0] is Rel.GREATER
 
     def test_one_rejected(self):
         with pytest.raises(NotAboveOneError):
@@ -39,13 +40,14 @@ class TestIntoMul:
             as_mul(2, 3)
 
     def test_sqrt2_certifies(self, sqrt2):
-        x = into_mul(sqrt2)
-        assert x.value.approx(x.certified_above_one).lo > PosRat(1, 1)
-        assert x.certified_above_one == 4
+        assert into_mul(sqrt2).value is sqrt2
+        assert certify(sqrt2, RAT_ONE, (0, *ladder())) == (Rel.GREATER, 4)
 
     def test_certified_precision(self):
-        assert as_mul(17, 16).certified_above_one == 0
-        assert into_mul(isqrt_real(3)).certified_above_one == 4
+        # the rungs into_mul walks, and the one that certifies membership
+        x, y = as_mul(17, 16).value, into_mul(isqrt_real(3)).value
+        assert certify(x, RAT_ONE, (0, *ladder())) == (Rel.GREATER, 0)
+        assert certify(y, RAT_ONE, (0, *ladder())) == (Rel.GREATER, 4)
 
     def test_one_refuted_not_merely_unseparated(self):
         # [1, 1] never separates from 1, so the refusal comes from hi <= 1
@@ -65,6 +67,33 @@ class TestMulCombine:
     def test_product_exceeds_factor(self, sqrt2):
         x, y = into_mul(sqrt2), as_mul(3, 2)
         assert mul_compare(mul_combine(x, y), y) is Rel.GREATER
+
+
+class TestClosure:
+    """Products, powers and roots stay above one without re-certification."""
+
+    NEAR_ONE = PosRat((1 << 300) + 1, 1 << 300)
+
+    def test_results_near_one(self):
+        x = as_mul(self.NEAR_ONE.num, self.NEAR_ONE.den)
+        cases = [
+            (mul_combine(x, x), 1, 2),
+            (mul_pow(x, PosRat(1, 3), 10), 3, 1),
+            (nth_root(x, 5, 20), 5, 1),
+        ]
+        for r, n, k in cases:
+            iv = r.approx(400)
+            assert iv.lo > RAT_ONE
+            # r^n = x^k, checked in exact arithmetic
+            assert iv.lo**n <= self.NEAR_ONE**k <= iv.hi**n
+
+    def test_pow_reads_base_at_working_precision_only(self):
+        seen = []
+        x = into_mul(recorded(2, seen))
+        seen.clear()
+        mul_pow(x, PosRat(2, 7), 30)
+        # w = 30 + bit_length(30) + 8; no refinement of the result follows
+        assert seen == [43]
 
 
 class TestMulMultiple:
