@@ -152,18 +152,15 @@ def subtract(b, a, model=None):
 
 
 def multiple(n: int, a, model=None):
-    """n-fold sum of a, computed by binary doubling in O(log n) combines."""
+    """n-fold sum of a, by the model's ``multiple``.
+
+    nat multiplies, rat multiplies and cancels one gcd, real builds one
+    scaling node; the multiplicative space has no closed form and doubles,
+    in O(log n) combines.
+    """
     model = _resolve(model, a)
     n = check_positive_int(n, "multiplier")
-    acc = None
-    chunk = a
-    while True:
-        if n & 1:
-            acc = chunk if acc is None else model.combine(acc, chunk)
-        n >>= 1
-        if not n:
-            return acc
-        chunk = model.combine(chunk, chunk)
+    return model.multiple(n, a)
 
 
 def multiple_naive(n: int, a, model=None):
@@ -182,26 +179,15 @@ def multiple_naive(n: int, a, model=None):
 
 
 def find_multiple_exceeding(a, b, model=None) -> int:
-    """Least n with multiple(n, a) > b.
+    """Least n with multiple(n, a) > b, by the model's ``least_multiple_exceeding``.
 
     Exists for every pair in an Archimedean model (all shipped models are).
-    Found by doubling then binary search, so O(log n) comparisons.
+    nat and rat answer floor(b/a) + 1 in closed form; real and the
+    multiplicative space search, doubling then bisecting, so O(log n)
+    certified comparisons.
     """
     model = _resolve(model, a, b)
-    if model.certainly_greater(a, b):
-        return 1
-    lo = 1  # known: lo * a <= b
-    hi = 2
-    while not model.certainly_greater(multiple(hi, a, model), b):
-        lo = hi
-        hi <<= 1
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if model.certainly_greater(multiple(mid, a, model), b):
-            hi = mid
-        else:
-            lo = mid
-    return hi
+    return model.least_multiple_exceeding(a, b)
 
 
 def shrink_below(a, n: int, model=None):

@@ -351,8 +351,9 @@ def _flatten(terms: tuple) -> list:
 
     Coefficients are pushed down in topological order over distinct nodes,
     so a shared subnode is expanded once however many paths reach it
-    (multiple(2^k, x) has k nodes but 2^k paths).  Both walks keep their own
-    stacks, so a chain's depth costs memory, not interpreter frames.  Each
+    (k doublings c = c + c make k nodes but 2^k paths).  Both walks keep
+    their own stacks, so a chain's depth costs memory, not interpreter
+    frames.  Each
     leaf comes back as (source, num, den, extra): source is the leaf, or its
     exact point; num/den is its coefficient; extra = max(0, ceil(log2 num/den)).
     """
@@ -606,6 +607,35 @@ class Model:
     def certainly_greater(self, a, b) -> bool:
         return self.order(a, b).is_greater
 
+    def multiple(self, n: int, a):
+        """n-fold sum of a by binary doubling, in O(log n) combines."""
+        acc = None
+        chunk = a
+        while True:
+            if n & 1:
+                acc = chunk if acc is None else self.combine(acc, chunk)
+            n >>= 1
+            if not n:
+                return acc
+            chunk = self.combine(chunk, chunk)
+
+    def least_multiple_exceeding(self, a, b) -> int:
+        """Least n with n*a certainly above b: doubling, then bisection."""
+        if self.certainly_greater(a, b):
+            return 1
+        lo = 1  # known: lo * a <= b
+        hi = 2
+        while not self.certainly_greater(self.multiple(hi, a), b):
+            lo = hi
+            hi <<= 1
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            if self.certainly_greater(self.multiple(mid, a), b):
+                hi = mid
+            else:
+                lo = mid
+        return hi
+
     def scale(self, a, q: PosRat):
         raise NotImplementedError
 
@@ -633,6 +663,12 @@ class NatModel(Model):
 
     def combine(self, a: int, b: int) -> int:
         return a + b
+
+    def multiple(self, n: int, a: int) -> int:
+        return n * a
+
+    def least_multiple_exceeding(self, a: int, b: int) -> int:
+        return b // a + 1
 
     def order(self, a: int, b: int) -> Ordering3:
         if a < b:
@@ -662,6 +698,14 @@ class RatModel(Model):
 
     def combine(self, a: PosRat, b: PosRat) -> PosRat:
         return a + b
+
+    def multiple(self, n: int, a: PosRat) -> PosRat:
+        # gcd(n/g, den/g) = 1 and gcd(num, den) = 1: already in lowest terms
+        g = gcd(n, a.den)
+        return PosRat._reduced(a.num * (n // g), a.den // g)
+
+    def least_multiple_exceeding(self, a: PosRat, b: PosRat) -> int:
+        return (b.num * a.den) // (b.den * a.num) + 1
 
     def order(self, a: PosRat, b: PosRat) -> Ordering3:
         c = a._cmp(b)
@@ -696,6 +740,10 @@ class RealModel(Model):
 
     def combine(self, a: PosRealValue, b: PosRealValue) -> PosRealValue:
         return real_add(a, b)
+
+    def multiple(self, n: int, a: PosRealValue) -> PosRealValue:
+        # one scaling node, with the leaf reads of n-fold repeated real_add
+        return real_scale(a, PosRat._reduced(n, 1))
 
     def order(self, a, b) -> Ordering3:
         raise InexactModelError(

@@ -6,15 +6,18 @@ way it orders m*a2 against n*b2.  A strict verdict is certified by a witness
 (m, n) exhibiting m*a > n*b while m*a2 <= n*b2; equivalently, the fraction
 n/m separates the two ratio values.
 
-The engine decides exact-model comparisons outright by collapsing each ratio
-to a reduced fraction.  Mixed or real comparisons walk the Stern-Brocot tree
-of candidate separating fractions, one mediant per unit of fuel.  A
-candidate n/m costs a few integer multiplications: exact points compare by
-cross-multiplication, and real operands are weighed as m*x against n*y on
-the precision ladder from their own cached intervals (``models.certify``),
-with no multiple or other oracle built.  The fuel budget makes the search
-total, with Unknown as the honest out-of-budget answer: equal, or closer
-than fuel resolves, never a wrong verdict.
+The engine decides exact-model comparisons outright: each ratio is an
+integer pair (a : b itself on nat, a.num*b.den : a.den*b.num on rat), two
+pairs compare by cross-multiplication, and only a strict verdict reduces
+them to fractions, for its separating witness.  Mixed or real comparisons
+walk the Stern-Brocot tree of candidate separating fractions, one mediant
+per unit of fuel.  A candidate n/m costs a few integer multiplications:
+exact points compare by cross-multiplication, and real operands are
+weighed as m*x against n*y on the precision ladder from their own cached
+intervals (``models.certify``), with no multiple or other oracle built.
+The fuel budget makes the search total, with Unknown as the honest
+out-of-budget answer: equal, or closer than fuel resolves, never a wrong
+verdict.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from . import core
 from .core import Rel
 from .errors import InexactModelError
 from .mediants import simplest_in
-from .models import PosRat, PosRealValue, certify, ladder, model_of
+from .models import NAT, PosRat, PosRealValue, certify, ladder, model_of
 
 __all__ = [
     "Ratio",
@@ -214,7 +217,7 @@ def _boundary_upgrade(j: int, k: int, eq_pair, lt_pair, rungs) -> Optional[Witne
 def ratio_compare(a, b, a2, b2, fuel: int = 64) -> RatioRel:
     """Compare the ratio a:b with a2:b2 across (possibly different) models.
 
-    Exact models are decided outright through their ratio values.  Otherwise
+    Exact models are decided outright by cross-multiplication.  Otherwise
     the mediant walk searches for a separating fraction; each candidate costs
     one unit of fuel, and real sub-comparisons escalate precision up to a cap
     tied to the fuel budget.
@@ -227,11 +230,13 @@ def ratio_compare(a, b, a2, b2, fuel: int = 64) -> RatioRel:
     model2.check(b2)
 
     if model1.descriptor.exact_order and model2.descriptor.exact_order:
-        v1 = ratio_value_exact(Ratio(a, b, model1.descriptor.model_id))
-        v2 = ratio_value_exact(Ratio(a2, b2, model2.descriptor.model_id))
-        if v1 == v2:
+        n1, m1 = (a, b) if model1 is NAT else (a.num * b.den, a.den * b.num)
+        n2, m2 = (a2, b2) if model2 is NAT else (a2.num * b2.den, a2.den * b2.num)
+        lhs, rhs = n1 * m2, n2 * m1
+        if lhs == rhs:
             return RatioRel.equal()
-        if v1 > v2:
+        v1, v2 = PosRat(n1, m1), PosRat(n2, m2)
+        if lhs > rhs:
             return RatioRel.greater(_exact_separator(v2, v1))
         return RatioRel.less(_exact_separator(v1, v2))
 

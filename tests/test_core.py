@@ -1,3 +1,6 @@
+from fractions import Fraction
+from math import gcd
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -9,10 +12,18 @@ from magnitudes.errors import (
     ModelMismatchError,
     NotGreaterError,
 )
-from magnitudes.models import NAT, RAT, PosRat
+from magnitudes.models import NAT, RAT, REAL, PosRat, real_from_rat, real_scale
+
+from conftest import isqrt_real
 
 rationals = st.builds(PosRat, st.integers(1, 1 << 16), st.integers(1, 1 << 16))
 naturals = st.integers(1, 1 << 32)
+wide_naturals = st.integers(1, 1 << 200)
+wide_rationals = st.builds(PosRat, wide_naturals, wide_naturals)
+
+
+def fraction(x) -> Fraction:
+    return Fraction(x) if isinstance(x, int) else Fraction(x.num, x.den)
 
 
 class TestCombine:
@@ -120,12 +131,38 @@ class TestMultiple:
     def test_multiple_of_multiple(self, a, m, n):
         assert core.multiple(m * n, a) == core.multiple(m, core.multiple(n, a))
 
+    @given(st.one_of(wide_naturals, wide_rationals), st.integers(1, 1 << 300))
+    def test_closed_form_in_lowest_terms(self, a, n):
+        got = core.multiple(n, a)
+        assert fraction(got) == n * fraction(a)
+        if isinstance(a, PosRat):
+            # the result skips PosRat validation, so check it is reduced
+            assert gcd(got.num, got.den) == 1 and got.den >= 1
+
 
 class TestFindMultipleExceeding:
     def test_examples(self):
         assert core.find_multiple_exceeding(PosRat(1, 3), PosRat(2, 1)) == 7
         assert core.find_multiple_exceeding(PosRat(3, 1), PosRat(1, 2)) == 1
         assert core.find_multiple_exceeding(2, 9) == 5
+
+    @given(st.one_of(st.tuples(wide_naturals, wide_naturals), st.tuples(wide_rationals, wide_rationals)))
+    def test_floor_quotient_plus_one(self, pair):
+        a, b = pair
+        assert core.find_multiple_exceeding(a, b) == fraction(b) // fraction(a) + 1
+
+    @given(st.one_of(naturals, wide_naturals, rationals, wide_rationals), st.integers(1, 1 << 200))
+    def test_exact_multiple_and_below(self, a, k):
+        # b = k*a is not exceeded by k*a itself; b < a is exceeded at once
+        assert core.find_multiple_exceeding(a, core.multiple(k, a)) == k + 1
+        if isinstance(a, PosRat):
+            assert core.find_multiple_exceeding(a, a * PosRat(1, k + 1)) == 1
+        elif a > 1:
+            assert core.find_multiple_exceeding(a, a - 1) == 1
+
+    def test_real_search(self):
+        tiny = real_scale(isqrt_real(2), PosRat(1, 10**12))
+        assert core.find_multiple_exceeding(tiny, real_from_rat(PosRat(1, 1)), REAL) == 707106781187
 
     @given(rationals, rationals)
     def test_least(self, a, b):

@@ -225,14 +225,28 @@ def brackets(iv, const, roots):
     return Fraction(iv.lo.num, iv.lo.den) <= lo and hi <= Fraction(iv.hi.num, iv.hi.den)
 
 
+def doubling_dag(n, x):
+    """n*x as the shared DAG of binary doubling: k steps chunk = chunk + chunk
+    make k nodes but 2^k paths to x."""
+    acc = None
+    chunk = x
+    while True:
+        if n & 1:
+            acc = chunk if acc is None else real_add(acc, chunk)
+        n >>= 1
+        if not n:
+            return acc
+        chunk = real_add(chunk, chunk)
+
+
 @st.composite
 def linear_dags(draw):
     """Random DAG of real_add/real_scale over exact and sqrt leaves.
 
     Returns (nodes, refs): refs[i] = (const, {k: coefficient}) is node i's
     value, const + sum of coefficient * sqrt(k).  Operands are drawn from
-    all earlier nodes, so subnodes are shared; core.multiple adds doubling
-    DAGs up to 700 nodes deep.
+    all earlier nodes, so subnodes are shared; doubling_dag adds DAGs up to
+    700 nodes deep.
     """
     nodes, refs = [], []
     for _ in range(draw(st.integers(1, 4))):
@@ -247,7 +261,7 @@ def linear_dags(draw):
     for _ in range(draw(st.integers(1, 25))):
         i = draw(st.integers(0, len(nodes) - 1))
         ci, ri = refs[i]
-        op = draw(st.sampled_from(("add", "scale", "multiple")))
+        op = draw(st.sampled_from(("add", "scale", "doubling")))
         if op == "add":
             j = draw(st.integers(0, len(nodes) - 1))
             cj, rj = refs[j]
@@ -259,7 +273,7 @@ def linear_dags(draw):
             nodes.append(real_scale(nodes[i], PosRat(q.numerator, q.denominator)))
         else:
             q = Fraction(draw(st.integers(1, 1 << 700)))
-            nodes.append(core.multiple(q.numerator, nodes[i], REAL))
+            nodes.append(doubling_dag(q.numerator, nodes[i]))
         refs.append((ci * q, {k: c * q for k, c in ri.items()}))
     return nodes, refs
 
@@ -298,15 +312,29 @@ class TestLinearNodes:
 
     def test_leaf_read_precisions(self):
         # one scaling reads its leaf at p + 2 + ceil(log2 q), as a lone
-        # scaling always has; the 200-node doubling DAG of multiple(2^200, x)
-        # is one leaf with coefficient 2^200, read once at 60 + 2 + 200
+        # scaling always has; the 200-node doubling DAG of 2^200 * x is one
+        # leaf with coefficient 2^200, read once at 60 + 2 + 200
         seen = []
         real_scale(recorded(2, seen), PosRat(5, 1)).approx(30)
         real_scale(recorded(2, seen), PosRat(1, 3)).approx(30)
         assert seen == [35, 32]
         seen = []
-        assert core.multiple(2**200, recorded(2, seen), REAL).approx(60).width_at_most(60)
+        assert doubling_dag(2**200, recorded(2, seen)).approx(60).width_at_most(60)
         assert seen == [262]
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 2**200 + 1])
+    def test_multiple_is_one_node_matching_doubling(self, n):
+        # core.multiple builds a single scaling node (x itself for n = 1);
+        # it refines to the very intervals of the flattened doubling DAG
+        x = real_add(isqrt_real(2), real_scale(isqrt_real(3), PosRat(2, 7)))
+        node = core.multiple(n, x, REAL)
+        if n == 1:
+            assert node is x
+        else:
+            assert node._terms == ((x, PosRat(n, 1)),)
+        dag = doubling_dag(n, x)
+        for p in (0, 4, 60, 300):
+            assert node.approx(p) == dag.approx(p)
 
     def test_value_below_the_grid_keeps_exact_lower_end(self):
         # two leaves at p = 10 use the 2^-13 grid, whose floor here is 0

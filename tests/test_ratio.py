@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from magnitudes.errors import InexactModelError, ModelMismatchError
+from magnitudes.mediants import simplest_in
 from magnitudes.models import PosRat, PosRealValue, real_from_rat, real_scale
 from magnitudes.ratio import (
     RatioRel,
@@ -23,6 +24,34 @@ rationals = st.builds(PosRat, st.integers(1, 1000), st.integers(1, 1000))
 
 def exact_value(x: PosRat, y: PosRat) -> Fraction:
     return Fraction(x.num, x.den) / Fraction(y.num, y.den)
+
+
+def as_fraction(x) -> Fraction:
+    return Fraction(x) if isinstance(x, int) else Fraction(x.num, x.den)
+
+
+nat_pairs = st.tuples(st.integers(1, 1 << 64), st.integers(1, 1 << 64))
+rat_pairs = st.tuples(
+    st.builds(PosRat, st.integers(1, 1 << 64), st.integers(1, 1 << 64)),
+    st.builds(PosRat, st.integers(1, 1 << 64), st.integers(1, 1 << 64)),
+)
+
+
+@st.composite
+def exact_quadruples(draw):
+    """Two nat or rat pairs, the second often a rescaling of the first."""
+    a, b = draw(st.one_of(nat_pairs, rat_pairs))
+    if draw(st.booleans()):
+        k = draw(st.integers(1, 1 << 40))
+        if draw(st.booleans()):
+            # the same ratio written in the other exact model
+            a, b = (PosRat(a), PosRat(b)) if isinstance(a, int) else (a.num * b.den, a.den * b.num)
+        a2, b2 = (k * a, k * b) if isinstance(a, int) else (PosRat(k) * a, PosRat(k) * b)
+        if draw(st.booleans()):
+            a2 = a2 + 1 if isinstance(a2, int) else a2 + PosRat(1, 1 << 70)
+    else:
+        a2, b2 = draw(st.one_of(nat_pairs, rat_pairs))
+    return a, b, a2, b2
 
 
 class TestHaveRatioWitness:
@@ -90,6 +119,31 @@ class TestRatioCompareExact:
         ka = PosRat(k, 1) * a
         kb = PosRat(k, 1) * b
         assert ratio_compare(a, b, ka, kb).is_equal
+
+    @settings(max_examples=400)
+    @given(exact_quadruples())
+    def test_cross_multiplication_matches_fractions(self, quad):
+        a, b, a2, b2 = quad
+        v1, v2 = as_fraction(a) / as_fraction(b), as_fraction(a2) / as_fraction(b2)
+        got = ratio_compare(a, b, a2, b2)
+        assert got.fuel_spent == 0
+        if v1 == v2:
+            assert got.is_equal and got.witness is None
+            return
+        lower, upper = sorted((v1, v2))
+        s = simplest_in(PosRat(lower.numerator, lower.denominator), PosRat(upper.numerator, upper.denominator))
+        assert got.witness == Witness(m=s.den, n=s.num)
+        if v1 > v2:
+            assert got.is_greater and verify_witness(got.witness, a, b, a2, b2)
+        else:
+            assert got.is_less and verify_witness(got.witness, a2, b2, a, b)
+
+    def test_equal_at_different_scales(self):
+        for a2, b2 in [(2, 3), (4, 6), (PosRat(2), PosRat(3)), (PosRat(4, 5), PosRat(6, 5))]:
+            got = ratio_compare(2, 3, a2, b2)
+            assert got.is_equal and got.fuel_spent == 0
+            got = ratio_compare(PosRat(2), PosRat(3), a2, b2)
+            assert got.is_equal and got.fuel_spent == 0
 
     def test_mixed_exact_models(self):
         # nat pair against the same value as a rat pair
