@@ -50,8 +50,8 @@ print(f"  the fraction {w.n}/{w.m} = {w.n/w.m:.6f} separates sqrt2 = 1.41421... 
 print("  verifies:", verify_witness(w, PosRat(3, 1), PosRat(2, 1), sqrt2, one))
 
 print("\n== honest indecision ==")
-a, b = PosRat(2, 3), PosRat(2, 3)
-verdict = ratio_compare(a, b, real_from_rat(a), real_from_rat(b), fuel=8)
-print("a:b vs its own real image, fuel 8 ->", verdict.kind,
+verdict = ratio_compare(sqrt_oracle(2), one, sqrt_oracle(8), real_from_rat(PosRat(2, 1)), fuel=8)
+print("sqrt2 : 1 vs sqrt8 : 2, fuel 8 ->", verdict.kind,
       f"(fuel spent {verdict.fuel_spent}, precision cap {verdict.precision_cap})")
-print("equal ratios can never be separated, only left undecided")
+print("both ratios are sqrt2: their enclosures always overlap, so equal real")
+print("ratios are left undecided, never given a wrong verdict")

@@ -30,6 +30,7 @@ from .errors import MagnitudeError, UndecidedError
 from .models import (
     PosRat,
     PosRealValue,
+    format_element,
     model_by_id,
     parse_element,
     real_from_rat,
@@ -128,9 +129,8 @@ def _build_parser() -> _Parser:
 
 def _real_payload(x: PosRealValue, p: int) -> dict:
     iv = x.approx(p)
-    digits = max(1, p * 30103 // 100000)
     return {
-        "mid": f"{iv.midpoint().decimal(digits)} ± 2^-{p}",
+        "mid": format_element(x, p),
         "precision": p,
         "lo": str(iv.lo),
         "hi": str(iv.hi),

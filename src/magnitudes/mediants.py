@@ -1,18 +1,18 @@
-"""Fraction search by mediant descent.
-
-Two searches drive the ratio machinery:
+"""Fraction search by continued fractions.
 
 * :func:`simplest_in` finds the smallest-denominator fraction inside a
   rational interval.  It is the Stern-Brocot walk with runs of same-direction
   mediant steps collapsed into one continued-fraction term, so the cost is
   proportional to the answer's continued-fraction length, not its size.
+  ``ratio.ratio_compare`` takes every separating witness from it.
 
 * :func:`ratio_as_fraction` recovers the exact value of a ratio x : y in an
   exact model using only the model's own toolkit (combine, order, integral
   multiples).  It is the alternating-subtraction descent: repeatedly split
   off the integer part of x/y and flip.  For commensurable elements (always,
   in the shipped exact models) the remainder vanishes and the accumulated
-  continued fraction is the exact ratio value.
+  continued fraction is the exact ratio value.  ``embed.fourth_proportional``
+  scales by it on exact models.
 """
 
 from __future__ import annotations

@@ -10,14 +10,14 @@ The engine decides exact-model comparisons outright: each ratio is an
 integer pair (a : b itself on nat, a.num*b.den : a.den*b.num on rat), two
 pairs compare by cross-multiplication, and only a strict verdict reduces
 them to fractions, for its separating witness.  Mixed or real comparisons
-walk the Stern-Brocot tree of candidate separating fractions, one mediant
-per unit of fuel.  A candidate n/m costs a few integer multiplications:
-exact points compare by cross-multiplication, and real operands are
-weighed as m*x against n*y on the precision ladder from their own cached
-intervals (``models.certify``), with no multiple or other oracle built.
-The fuel budget makes the search total, with Unknown as the honest
-out-of-budget answer: equal, or closer than fuel resolves, never a wrong
-verdict.
+enclose each ratio value x/y by dividing the terms' intervals at each rung
+of the precision ladder, exact terms being points, and no oracle is built.
+Once the two enclosures are disjoint, the simplest fraction between them
+(``mediants.simplest_in``) is the witness, returned after its strict
+inequality certifies on the same rungs (``models.certify``), as
+``verify_witness`` checks it.  The fuel budget caps the ladder, which makes
+the search total, with Unknown as the honest out-of-budget answer: equal,
+or closer than the cap resolves, never a wrong verdict.
 """
 
 from __future__ import annotations
@@ -78,7 +78,13 @@ class Witness:
 
 @dataclass(frozen=True)
 class RatioRel:
-    """Engine verdict: Equal, Greater(w), Less(w), or Unknown(fuel_spent)."""
+    """Engine verdict: Equal, Greater(w), Less(w), or Unknown(fuel_spent).
+
+    ``fuel_spent`` is the least fuel whose ladder reaches the rung that
+    decided, ceil(p/4) for rung p; it is 0 when every term is exact.  An
+    Unknown reports the fuel it was given and its ladder cap as
+    ``precision_cap``.
+    """
 
     kind: str
     witness: Optional[Witness] = None
@@ -154,36 +160,35 @@ def ratio_value_exact(r: Ratio) -> PosRat:
     return r.antecedent / r.consequent
 
 
-def _rel_vs_fraction(x, y, n: int, m: int, rungs) -> Tuple[Optional[Rel], Rel]:
-    """Relation of the ratio x:y to the fraction n/m: m*x against n*y.
+def _point(t):
+    """A term as an exact PosRat when it is a known point; other reals as given."""
+    if isinstance(t, int):
+        return PosRat(t)
+    if isinstance(t, PosRealValue) and t.exact is not None:
+        return t.exact
+    return t
 
-    Builds no oracle.  Exact points (nat, rat, real with ``exact`` set)
-    compare by integer cross-multiplication; otherwise ``certify`` weighs
-    m*x against n*y from the operands' own cached intervals.  Returns
-    (certified, guess): certified is None when a real comparison stays
-    overlapped at the ladder cap; guess, from the scaled midpoints of the
-    cap's intervals, only steers the search, never decides a verdict.
+
+def _rel_vs_fraction(x, y, n: int, m: int, rungs) -> Tuple[Optional[Rel], int]:
+    """Certified relation of the ratio x:y to the fraction n/m, with its rung.
+
+    Weighs m*x against n*y and builds no oracle.  Exact points (nat, rat,
+    real with ``exact`` set) compare by integer cross-multiplication, at
+    rung 0; otherwise ``certify`` reads the operands' own cached intervals
+    and answers None when the sides stay overlapped at the ladder cap.
     """
-    if isinstance(x, PosRealValue) and x.exact is not None:
-        x = x.exact
-    if isinstance(y, PosRealValue) and y.exact is not None:
-        y = y.exact
-    if isinstance(x, int):
-        lhs, rhs = m * x, n * y
-    elif isinstance(x, PosRat) and isinstance(y, PosRat):
+    x, y = _point(x), _point(y)
+    if isinstance(x, PosRat) and isinstance(y, PosRat):
         lhs, rhs = m * x.num * y.den, n * y.num * x.den
-    else:
-        out, cap = certify(x, y, rungs, m, n)
-        if out is not None:
-            return out, out
-        a = x if isinstance(x, PosRat) else x.approx(cap + (m - 1).bit_length())
-        b = y if isinstance(y, PosRat) else y.approx(cap + (n - 1).bit_length())
-        # m*(a.lo + a.hi) against n*(b.lo + b.hi), denominators cleared
-        lhs = m * (a.lo.num * a.hi.den + a.hi.num * a.lo.den) * b.lo.den * b.hi.den
-        rhs = n * (b.lo.num * b.hi.den + b.hi.num * b.lo.den) * a.lo.den * a.hi.den
-        return None, (Rel.GREATER if lhs > rhs else Rel.LESS)
-    tag = Rel.GREATER if lhs > rhs else Rel.LESS if lhs < rhs else Rel.EQUAL
-    return tag, tag
+        return (Rel.GREATER if lhs > rhs else Rel.LESS if lhs < rhs else Rel.EQUAL), 0
+    return certify(x, y, rungs, m, n)
+
+
+def _enclose(x, y, p: int) -> Tuple[PosRat, PosRat]:
+    """Ends of an interval holding the ratio value x/y, from the terms at rung p."""
+    a = x if isinstance(x, PosRat) else x.approx(p)
+    b = y if isinstance(y, PosRat) else y.approx(p)
+    return a.lo / b.hi, a.hi / b.lo
 
 
 def _exact_separator(lower: PosRat, upper: PosRat) -> Witness:
@@ -192,35 +197,15 @@ def _exact_separator(lower: PosRat, upper: PosRat) -> Witness:
     return Witness(m=s.den, n=s.num)
 
 
-def _boundary_upgrade(j: int, k: int, eq_pair, lt_pair, rungs) -> Optional[Witness]:
-    """Sharpen a boundary separator into a strictly certified witness.
-
-    Inputs: j*a = k*b exactly on eq_pair while lt_pair's ratio is certified
-    below k/j.  Then for a large enough multiplier p, the fraction
-    (pk - 1)/(pj) still exceeds lt_pair's ratio but falls strictly below
-    k/j, giving a witness with both inequalities strict.
-    """
-    a, b = eq_pair
-    a2, b2 = lt_pair
-    p = 1
-    for _ in range(64):
-        m_star, n_star = p * j, p * k - 1
-        if n_star >= 1:
-            first, _ = _rel_vs_fraction(a, b, n_star, m_star, rungs)
-            second, _ = _rel_vs_fraction(a2, b2, n_star, m_star, rungs)
-            if first is Rel.GREATER and second is Rel.LESS:
-                return Witness(m=m_star, n=n_star)
-        p *= 2
-    return None
-
-
 def ratio_compare(a, b, a2, b2, fuel: int = 64) -> RatioRel:
     """Compare the ratio a:b with a2:b2 across (possibly different) models.
 
     Exact models are decided outright by cross-multiplication.  Otherwise
-    the mediant walk searches for a separating fraction; each candidate costs
-    one unit of fuel, and real sub-comparisons escalate precision up to a cap
-    tied to the fuel budget.
+    each ratio is enclosed by dividing its terms' intervals at each rung of
+    ``ladder(max(16, 4*fuel))``, exact terms being points; once the two
+    enclosures are disjoint, the simplest fraction between them is the
+    witness, returned after its strict inequality certifies on the same
+    rungs.  Enclosures that never part give Unknown.
     """
     if isinstance(fuel, bool) or not isinstance(fuel, int) or fuel < 1:
         raise ValueError("fuel must be an integer >= 1")
@@ -240,42 +225,26 @@ def ratio_compare(a, b, a2, b2, fuel: int = 64) -> RatioRel:
             return RatioRel.greater(_exact_separator(v2, v1))
         return RatioRel.less(_exact_separator(v1, v2))
 
+    x, y, x2, y2 = _point(a), _point(b), _point(a2), _point(b2)
+    points = all(isinstance(t, PosRat) for t in (x, y, x2, y2))
     cap = max(16, 4 * fuel)
     rungs = ladder(cap)
-    lo = (0, 1)  # fractions as (numerator, denominator); 0/1 and 1/0 bracket
-    hi = (1, 0)
-    spent = 0
-    while spent < fuel:
-        spent += 1
-        sn, sm = lo[0] + hi[0], lo[1] + hi[1]
-        r1, g1 = _rel_vs_fraction(a, b, sn, sm, rungs)
-        r2, g2 = _rel_vs_fraction(a2, b2, sn, sm, rungs)
-
-        if r1 is Rel.GREATER and r2 in (Rel.LESS, Rel.EQUAL):
-            return RatioRel.greater(Witness(m=sm, n=sn), spent)
-        if r2 is Rel.GREATER and r1 in (Rel.LESS, Rel.EQUAL):
-            return RatioRel.less(Witness(m=sm, n=sn), spent)
-        if r1 is Rel.EQUAL and r2 is Rel.LESS:
-            w = _boundary_upgrade(sm, sn, (a, b), (a2, b2), rungs)
-            if w is not None:
-                return RatioRel.greater(w, spent)
-        if r2 is Rel.EQUAL and r1 is Rel.LESS:
-            w = _boundary_upgrade(sm, sn, (a2, b2), (a, b), rungs)
-            if w is not None:
-                return RatioRel.less(w, spent)
-        if r1 is Rel.EQUAL and r2 is Rel.EQUAL:
-            return RatioRel.equal(spent)
-
-        # no separator here: steer by the certified tags.  An uncertified
-        # side follows a strictly certified one, which keeps the certified
-        # ratio inside the bracket; midpoint guesses steer only otherwise
-        d1 = r1 if r1 is not None else (r2 if r2 in (Rel.GREATER, Rel.LESS) else g1)
-        d2 = r2 if r2 is not None else (r1 if r1 in (Rel.GREATER, Rel.LESS) else g2)
-        if Rel.GREATER in (d1, d2):
-            lo = (sn, sm)
+    for p in rungs:
+        lo1, hi1 = _enclose(x, y, p)
+        lo2, hi2 = _enclose(x2, y2, p)
+        if hi2 < lo1:
+            verdict, upper, w = RatioRel.greater, (x, y), _exact_separator(hi2, lo1)
+        elif hi1 < lo2:
+            verdict, upper, w = RatioRel.less, (x2, y2), _exact_separator(hi1, lo2)
+        elif points:
+            return RatioRel.equal()
         else:
-            hi = (sn, sm)
-    return RatioRel.unknown(spent, cap)
+            continue
+        # a witness whose strict side does not certify waits for a later rung
+        rel, q = _rel_vs_fraction(*upper, w.n, w.m, rungs)
+        if rel is Rel.GREATER:
+            return verdict(w, 0 if points else -(-max(p, q) // 4))
+    return RatioRel.unknown(fuel, cap)
 
 
 def verify_witness(w: Witness, a, b, a2, b2, fuel: int = 64) -> bool:

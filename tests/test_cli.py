@@ -11,6 +11,7 @@ from magnitudes.cli import (
     EXIT_USAGE,
     main,
 )
+from magnitudes.ratio import RatioRel
 
 
 def run_cli(*argv, env_precision=None, monkeypatch=None):
@@ -60,8 +61,15 @@ class TestExitCodes:
         base = f"{(1 << 300) + 1}/{1 << 300}"
         assert run_cli("pow", base, "1/3", "-p", "10")[:2] == (EXIT_OK, "1.000 ± 2^-10\n")
 
-    def test_unknown_verdict_maps_to_two(self):
-        # the mediant walk needs 1000 steps to reach 1000/1
+    def test_unknown_verdict_maps_to_two(self, monkeypatch):
+        # CLI reals are exact points, so a CLI ratio always decides
+        code, out, _ = run_cli(
+            "ratio", "cmp", "--model", "rat", "--model2", "real",
+            "1000/1", "1000/1", "--fuel", "8",
+        )
+        assert (code, out) == (EXIT_OK, "equal\n")
+        # an engine Unknown maps to the undecided exit code
+        monkeypatch.setattr("magnitudes.ratio.ratio_compare", lambda *args, **kwargs: RatioRel.unknown(8, 32))
         code, out, _ = run_cli(
             "ratio", "cmp", "--model", "rat", "--model2", "real",
             "1000/1", "1000/1", "--fuel", "8",

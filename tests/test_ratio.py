@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -6,7 +7,7 @@ from hypothesis import strategies as st
 
 from magnitudes.errors import InexactModelError, ModelMismatchError
 from magnitudes.mediants import simplest_in
-from magnitudes.models import PosRat, PosRealValue, real_from_rat, real_scale
+from magnitudes.models import PosRat, PosRealValue, real_add, real_from_rat, real_scale
 from magnitudes.ratio import (
     RatioRel,
     Witness,
@@ -198,18 +199,18 @@ class TestRatioCompareReal:
 
     @pytest.mark.parametrize("fuel, cap", [(3, 16), (64, 256), (100, 400)])
     def test_unknown_reports_fuel_and_cap(self, fuel, cap):
-        # the walk needs ~10^4 steps, so every fuel budget here runs out
+        # two copies of one value overlap at every rung, so every budget runs out
         one = real_from_rat(PosRat(1, 1))
         got = ratio_compare(isqrt_real(10**8 + 1), one, isqrt_real(10**8 + 1), one, fuel=fuel)
         assert got == RatioRel.unknown(fuel, cap)
 
     def test_pinned_real_witnesses(self, sqrt2):
         one = real_from_rat(PosRat(1, 1))
-        assert ratio_compare(sqrt2, one, isqrt_real(3), one) == RatioRel.less(Witness(2, 3), 3)
-        # an exact real pair meets 3/2 exactly, as its rat-model twin does,
-        # and both sharpen that boundary into the same witness
+        assert ratio_compare(sqrt2, one, isqrt_real(3), one) == RatioRel.less(Witness(2, 3), 1)
+        # an exact real pair is the point 3/2, as its rat-model twin is, and
+        # both take the simplest fraction between 3/2 and sqrt2's enclosure
         three, two = real_from_rat(PosRat(3, 1)), real_from_rat(PosRat(2, 1))
-        want = RatioRel.greater(Witness(16, 23), 3)
+        want = RatioRel.greater(Witness(9, 13), 1)
         assert ratio_compare(three, two, isqrt_real(2), one, fuel=20) == want
         assert ratio_compare(PosRat(3, 1), PosRat(2, 1), isqrt_real(2), one, fuel=20) == want
 
@@ -283,18 +284,16 @@ def scaled_root(k: int, s: Fraction) -> PosRealValue:
 
 class TestSteering:
     def test_uncertified_side_follows_certified_one(self):
-        # at a candidate where one pair certifies and the other stays
-        # overlapped, the walk must steer by the certified side: a midpoint
-        # guess can send it into a subtree that holds neither ratio, and the
-        # walk then ends Unknown at fuel 64
+        # 2/9 and 57/256 differ by 1/2304, and sqrt42 scales both: the pair
+        # decides at the default fuel, in either order, with one witness
         s, t = Fraction(2, 9), Fraction(57, 256)
-        want = Witness(m=265, n=59)
         got = ratio_compare(scaled_root(42, s), isqrt_real(42), scaled_root(42, t), isqrt_real(42))
-        assert got == RatioRel.less(want, 35)
-        got = ratio_compare(scaled_root(42, t), isqrt_real(42), scaled_root(42, s), isqrt_real(42))
-        assert got == RatioRel.greater(want, 35)
-        # 59/265 separates the two ratios: 265*s <= 59 < 265*t
-        assert want.m * s <= want.n < want.m * t
+        assert got.is_less
+        swapped = ratio_compare(scaled_root(42, t), isqrt_real(42), scaled_root(42, s), isqrt_real(42))
+        assert swapped == RatioRel.greater(got.witness, got.fuel_spent)
+        # n/m separates the two ratios: m*s <= n < m*t
+        w = got.witness
+        assert w.m * s <= w.n < w.m * t
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -313,3 +312,102 @@ class TestSteering:
             assert s < t and got.witness.m * t > got.witness.n >= got.witness.m * s
         else:
             assert got.is_unknown
+
+
+def sqrt_convergents(k: int):
+    """Continued-fraction convergents P/Q of sqrt(k), k not a square."""
+    a0 = math.isqrt(k)
+    m, d, a = 0, 1, a0
+    p_prev, p, q_prev, q = 1, a0, 0, 1
+    while True:
+        yield p, q
+        m = d * a - m
+        d = (k - m * m) // d
+        a = (a0 + m) // d
+        p_prev, p = p, a * p + p_prev
+        q_prev, q = q, a * q + q_prev
+
+
+def exceeds(m: int, n: int, c: Fraction, k: int) -> bool:
+    """m * c*sqrt(k) > n, in exact arithmetic."""
+    return m * m * c * c * k > n * n
+
+
+class TestSeparatedEnclosures:
+    """Both ratios enclosed on the ladder; the simplest fraction between them."""
+
+    @pytest.mark.parametrize("want_bits", [20, 45, 110])
+    def test_sqrt_against_its_convergents(self, want_bits):
+        # |sqrt(k) - P/Q| is about 2^-want_bits, far above the 2^-256 that
+        # fuel 64 reads to
+        one = real_from_rat(PosRat(1))
+        for k in (2, 3, 5, 6, 7, 10, 11, 13, 14, 15):
+            P, Q = next((P, Q) for P, Q in sqrt_convergents(k) if 2 * Q.bit_length() - 2 >= want_bits)
+            got = ratio_compare(isqrt_real(k), one, PosRat(P), PosRat(Q), fuel=64)
+            m, n = got.witness.m, got.witness.n
+            if P * P < k * Q * Q:
+                assert got.is_greater and m * m * k > n * n and m * P <= n * Q
+            else:
+                assert got.is_less and m * P > n * Q and m * m * k <= n * n
+
+    def test_benchmark_pins(self):
+        one = real_from_rat(PosRat(1))
+        got = ratio_compare(isqrt_real(20000), one, PosRat(141), PosRat(1), fuel=64)
+        m, n = got.witness.m, got.witness.n
+        # m * 100*sqrt2 > n >= 141 * m
+        assert got.is_greater and 20000 * m * m > n * n and 141 * m <= n
+        big = real_add(real_from_rat(PosRat(10**6)), isqrt_real(2))
+        got = ratio_compare(big, one, PosRat(1000001), PosRat(1), fuel=64)
+        m, n = got.witness.m, got.witness.n
+        # m * (10^6 + sqrt2) > n >= 1000001 * m
+        assert got.is_greater and 2 * m * m > (n - 10**6 * m) ** 2 and 1000001 * m <= n
+
+    @settings(max_examples=120, deadline=None)
+    @given(
+        st.sampled_from([2, 3, 5, 7, 10, 42, 59]),
+        st.fractions(min_value=Fraction(1, 100), max_value=100, max_denominator=1000),
+        st.integers(0, 200),
+        st.integers(-3, 3),
+        st.booleans(),
+        st.integers(1, 256),
+    )
+    def test_strict_verdicts_verify_and_replay(self, k, s, e, j, mixed, fuel):
+        # scaled roots s*sqrt(k) : sqrt(k) against t*sqrt(k) : sqrt(k), or
+        # sqrt(k) : 1 against a rational t near sqrt(k); the gap is down to
+        # 2^-200.  Each ratio value is c*sqrt(r), kept exactly as (c, r)
+        base = Fraction(math.isqrt(k << (2 * e)), 1 << e) if mixed else s
+        t = base + Fraction(j, 1 << e)
+        if t <= 0:
+            t = base
+        if mixed:
+
+            def build():
+                return isqrt_real(k), real_from_rat(PosRat(1)), PosRat(t.numerator), PosRat(t.denominator)
+
+            v1, v2 = (Fraction(1), k), (t, 1)
+        else:
+
+            def build():
+                return scaled_root(k, s), isqrt_real(k), scaled_root(k, t), isqrt_real(k)
+
+            v1, v2 = (s, 1), (t, 1)
+        got = ratio_compare(*build(), fuel=fuel)
+        if got.is_unknown:
+            assert got == RatioRel.unknown(fuel, max(16, 4 * fuel))
+            return
+        assert not got.is_equal
+        m, n = got.witness.m, got.witness.n
+        upper, lower = (v1, v2) if got.is_greater else (v2, v1)
+        assert exceeds(m, n, *upper) and not exceeds(m, n, *lower)
+        a, b, a2, b2 = build()
+        if got.is_greater:
+            assert verify_witness(got.witness, a, b, a2, b2, fuel=fuel)
+        else:
+            assert verify_witness(got.witness, a2, b2, a, b, fuel=fuel)
+        assert ratio_compare(*build(), fuel=got.fuel_spent) == got
+
+    def test_cache_stays_on_the_ladder(self, sqrt2):
+        # enclosures read each operand once per rung: 4, 8, ..., 2048, 4096
+        one = real_from_rat(PosRat(1))
+        assert ratio_compare(sqrt2, one, sqrt2, one, fuel=1024).is_unknown
+        assert len(sqrt2._cache) <= 16
