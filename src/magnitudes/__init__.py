@@ -67,7 +67,6 @@ from .hom import (
     psi,
     quotient,
 )
-from .laws import LawReport, law_sets, list_laws, run_suite
 from .models import (
     NAT,
     RAT,
@@ -100,3 +99,15 @@ from .ratio import (
 )
 
 __version__ = "0.1.0"
+
+_LAWS_NAMES = ("LawReport", "law_sets", "list_laws", "run_suite")
+
+
+def __getattr__(name):
+    # The law suite loads on first use, so that importing the library or
+    # running one CLI operation does not pay for it.
+    if name in _LAWS_NAMES:
+        from . import laws
+
+        return getattr(laws, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

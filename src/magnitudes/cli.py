@@ -17,7 +17,7 @@ import json
 import os
 import sys
 
-from . import hom, laws, power, ratio
+from . import hom, power, ratio
 from .embed import (
     ApproxPolicy,
     check_homomorphism,
@@ -259,6 +259,8 @@ def _cmd_embed_check(args, out) -> int:
 
 
 def _cmd_laws(args, p, out) -> int:
+    from . import laws
+
     if args.laws_command == "list":
         for entry in laws.list_laws():
             print(f"{entry['lawId']}  [{entry['set']}]  {entry['statement']}", file=out)
@@ -283,10 +285,15 @@ def _cmd_laws(args, p, out) -> int:
     return EXIT_OK if all(r.passed for r in reports) else EXIT_DOMAIN
 
 
+_parser = None  # built by the first main() call and reused by later ones
+
+
 def main(argv=None, out=sys.stdout, err=sys.stderr) -> int:
-    parser = _build_parser()
+    global _parser
+    if _parser is None:
+        _parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser.parse_args(argv)
         raw_precision = getattr(args, "precision", None)
         precision = raw_precision if raw_precision is not None else _default_precision()
         if precision < 0:

@@ -15,7 +15,6 @@ types.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from typing import Any
 
 from .errors import DiscreteModelError, NotGreaterError
@@ -38,8 +37,49 @@ class Rel(enum.Enum):
         return Rel.EQUAL
 
 
-@dataclass(frozen=True)
-class Ordering3:
+class Record:
+    """Immutable record with value semantics.
+
+    A subclass lists its fields in ``__slots__``, in field order after those
+    of its bases, and sets them in ``__init__`` through ``object.__setattr__``.
+    Instances compare equal when they are of the same class with equal
+    fields, hash their field tuple, print as ``Name(field=value, ...)``, and
+    refuse assignment and deletion with AttributeError.
+    """
+
+    __slots__ = ()
+    _fields: tuple = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls._fields = cls._fields + tuple(cls.__dict__.get("__slots__", ()))
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class Ordering3(Record):
     """Trichotomy outcome for a pair (a, b), carrying the difference witness.
 
     ``gap`` is the element d reconstructing the larger side:
@@ -47,8 +87,11 @@ class Ordering3:
     EQUAL carries no gap.
     """
 
-    tag: Rel
-    gap: Any = None
+    __slots__ = ("tag", "gap")
+
+    def __init__(self, tag: Rel, gap: Any = None):
+        object.__setattr__(self, "tag", tag)
+        object.__setattr__(self, "gap", gap)
 
     @staticmethod
     def less_by(d) -> "Ordering3":
@@ -79,8 +122,7 @@ class Ordering3:
         return Ordering3(self.tag.swapped(), self.gap)
 
 
-@dataclass(frozen=True)
-class ModelDescriptor:
+class ModelDescriptor(Record):
     """Static facts about a model, checked once at construction.
 
     discrete       -- has a smallest element (and then ``smallest`` holds it)
@@ -91,19 +133,37 @@ class ModelDescriptor:
     exact_order    -- comparison decides without precision parameters
     """
 
-    model_id: str
-    discrete: bool
-    symmetric: bool
-    continuous_at_oracle: bool
-    exact_order: bool
-    unit: Any = None
-    smallest: Any = None
+    __slots__ = (
+        "model_id",
+        "discrete",
+        "symmetric",
+        "continuous_at_oracle",
+        "exact_order",
+        "unit",
+        "smallest",
+    )
 
-    def __post_init__(self):
-        if self.discrete != (self.smallest is not None):
+    def __init__(
+        self,
+        model_id: str,
+        discrete: bool,
+        symmetric: bool,
+        continuous_at_oracle: bool,
+        exact_order: bool,
+        unit: Any = None,
+        smallest: Any = None,
+    ):
+        if discrete != (smallest is not None):
             raise ValueError("discrete models must carry their smallest element")
-        if self.continuous_at_oracle and self.discrete:
+        if continuous_at_oracle and discrete:
             raise ValueError("a continuous model cannot be discrete")
+        object.__setattr__(self, "model_id", model_id)
+        object.__setattr__(self, "discrete", discrete)
+        object.__setattr__(self, "symmetric", symmetric)
+        object.__setattr__(self, "continuous_at_oracle", continuous_at_oracle)
+        object.__setattr__(self, "exact_order", exact_order)
+        object.__setattr__(self, "unit", unit)
+        object.__setattr__(self, "smallest", smallest)
 
 
 def _resolve(model, *elements):

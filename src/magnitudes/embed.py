@@ -16,18 +16,17 @@ precision the caller's oracle queries demand.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Optional, Union
 
 from . import core
-from .core import Rel, check_precision
+from .core import Record, Rel, check_precision
 from .errors import (
+    InexactModelError,
     ModelMismatchError,
     ParseError,
     UndecidedError,
     UnsupportedCodomainError,
 )
-from .mediants import ratio_as_fraction
 from .models import (
     NAT,
     RAT,
@@ -65,49 +64,56 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class ApproxPolicy:
+class ApproxPolicy(Record):
     """Target precision of real-valued results."""
 
-    precision: int = 30
+    __slots__ = ("precision",)
 
-    def __post_init__(self):
-        if self.precision < 0:
+    def __init__(self, precision: int = 30):
+        if precision < 0:
             raise ValueError("target precision must be >= 0")
+        object.__setattr__(self, "precision", precision)
 
 
 DEFAULT_POLICY = ApproxPolicy()
 
 
-class EmbeddingRepr:
+class EmbeddingRepr(Record):
     """Base class for embedding representations."""
 
+    __slots__ = ()
     domain: Model
     codomain: Model
 
 
-@dataclass(frozen=True)
 class UnitMultiple(EmbeddingRepr):
     """n -> n * image: the unique embedding out of the naturals sending 1 to image."""
 
-    image: object
-    domain: Model
-    codomain: Model
+    __slots__ = ("image", "domain", "codomain")
+
+    def __init__(self, image, domain: Model, codomain: Model):
+        object.__setattr__(self, "image", image)
+        object.__setattr__(self, "domain", domain)
+        object.__setattr__(self, "codomain", codomain)
 
 
-@dataclass(frozen=True)
 class Anchor(EmbeddingRepr):
     """b -> the fourth proportional to (anchor, b, image)."""
 
-    anchor: object
-    image: object
-    domain: Model
-    codomain: Model
+    __slots__ = ("anchor", "image", "domain", "codomain")
+
+    def __init__(self, anchor, image, domain: Model, codomain: Model):
+        object.__setattr__(self, "anchor", anchor)
+        object.__setattr__(self, "image", image)
+        object.__setattr__(self, "domain", domain)
+        object.__setattr__(self, "codomain", codomain)
 
 
-@dataclass(frozen=True)
 class IdentityRepr(EmbeddingRepr):
-    model: Model
+    __slots__ = ("model",)
+
+    def __init__(self, model: Model):
+        object.__setattr__(self, "model", model)
 
     @property
     def domain(self) -> Model:
@@ -118,10 +124,12 @@ class IdentityRepr(EmbeddingRepr):
         return self.model
 
 
-@dataclass(frozen=True)
 class SumOf(EmbeddingRepr):
-    left: EmbeddingRepr
-    right: EmbeddingRepr
+    __slots__ = ("left", "right")
+
+    def __init__(self, left: EmbeddingRepr, right: EmbeddingRepr):
+        object.__setattr__(self, "left", left)
+        object.__setattr__(self, "right", right)
 
     @property
     def domain(self) -> Model:
@@ -132,10 +140,12 @@ class SumOf(EmbeddingRepr):
         return self.left.codomain
 
 
-@dataclass(frozen=True)
 class ComposeOf(EmbeddingRepr):
-    outer: EmbeddingRepr
-    inner: EmbeddingRepr
+    __slots__ = ("outer", "inner")
+
+    def __init__(self, outer: EmbeddingRepr, inner: EmbeddingRepr):
+        object.__setattr__(self, "outer", outer)
+        object.__setattr__(self, "inner", inner)
 
     @property
     def domain(self) -> Model:
@@ -176,17 +186,22 @@ def anchor_embedding(a, a_prime) -> Anchor:
 def fourth_proportional(a, b, a_prime: PosRealValue, p: int) -> PosRealValue:
     """b' in the real model with a : b = a' : b', refined to precision p.
 
-    a and b live in one exact model.  The ratio b : a is recovered exactly
-    by mediant descent over the model's own multiples and comparisons; the
-    result is a' scaled by that fraction, an oracle honoring the width
-    contract at every precision (uniqueness makes any two correct
+    a and b live in one exact model, where the ratio b : a is the fraction
+    b/a in closed form; the result is a' scaled by it, an oracle honoring
+    the width contract at every precision (uniqueness makes any two correct
     constructions agree).
     """
     model = model_of(a)
     model.check(b)
     REAL.check(a_prime)
     check_precision(p)
-    result = real_scale(a_prime, ratio_as_fraction(b, a, model))
+    if model is NAT:
+        scale = PosRat(b, a)
+    elif model is RAT:
+        scale = b / a
+    else:
+        raise InexactModelError("the fourth proportional needs an exact model")
+    result = real_scale(a_prime, scale)
     result.approx(p)
     return result
 
@@ -238,11 +253,13 @@ def evaluate_naive(phi: UnitMultiple, n: int):
     return core.multiple_naive(n, phi.image, phi.codomain)
 
 
-@dataclass(frozen=True)
-class HomCheckReport:
-    passed: bool
-    samples: int
-    counterexample: Optional[dict] = None
+class HomCheckReport(Record):
+    __slots__ = ("passed", "samples", "counterexample")
+
+    def __init__(self, passed: bool, samples: int, counterexample: Optional[dict] = None):
+        object.__setattr__(self, "passed", passed)
+        object.__setattr__(self, "samples", samples)
+        object.__setattr__(self, "counterexample", counterexample)
 
 
 def check_homomorphism(

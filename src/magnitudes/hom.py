@@ -16,9 +16,7 @@ reals they are the product and quotient nodes of :mod:`magnitudes.models`
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .core import Ordering3, Rel
+from .core import Ordering3, Record, Rel
 from .errors import (
     ModelMismatchError,
     NoUnitError,
@@ -61,11 +59,13 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class HomElement:
+class HomElement(Record):
     """An embedding as an element of its hom magnitude space."""
 
-    mapping: EmbeddingRepr
+    __slots__ = ("mapping",)
+
+    def __init__(self, mapping: EmbeddingRepr):
+        object.__setattr__(self, "mapping", mapping)
 
     @property
     def domain(self) -> Model:
@@ -79,13 +79,15 @@ class HomElement:
         return evaluate(self.mapping, b, policy)
 
 
-@dataclass(frozen=True)
 class EndoElement(HomElement):
     """An embedding of a model into itself."""
 
-    def __post_init__(self):
-        if self.mapping.domain is not self.mapping.codomain:
+    __slots__ = ()
+
+    def __init__(self, mapping: EmbeddingRepr):
+        if mapping.domain is not mapping.codomain:
             raise ModelMismatchError("endomorphisms need domain = codomain")
+        super().__init__(mapping)
 
 
 def hom(mapping: EmbeddingRepr) -> HomElement:

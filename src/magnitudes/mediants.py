@@ -11,8 +11,9 @@
   multiples).  It is the alternating-subtraction descent: repeatedly split
   off the integer part of x/y and flip.  For commensurable elements (always,
   in the shipped exact models) the remainder vanishes and the accumulated
-  continued fraction is the exact ratio value.  ``embed.fourth_proportional``
-  scales by it on exact models.
+  continued fraction is the exact ratio value.  The law
+  ``fourth-proportional-unique`` checks the closed-form
+  ``embed.fourth_proportional`` against it.
 """
 
 from __future__ import annotations

@@ -15,11 +15,10 @@ same precision observe the identical interval.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass
 from math import gcd
 from typing import Callable, Iterable, Optional, Tuple, Union
 
-from .core import ModelDescriptor, Ordering3, Rel, check_positive_int
+from .core import ModelDescriptor, Ordering3, Record, Rel, check_positive_int
 from .errors import (
     InexactModelError,
     ModelMismatchError,
@@ -266,11 +265,13 @@ class Interval:
         )
 
 
-@dataclass(frozen=True)
-class Overlap:
+class Overlap(Record):
     """Undecided real comparison: the p-intervals were not disjoint."""
 
-    precision: int
+    __slots__ = ("precision",)
+
+    def __init__(self, precision: int):
+        object.__setattr__(self, "precision", precision)
 
 
 class PosRealValue:

@@ -24,12 +24,11 @@ wherever their intervals are queried.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import isqrt
 from typing import Union
 
 from . import core
-from .core import ModelDescriptor, Ordering3, Rel, check_precision
+from .core import ModelDescriptor, Ordering3, Record, Rel, check_precision
 from .errors import (
     InexactModelError,
     NotAboveOneError,
@@ -63,8 +62,7 @@ __all__ = [
 PRECISION_GUARD = 8  # extra bits absorbing rounding in the scaled-integer power
 
 
-@dataclass(frozen=True)
-class MulReal:
+class MulReal(Record):
     """A real strictly greater than one.
 
     Only ``into_mul`` certifies membership, because only it takes values
@@ -73,7 +71,10 @@ class MulReal:
     operation here wraps its result by closure, without refining it again.
     """
 
-    value: PosRealValue
+    __slots__ = ("value",)
+
+    def __init__(self, value: PosRealValue):
+        object.__setattr__(self, "value", value)
 
     def approx(self, p: int) -> Interval:
         return self.value.approx(p)
@@ -142,7 +143,7 @@ def mul_multiple(n: int, x: MulReal) -> MulReal:
 
 
 def int_nth_root(k: int, n: int) -> int:
-    """Largest r with r**n <= k, by Newton's iteration from above.
+    """Largest r with r**n <= k: ``math.isqrt`` for n = 2, else Newton's iteration from above.
 
     The root has at most m = ceil(bits/n) bits.  The root of k's top bits,
     found recursively for m // 2 bits and rounded up, starts the iteration
@@ -152,6 +153,8 @@ def int_nth_root(k: int, n: int) -> int:
         raise ValueError("positive arguments only")
     if n == 1 or k == 1:
         return k
+    if n == 2:
+        return isqrt(k)
     m = -(-k.bit_length() // n)  # r < 2^m
     if m == 1:
         return 1

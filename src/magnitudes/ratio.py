@@ -22,11 +22,10 @@ or closer than the cap resolves, never a wrong verdict.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional, Tuple
 
 from . import core
-from .core import Rel
+from .core import Record, Rel
 from .errors import InexactModelError
 from .mediants import simplest_in
 from .models import NAT, PosRat, PosRealValue, certify, ladder, model_of
@@ -43,13 +42,15 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Ratio:
+class Ratio(Record):
     """An ordered pair of elements from one model, read antecedent : consequent."""
 
-    antecedent: object
-    consequent: object
-    model_id: str
+    __slots__ = ("antecedent", "consequent", "model_id")
+
+    def __init__(self, antecedent, consequent, model_id: str):
+        object.__setattr__(self, "antecedent", antecedent)
+        object.__setattr__(self, "consequent", consequent)
+        object.__setattr__(self, "model_id", model_id)
 
 
 def make_ratio(antecedent, consequent) -> Ratio:
@@ -58,16 +59,18 @@ def make_ratio(antecedent, consequent) -> Ratio:
     return Ratio(antecedent, consequent, model.descriptor.model_id)
 
 
-@dataclass(frozen=True)
-class Witness:
+class Witness(Record):
     """Multiplier pair certifying a strict ratio inequality.
 
     For a Greater verdict on ((a, b), (a2, b2)): m*a > n*b and m*a2 <= n*b2.
     A Less verdict carries the same witness read against the swapped pairs.
     """
 
-    m: int
-    n: int
+    __slots__ = ("m", "n")
+
+    def __init__(self, m: int, n: int):
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "n", n)
 
     def __str__(self) -> str:
         return f"m={self.m} n={self.n}"
@@ -76,8 +79,7 @@ class Witness:
         return {"m": str(self.m), "n": str(self.n)}
 
 
-@dataclass(frozen=True)
-class RatioRel:
+class RatioRel(Record):
     """Engine verdict: Equal, Greater(w), Less(w), or Unknown(fuel_spent).
 
     ``fuel_spent`` is the least fuel whose ladder reaches the rung that
@@ -86,10 +88,19 @@ class RatioRel:
     ``precision_cap``.
     """
 
-    kind: str
-    witness: Optional[Witness] = None
-    fuel_spent: int = 0
-    precision_cap: int = 0
+    __slots__ = ("kind", "witness", "fuel_spent", "precision_cap")
+
+    def __init__(
+        self,
+        kind: str,
+        witness: Optional[Witness] = None,
+        fuel_spent: int = 0,
+        precision_cap: int = 0,
+    ):
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "witness", witness)
+        object.__setattr__(self, "fuel_spent", fuel_spent)
+        object.__setattr__(self, "precision_cap", precision_cap)
 
     @staticmethod
     def equal(fuel_spent: int = 0) -> "RatioRel":

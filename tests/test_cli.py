@@ -1,6 +1,10 @@
 import io
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -202,3 +206,43 @@ class TestPrecisionEnv:
             monkeypatch=monkeypatch, env_precision="many",
         )
         assert code == EXIT_USAGE
+
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
+
+
+def run_cold(argv, precision=None):
+    """One CLI call in its own interpreter: (exit code, stdout, stderr)."""
+    env = dict(os.environ, PYTHONIOENCODING="utf-8")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    env.pop("MAGNITUDES_PRECISION", None)
+    if precision is not None:
+        env["MAGNITUDES_PRECISION"] = precision
+    proc = subprocess.run(
+        [sys.executable, "-m", "magnitudes.cli", *argv],
+        capture_output=True, env=env, timeout=120,
+    )
+    return proc.returncode, proc.stdout.decode("utf-8"), proc.stderr.decode("utf-8")
+
+
+class TestParserReuse:
+    SEQUENCE = [
+        (("mul", "--model", "rat", "3/2", "4/3"), None),
+        (("ratio", "cmp", "--model", "rat", "3/2", "4/3", "--format", "json"), None),
+        (("ratio", "cmp", "--model", "rat", "3/2", "4/3"), None),
+        (("multiple", "--model", "nat", "13"), None),
+        (("fourth", "--model", "rat", "2", "3", "1"), "12"),
+        (("fourth", "--model", "rat", "2", "3", "1"), None),
+        (("laws", "run", "core_axioms", "--model", "nat", "--trials", "3"), None),
+        (("pow", "2", "1/2", "--format", "json"), "20"),
+        (("quot", "--model", "rat", "3/2", "1/2"), None),
+    ]
+
+    def test_calls_in_one_process_match_calls_alone(self, monkeypatch):
+        for argv, precision in self.SEQUENCE:
+            if precision is None:
+                monkeypatch.delenv("MAGNITUDES_PRECISION", raising=False)
+            else:
+                monkeypatch.setenv("MAGNITUDES_PRECISION", precision)
+            alone = run_cold(argv, precision)
+            assert run_cli(*argv) == alone, argv

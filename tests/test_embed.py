@@ -19,7 +19,12 @@ from magnitudes.embed import (
     fourth_proportional,
     nat_embedding,
 )
-from magnitudes.errors import ModelMismatchError, ParseError, UnsupportedCodomainError
+from magnitudes.errors import (
+    InexactModelError,
+    ModelMismatchError,
+    ParseError,
+    UnsupportedCodomainError,
+)
 from magnitudes.models import NAT, RAT, PosRat, real_from_rat
 
 from conftest import isqrt_real
@@ -123,6 +128,17 @@ class TestFourthProportional:
     def test_precision_validation(self):
         with pytest.raises(ValueError):
             fourth_proportional(1, 2, real_from_rat(PosRat(1, 1)), -1)
+
+    def test_inexact_terms_refused(self, sqrt2):
+        one = real_from_rat(PosRat(1, 1))
+        with pytest.raises(InexactModelError):
+            fourth_proportional(sqrt2, one, one, 20)
+        with pytest.raises(InexactModelError):
+            fourth_proportional(one, real_from_rat(PosRat(2, 1)), one, 20)
+
+    def test_nat_terms_scale_by_reduced_fraction(self):
+        out = fourth_proportional(6, 4, real_from_rat(PosRat(9, 1)), 10)
+        assert out.exact == PosRat(6, 1)
 
 
 class TestCheckHomomorphism:

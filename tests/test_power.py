@@ -129,6 +129,16 @@ class TestIntNthRoot:
         for k in (1, 2, 3, 99, 10**12, 10**12 + 1):
             assert int_nth_root(k, 2) == math.isqrt(k)
 
+    @given(st.integers(1 << 2000, 1 << 2600))
+    def test_floor_square_root_above_2_2000(self, k):
+        r = int_nth_root(k, 2)
+        assert r * r <= k < (r + 1) * (r + 1)
+
+    def test_square_root_at_exact_squares_above_2_2000(self):
+        s = (1 << 1100) + 12345
+        for k, want in ((s * s - 1, s - 1), (s * s, s), (s * s + 2 * s, s), ((s + 1) ** 2, s + 1)):
+            assert int_nth_root(k, 2) == want
+
     def test_validation(self):
         with pytest.raises(ValueError):
             int_nth_root(0, 2)
