@@ -15,7 +15,6 @@ from magnitudes import (
     find_multiple_exceeding,
     multiple,
     multiple_naive,
-    real_approx,
     real_from_rat,
     shrink_below,
     subtract,
@@ -52,6 +51,6 @@ print("some b with 3b < 1:", small, "->", multiple(3, small))
 print("\n== the real model: interval refinement oracles ==")
 x = real_from_rat(PosRat(1, 3))
 for p in (2, 10, 20):
-    iv = real_approx(x, p)
+    iv = x.approx(p)
     print(f"approx(1/3, {p}) = [{iv.lo}, {iv.hi}]")
 print("descriptors:", NAT.descriptor.model_id, RAT.descriptor.model_id)

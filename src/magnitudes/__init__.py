@@ -80,7 +80,6 @@ from .models import (
     nat_make,
     rat_make,
     real_add,
-    real_approx,
     real_compare,
     real_from_rat,
     real_mul,

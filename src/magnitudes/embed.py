@@ -9,9 +9,9 @@ as elements of their own magnitude space (see :mod:`magnitudes.hom`).
 
 The central construction is :func:`fourth_proportional`: given a, b in an
 exact model and a' in the real model, produce b' with a : b = a' : b'.  The
-ratio b : a is first recovered exactly with the mediant descent (using only
-the exact model's own operations), then a' is scaled by it at whatever
-precision the caller's oracle queries demand.
+ratio b : a is the exact model's integer pair in closed form
+(``Model.ratio_pair``), and a' is scaled by it at whatever precision the
+caller's oracle queries demand.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ from typing import Callable, Optional, Union
 from . import core
 from .core import Record, Rel, check_precision
 from .errors import (
-    InexactModelError,
     ModelMismatchError,
     ParseError,
     UndecidedError,
@@ -195,13 +194,7 @@ def fourth_proportional(a, b, a_prime: PosRealValue, p: int) -> PosRealValue:
     model.check(b)
     REAL.check(a_prime)
     check_precision(p)
-    if model is NAT:
-        scale = PosRat(b, a)
-    elif model is RAT:
-        scale = b / a
-    else:
-        raise InexactModelError("the fourth proportional needs an exact model")
-    result = real_scale(a_prime, scale)
+    result = real_scale(a_prime, PosRat(*model.ratio_pair(b, a)))
     result.approx(p)
     return result
 
@@ -228,19 +221,14 @@ def evaluate(phi: EmbeddingRepr, b, policy: ApproxPolicy = DEFAULT_POLICY):
 def _evaluate_anchor(phi: Anchor, b, policy: ApproxPolicy):
     domain, codomain = phi.domain, phi.codomain
     domain.check(b)
-    if domain is NAT:
-        if codomain is NAT:
-            return (phi.image // phi.anchor) * b
-        if codomain is RAT:
-            return phi.image * PosRat(b, phi.anchor)
-        return fourth_proportional(phi.anchor, b, phi.image, policy.precision)
-    if domain is RAT:
-        scale = b / phi.anchor
-        if codomain is RAT:
-            return phi.image * scale
-        return fourth_proportional(phi.anchor, b, phi.image, policy.precision)
-    # real domain, exact rational anchor: b * image / anchor
-    return real_scale(real_mul(b, phi.image), phi.anchor.exact.reciprocal())
+    if domain is REAL:
+        # exact rational anchor: b * image / anchor
+        return real_scale(real_mul(b, phi.image), phi.anchor.exact.reciprocal())
+    if codomain is NAT:
+        return (phi.image // phi.anchor) * b
+    if codomain is RAT:
+        return phi.image * PosRat(*domain.ratio_pair(b, phi.anchor))
+    return fourth_proportional(phi.anchor, b, phi.image, policy.precision)
 
 
 def evaluate_naive(phi: UnitMultiple, n: int):

@@ -151,7 +151,7 @@ def hom_compare(
     if out is None:
         raise UndecidedError(f"hom comparison overlapped through precision {p}")
     big, small = (x, y) if out is Rel.GREATER else (y, x)
-    gap = real_subtract(big, small, known_gap_precision=p)
+    gap = real_subtract(big, small)
     return Ordering3(out, psi(phi.domain, gap))
 
 

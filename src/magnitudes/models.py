@@ -35,7 +35,6 @@ __all__ = [
     "nat_make",
     "rat_make",
     "real_from_rat",
-    "real_approx",
     "real_add",
     "real_subtract",
     "real_mul",
@@ -285,9 +284,10 @@ class PosRealValue:
     ``exact`` optionally records that the value is a known rational point,
     enabling exact fast paths downstream.
 
-    A sum or rational scaling also records its direct terms in ``_terms``,
-    as (value, coefficient) pairs; every other value is a leaf of the
-    linear DAG those terms span.
+    A sum, difference or rational scaling also records its direct terms in
+    ``_terms``, as (value, num, den) triples with the signed integer
+    coefficient num/den; every other value is a leaf of the linear DAG those
+    terms span.
     """
 
     __slots__ = ("_refine", "_cache", "_best", "_lock", "exact", "_terms")
@@ -342,25 +342,21 @@ def real_from_rat(q: PosRat) -> PosRealValue:
     return PosRealValue(lambda p: point, exact=q)
 
 
-def real_approx(x: PosRealValue, p: int) -> Interval:
-    """Interval of width <= 2**-p containing x.  Memoized."""
-    return x.approx(p)
-
-
 def _flatten(terms: tuple) -> list:
     """Leaves of the linear DAG under a node's terms, with total coefficients.
 
-    Coefficients are pushed down in topological order over distinct nodes,
-    so a shared subnode is expanded once however many paths reach it
-    (k doublings c = c + c make k nodes but 2^k paths).  Both walks keep
-    their own stacks, so a chain's depth costs memory, not interpreter
-    frames.  Each
-    leaf comes back as (source, num, den, extra): source is the leaf, or its
-    exact point; num/den is its coefficient; extra = max(0, ceil(log2 num/den)).
+    Coefficients are signed fractions num/den in lowest terms, den > 0.
+    They are pushed down in topological order over distinct nodes, so a
+    shared subnode is expanded once however many paths reach it (k doublings
+    c = c + c make k nodes but 2^k paths).  Both walks keep their own stacks,
+    so a chain's depth costs memory, not interpreter frames.  A leaf whose
+    coefficients cancel to 0 is dropped.  Each leaf comes back as
+    (source, num, den, extra): source is the leaf, or its exact point; num/den
+    is its coefficient; extra = max(0, ceil(log2 |num|/den)).
     """
     # count each inner node's parents, so it is expanded after all of them
     parents: dict = {}
-    stack = [child for child, _ in terms]
+    stack = [term[0] for term in terms]
     while stack:
         node = stack.pop()
         if node._terms is None or node.exact is not None:
@@ -369,24 +365,30 @@ def _flatten(terms: tuple) -> list:
             parents[node] += 1
         else:
             parents[node] = 1
-            stack.extend(child for child, _ in node._terms)
+            stack.extend(term[0] for term in node._terms)
     weight: dict = {}
-    ready = [(terms, RAT_ONE)]
+    ready = [(terms, 1, 1)]
     while ready:
-        node_terms, c = ready.pop()
-        for child, k in node_terms:
-            share = c if k is RAT_ONE else c * k
+        node_terms, c_num, c_den = ready.pop()
+        for child, k_num, k_den in node_terms:
+            num, den = c_num * k_num, c_den * k_den
             prev = weight.get(child)
-            weight[child] = share if prev is None else prev + share
+            if prev is not None:
+                num, den = num * prev[1] + prev[0] * den, den * prev[1]
+            if den != 1:
+                g = gcd(num, den)
+                num, den = num // g, den // g
+            weight[child] = (num, den)
             if child in parents:
                 parents[child] -= 1
                 if not parents[child]:
-                    ready.append((child._terms, weight[child]))
-    leaves = []
-    for node, c in weight.items():
-        if node not in parents:
-            leaves.append((node if node.exact is None else node.exact, c.num, c.den, max(0, c.ceil_log2())))
-    return leaves
+                    ready.append((child._terms, num, den))
+    # ceil(log2 a/b) for a > b is the bit length of floor((a - 1)/b)
+    return [
+        (node if node.exact is None else node.exact, num, den, ((abs(num) - 1) // den).bit_length())
+        for node, (num, den) in weight.items()
+        if num and node not in parents
+    ]
 
 
 def _linear(terms: tuple, exact: Optional[PosRat]) -> PosRealValue:
@@ -396,7 +398,9 @@ def _linear(terms: tuple, exact: Optional[PosRat]) -> PosRealValue:
     leaf is read at w plus its coefficient's bits, so its scaled interval is
     no wider than 2^-w, and its endpoints are floored and ceiled onto the
     grid as integers: 3n ticks of 2^-w at most, so width <= 2^-p.  A single
-    scaling (n = 1) reads its leaf at p + 2 + extra.
+    scaling (n = 1) reads its leaf at p + 2 + extra.  A negative coefficient
+    takes the leaf's upper end into the lower sum and its lower end into the
+    upper sum, so only a difference can have a lower sum that is not positive.
     """
     leaves = None
 
@@ -404,22 +408,37 @@ def _linear(terms: tuple, exact: Optional[PosRat]) -> PosRealValue:
         nonlocal leaves
         if leaves is None:  # under the node's lock, on first refine
             leaves = _flatten(terms)
-        w = p + (3 * len(leaves) - 1).bit_length()
-        lo_ticks = hi_ticks = 0
-        for src, u, v, extra in leaves:
-            iv = src if src.__class__ is PosRat else src.approx(w + extra)
-            lo_ticks += (iv.lo.num * u << w) // (iv.lo.den * v)
-            hi_ticks -= (-(iv.hi.num * u) << w) // (iv.hi.den * v)
-        hi = PosRat(hi_ticks, 1 << w)
-        if lo_ticks >= 1:
-            return Interval(PosRat(lo_ticks, 1 << w), hi)
-        # the grid floor reached zero: keep the exact lower sum (reads hit the cache)
-        lo = None
-        for src, u, v, extra in leaves:
-            a = (src if src.__class__ is PosRat else src.approx(w + extra)).lo
-            term = PosRat(a.num * u, a.den * v)
-            lo = term if lo is None else lo + term
-        return Interval(lo, hi)
+        base = p + (3 * len(leaves) - 1).bit_length()
+        # sums and scalings end on the first grid; a difference whose lower sum
+        # is not yet positive is read again on finer grids, up to 256 bits
+        # finer, the top rung of ladder()
+        for step in (0, 8, 16, 32, 64, 128, 256):
+            w = base + step
+            lo_ticks = hi_ticks = 0
+            for src, u, v, extra in leaves:
+                iv = src if src.__class__ is PosRat else src.approx(w + extra)
+                if u > 0:
+                    lo, hi = iv.lo, iv.hi
+                else:
+                    lo, hi = iv.hi, iv.lo
+                lo_ticks += (lo.num * u << w) // (lo.den * v)
+                hi_ticks -= (-(hi.num * u) << w) // (hi.den * v)
+            if hi_ticks < 1:
+                raise OracleFailureError("difference is not positive")
+            hi = PosRat(hi_ticks, 1 << w)
+            if lo_ticks >= 1:
+                return Interval(PosRat(lo_ticks, 1 << w), hi)
+            # the grid floor reached zero: try the exact lower sum (reads hit the cache)
+            num, den = 0, 1
+            for src, u, v, extra in leaves:
+                iv = src if src.__class__ is PosRat else src.approx(w + extra)
+                a = iv.lo if u > 0 else iv.hi
+                num, den = num * a.den * v + a.num * u * den, den * a.den * v
+                g = gcd(num, den)
+                num, den = num // g, den // g
+            if num > 0:
+                return Interval(PosRat._reduced(num, den), hi)
+        raise OracleFailureError("difference not certified positive in budget")
 
     value = PosRealValue(refine, exact=exact)
     value._terms = terms
@@ -429,12 +448,12 @@ def _linear(terms: tuple, exact: Optional[PosRat]) -> PosRealValue:
 def real_add(x: PosRealValue, y: PosRealValue) -> PosRealValue:
     """Sum node x + y.
 
-    Nested sums and scalings refine as one linear node over their leaves
-    (see _linear): integer endpoint sums on one dyadic grid, ceil(log2 3n)
-    guard bits for n leaves, and no recursion through the chain.
+    Nested sums, scalings and differences refine as one linear node over
+    their leaves (see _linear): integer endpoint sums on one dyadic grid,
+    ceil(log2 3n) guard bits for n leaves, and no recursion through the chain.
     """
     exact = x.exact + y.exact if (x.exact is not None and y.exact is not None) else None
-    return _linear(((x, RAT_ONE), (y, RAT_ONE)), exact)
+    return _linear(((x, 1, 1), (y, 1, 1)), exact)
 
 
 def real_scale(x: PosRealValue, q: PosRat) -> PosRealValue:
@@ -446,15 +465,25 @@ def real_scale(x: PosRealValue, q: PosRat) -> PosRealValue:
     if q == RAT_ONE:
         return x
     exact = x.exact * q if x.exact is not None else None
-    return _linear(((x, q),), exact)
+    return _linear(((x, q.num, q.den),), exact)
+
+
+def real_subtract(x: PosRealValue, y: PosRealValue) -> PosRealValue:
+    """Difference node x - y for y < x: the linear node x + (-1)*y (see _linear).
+
+    Exact points raise NotGreaterError unless y < x; otherwise a refine
+    raises OracleFailureError when its grids cannot show x - y > 0.
+    """
+    exact = x.exact - y.exact if (x.exact is not None and y.exact is not None) else None
+    return _linear(((x, 1, 1), (y, -1, 1)), exact)
 
 
 def _round_out(lo_num: int, lo_den: int, hi_num: int, hi_den: int, w: int) -> Interval:
     """[lo_num/lo_den, hi_num/hi_den] floored and ceiled onto the 2^-w grid.
 
-    The rounding rule of products, quotients and differences: it keeps
-    representation size linear in precision under long chains and widens by
-    at most 2^(1-w).  A lower end whose floor would reach zero stays exact.
+    The rounding rule of products and quotients: it keeps representation
+    size linear in precision under long chains and widens by at most
+    2^(1-w).  A lower end whose floor would reach zero stays exact.
     """
     lo_ticks = (lo_num << w) // lo_den
     hi_ticks = -((-hi_num << w) // hi_den)
@@ -497,31 +526,6 @@ def real_div(x: PosRealValue, y: PosRealValue) -> PosRealValue:
         return _round_out(lo_num, lo_den, a.hi.num * b.lo.den, a.hi.den * b.lo.num, p + 2)
 
     return PosRealValue(refine)
-
-
-def real_subtract(x: PosRealValue, y: PosRealValue, known_gap_precision: int = 0) -> PosRealValue:
-    """Difference oracle for certified y < x.
-
-    ``known_gap_precision`` is a precision at which the inputs' intervals are
-    already disjoint; positivity of the difference is then guaranteed from
-    that rung onward.
-    """
-    exact = None
-    if x.exact is not None and y.exact is not None:
-        exact = x.exact - y.exact  # raises NotGreaterError when not y < x
-
-    def refine(p: int) -> Interval:
-        q = max(p + 2, known_gap_precision)
-        rel, q = certify(x, y, range(q, q + 65, 8))
-        if rel is not Rel.GREATER:
-            raise OracleFailureError("difference not certified positive in budget")
-        a, b = x.approx(q), y.approx(q)
-        # certified at q: a.lo > b.hi, so both differences are positive
-        lo_num = a.lo.num * b.hi.den - b.hi.num * a.lo.den
-        hi_num = a.hi.num * b.lo.den - b.lo.num * a.hi.den
-        return _round_out(lo_num, a.lo.den * b.hi.den, hi_num, a.hi.den * b.lo.den, q)
-
-    return PosRealValue(refine, exact=exact)
 
 
 def ladder(cap: int = 256) -> Tuple[int, ...]:
@@ -637,6 +641,10 @@ class Model:
                 lo = mid
         return hi
 
+    def ratio_pair(self, a, b) -> Tuple[int, int]:
+        """Integers (n, m) with a : b = n : m; exact models only."""
+        raise InexactModelError(f"model '{self.descriptor.model_id}' has no exact ratios")
+
     def scale(self, a, q: PosRat):
         raise NotImplementedError
 
@@ -670,6 +678,9 @@ class NatModel(Model):
 
     def least_multiple_exceeding(self, a: int, b: int) -> int:
         return b // a + 1
+
+    def ratio_pair(self, a: int, b: int) -> Tuple[int, int]:
+        return a, b
 
     def order(self, a: int, b: int) -> Ordering3:
         if a < b:
@@ -707,6 +718,9 @@ class RatModel(Model):
 
     def least_multiple_exceeding(self, a: PosRat, b: PosRat) -> int:
         return (b.num * a.den) // (b.den * a.num) + 1
+
+    def ratio_pair(self, a: PosRat, b: PosRat) -> Tuple[int, int]:
+        return a.num * b.den, a.den * b.num
 
     def order(self, a: PosRat, b: PosRat) -> Ordering3:
         c = a._cmp(b)

@@ -7,17 +7,18 @@ way it orders m*a2 against n*b2.  A strict verdict is certified by a witness
 n/m separates the two ratio values.
 
 The engine decides exact-model comparisons outright: each ratio is an
-integer pair (a : b itself on nat, a.num*b.den : a.den*b.num on rat), two
-pairs compare by cross-multiplication, and only a strict verdict reduces
-them to fractions, for its separating witness.  Mixed or real comparisons
-enclose each ratio value x/y by dividing the terms' intervals at each rung
-of the precision ladder, exact terms being points, and no oracle is built.
-Once the two enclosures are disjoint, the simplest fraction between them
-(``mediants.simplest_in``) is the witness, returned after its strict
-inequality certifies on the same rungs (``models.certify``), as
-``verify_witness`` checks it.  The fuel budget caps the ladder, which makes
-the search total, with Unknown as the honest out-of-budget answer: equal,
-or closer than the cap resolves, never a wrong verdict.
+integer pair (``Model.ratio_pair``: a : b itself on nat, a.num*b.den :
+a.den*b.num on rat), two pairs compare by cross-multiplication, and only a
+strict verdict reduces them to fractions, for its separating witness.  Mixed
+or real comparisons enclose each ratio value x/y by dividing the terms'
+intervals at each rung of the precision ladder, exact terms being points,
+and no oracle is built.  Once the two enclosures are disjoint, the simplest
+fraction between them (``mediants.simplest_in``) is the witness, returned
+after its strict inequality certifies on the same rungs
+(``models.certify``), as ``verify_witness`` checks it.  The fuel budget caps
+the ladder, which makes the search total, with Unknown as the honest
+out-of-budget answer: equal, or closer than the cap resolves, never a wrong
+verdict.
 """
 
 from __future__ import annotations
@@ -26,9 +27,8 @@ from typing import Optional, Tuple
 
 from . import core
 from .core import Record, Rel
-from .errors import InexactModelError
 from .mediants import simplest_in
-from .models import NAT, PosRat, PosRealValue, certify, ladder, model_of
+from .models import PosRat, PosRealValue, certify, ladder, model_by_id, model_of
 
 __all__ = [
     "Ratio",
@@ -161,14 +161,7 @@ def ratio_value_exact(r: Ratio) -> PosRat:
     Two exact-model ratios are same-ratio precisely when these values match;
     scaling both terms by a common multiplier leaves the value unchanged.
     """
-    from .models import model_by_id
-
-    model = model_by_id(r.model_id)
-    if not model.descriptor.exact_order:
-        raise InexactModelError("ratio values collapse exactly only on nat/rat")
-    if model.descriptor.model_id == "nat":
-        return PosRat(r.antecedent, r.consequent)
-    return r.antecedent / r.consequent
+    return PosRat(*model_by_id(r.model_id).ratio_pair(r.antecedent, r.consequent))
 
 
 def _point(t):
@@ -226,8 +219,8 @@ def ratio_compare(a, b, a2, b2, fuel: int = 64) -> RatioRel:
     model2.check(b2)
 
     if model1.descriptor.exact_order and model2.descriptor.exact_order:
-        n1, m1 = (a, b) if model1 is NAT else (a.num * b.den, a.den * b.num)
-        n2, m2 = (a2, b2) if model2 is NAT else (a2.num * b2.den, a2.den * b2.num)
+        n1, m1 = model1.ratio_pair(a, b)
+        n2, m2 = model2.ratio_pair(a2, b2)
         lhs, rhs = n1 * m2, n2 * m1
         if lhs == rhs:
             return RatioRel.equal()

@@ -18,7 +18,7 @@ from magnitudes.hom import (
     psi,
     quotient,
 )
-from magnitudes.models import NAT, RAT, Interval, PosRat, real_from_rat, real_scale
+from magnitudes.models import NAT, RAT, REAL, Interval, PosRat, real_add, real_from_rat, real_scale
 
 from conftest import isqrt_real, opaque
 
@@ -124,6 +124,17 @@ class TestHomCompare:
         # sqrt2 - 1 = 0.41421...
         iv = gap_at_one.approx(16)
         assert iv.lo < PosRat(4143, 10000) and iv.hi > PosRat(4142, 10000)
+
+    @pytest.mark.parametrize("e", [10, 100, 200, 240])
+    def test_real_delta_contains_tiny_gap(self, e):
+        # the values at the probe are product nodes certified apart on the
+        # ladder; their difference node shows positivity on its own grids
+        gap = PosRat(1, 1 << e)
+        x = isqrt_real(2)
+        outcome = hom_compare(psi(REAL, real_add(x, real_from_rat(gap))), psi(REAL, x))
+        assert outcome.is_greater
+        iv = outcome.gap.mapping.image.approx(30)
+        assert iv.width_at_most(30) and iv.contains(gap)
 
 
 class TestProduct:

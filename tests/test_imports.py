@@ -9,7 +9,7 @@ SRC = str(Path(__file__).resolve().parent.parent / "src")
 PROBE = """
 import sys
 sys.path.insert(0, sys.argv[1])
-HEAVY = ("dataclasses", "inspect", "hashlib", "magnitudes.laws")
+HEAVY = ("dataclasses", "inspect", "hashlib", "fractions", "decimal", "magnitudes.laws")
 before = set(sys.modules)
 import magnitudes
 assert not [m for m in HEAVY if m in set(sys.modules) - before], "import magnitudes"

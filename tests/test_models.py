@@ -32,7 +32,6 @@ from magnitudes.models import (
     parse_element,
     rat_make,
     real_add,
-    real_approx,
     real_compare,
     real_from_rat,
     real_mul,
@@ -125,7 +124,7 @@ class TestInterval:
 class TestPosRealValue:
     def test_exact_point(self):
         x = real_from_rat(PosRat(1, 3))
-        iv = real_approx(x, 10)
+        iv = x.approx(10)
         assert iv.lo == iv.hi == PosRat(1, 3)
         assert x.exact == PosRat(1, 3)
 
@@ -217,10 +216,13 @@ NON_SQUARES = [k for k in range(2, 80) if math.isqrt(k) ** 2 != k]
 
 def brackets(iv, const, roots):
     """iv contains const + sum(c * sqrt(k) for k, c in roots), checked against
-    integer square roots on a grid far finer than iv's endpoints."""
-    total = Fraction(sum(roots.values()))
+    integer square roots on a grid far finer than iv's endpoints.  A negative
+    coefficient takes the root's upper grid point into the lower bound."""
+    total = Fraction(sum(abs(c) for c in roots.values()))
     bits = max(iv.lo.den, iv.hi.den).bit_length() + 80 + math.ceil(total).bit_length()
-    lo = const + sum(c * Fraction(math.isqrt(k << 2 * bits), 1 << bits) for k, c in roots.items())
+    lo = const + sum(
+        c * Fraction(math.isqrt(k << 2 * bits) + (c < 0), 1 << bits) for k, c in roots.items()
+    )
     hi = lo + total / (1 << bits)
     return Fraction(iv.lo.num, iv.lo.den) <= lo and hi <= Fraction(iv.hi.num, iv.hi.den)
 
@@ -241,12 +243,13 @@ def doubling_dag(n, x):
 
 @st.composite
 def linear_dags(draw):
-    """Random DAG of real_add/real_scale over exact and sqrt leaves.
+    """Random DAG of real_add/real_scale/real_subtract over exact and sqrt leaves.
 
     Returns (nodes, refs): refs[i] = (const, {k: coefficient}) is node i's
     value, const + sum of coefficient * sqrt(k).  Operands are drawn from
     all earlier nodes, so subnodes are shared; doubling_dag adds DAGs up to
-    700 nodes deep.
+    700 nodes deep.  A difference is taken larger minus smaller, of a pair
+    that certify separates on the ladder; shared leaves cancel in it.
     """
     nodes, refs = [], []
     for _ in range(draw(st.integers(1, 4))):
@@ -261,12 +264,21 @@ def linear_dags(draw):
     for _ in range(draw(st.integers(1, 25))):
         i = draw(st.integers(0, len(nodes) - 1))
         ci, ri = refs[i]
-        op = draw(st.sampled_from(("add", "scale", "doubling")))
-        if op == "add":
+        op = draw(st.sampled_from(("add", "subtract", "scale", "doubling")))
+        if op in ("add", "subtract"):
             j = draw(st.integers(0, len(nodes) - 1))
             cj, rj = refs[j]
-            nodes.append(real_add(nodes[i], nodes[j]))
-            refs.append((ci + cj, {k: ri.get(k, 0) + rj.get(k, 0) for k in ri.keys() | rj.keys()}))
+            if op == "add":
+                nodes.append(real_add(nodes[i], nodes[j]))
+                refs.append((ci + cj, {k: ri.get(k, 0) + rj.get(k, 0) for k in ri.keys() | rj.keys()}))
+                continue
+            rel = certify(nodes[i], nodes[j], ladder())[0]
+            if rel is None:
+                continue
+            if rel is Rel.LESS:
+                i, j, ci, ri, cj, rj = j, i, cj, rj, ci, ri
+            nodes.append(real_subtract(nodes[i], nodes[j]))
+            refs.append((ci - cj, {k: ri.get(k, 0) - rj.get(k, 0) for k in ri.keys() | rj.keys()}))
             continue
         if op == "scale":
             q = draw(st.builds(Fraction, st.integers(1, 1 << 70), st.integers(1, 1 << 70)))
@@ -331,10 +343,44 @@ class TestLinearNodes:
         if n == 1:
             assert node is x
         else:
-            assert node._terms == ((x, PosRat(n, 1)),)
+            assert node._terms == ((x, n, 1),)
         dag = doubling_dag(n, x)
         for p in (0, 4, 60, 300):
             assert node.approx(p) == dag.approx(p)
+
+    def test_deep_difference_chain(self):
+        # head - sqrt(k1) - sqrt(k2) - ... is one node over 1001 leaves
+        ks = [NON_SQUARES[i % len(NON_SQUARES)] for i in range(1000)]
+        acc = real_from_rat(PosRat(10**4))
+        for k in ks:
+            acc = real_subtract(acc, isqrt_real(k))
+        iv = acc.approx(30)
+        assert iv.width_at_most(30)
+        roots = {}
+        for k in ks:
+            roots[k] = roots.get(k, 0) - 1
+        assert brackets(iv, 10**4, roots)
+
+    def test_difference_chain_reads_leaves_on_one_grid(self):
+        # 301 leaves at p = 30: the grid 30 + ceil(log2 903) = 40, one read each
+        seen = []
+        acc = recorded(300000, seen)
+        for _ in range(300):
+            acc = real_subtract(acc, recorded(3, seen))
+        assert acc.approx(30).width_at_most(30)
+        assert seen == [30 + math.ceil(math.log2(3 * 301))] * 301
+
+    def test_leaf_on_both_sides_cancels(self):
+        seen = []
+        x, z = recorded(2, seen), isqrt_real(3)
+        d = real_subtract(real_add(x, z), x)
+        # z alone: one leaf read at p + 2, already on the grid
+        assert d.approx(20) == z.approx(22)
+        assert seen == []
+
+    def test_negative_difference_is_a_typed_error(self):
+        with pytest.raises(OracleFailureError):
+            real_subtract(isqrt_real(2), isqrt_real(3)).approx(10)
 
     def test_value_below_the_grid_keeps_exact_lower_end(self):
         # two leaves at p = 10 use the 2^-13 grid, whose floor here is 0
