@@ -330,6 +330,10 @@ def main(argv=None, out=sys.stdout, err=sys.stderr) -> int:
 
 
 def entrypoint() -> None:
+    # the console script reads and prints integers of any length; Python
+    # 3.11+ caps int/str conversion at 4,300 digits unless this lifts it
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(0)
     sys.exit(main(sys.argv[1:]))
 
 

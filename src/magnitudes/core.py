@@ -215,8 +215,7 @@ def multiple(n: int, a, model=None):
     """n-fold sum of a, by the model's ``multiple``.
 
     nat multiplies, rat multiplies and cancels one gcd, real builds one
-    scaling node; the multiplicative space has no closed form and doubles,
-    in O(log n) combines.
+    scaling node, and the multiplicative space one monomial node x^n.
     """
     model = _resolve(model, a)
     n = check_positive_int(n, "multiplier")

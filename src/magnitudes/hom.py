@@ -10,8 +10,8 @@ When the domain carries a designated unit, the map sending a' to the unique
 embedding with unit -> a' is an isomorphism onto the embedding space; it
 induces the product a * b = (embedding for b)(a) and, in symmetric models,
 the quotient b / a.  On rationals these collapse to fraction arithmetic; on
-reals they are the product and quotient nodes of :mod:`magnitudes.models`
-(``real_mul``, ``real_div``).
+reals they are monomial nodes of :mod:`magnitudes.models` (``real_mul``,
+``real_div``), so nested products and quotients refine as one node.
 """
 
 from __future__ import annotations

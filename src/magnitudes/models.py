@@ -177,19 +177,6 @@ class PosRat:
     def is_integer(self) -> bool:
         return self.den == 1
 
-    def ceil_log2(self) -> int:
-        """Smallest integer e with self <= 2**e (may be negative)."""
-        # bit lengths bracket the answer within two candidates; walk up
-        e = self.num.bit_length() - self.den.bit_length() - 1
-        while not self._le_pow2(e):
-            e += 1
-        return e
-
-    def _le_pow2(self, e: int) -> bool:
-        if e >= 0:
-            return self.num <= self.den << e
-        return self.num << (-e) <= self.den
-
     def decimal(self, digits: int) -> str:
         """Decimal rendering truncated toward zero at ``digits`` places."""
         whole, rem = divmod(self.num, self.den)
@@ -287,10 +274,12 @@ class PosRealValue:
     A sum, difference or rational scaling also records its direct terms in
     ``_terms``, as (value, num, den) triples with the signed integer
     coefficient num/den; every other value is a leaf of the linear DAG those
-    terms span.
+    terms span.  A product, quotient or multiplicative multiple x^n likewise
+    records its direct factors in ``_factors``, as (value, k, 1) triples with
+    a nonzero integer exponent k; every other value is a monomial leaf.
     """
 
-    __slots__ = ("_refine", "_cache", "_best", "_lock", "exact", "_terms")
+    __slots__ = ("_refine", "_cache", "_best", "_lock", "exact", "_terms", "_factors")
 
     def __init__(self, refine: Callable[[int], Interval], exact: Optional[PosRat] = None):
         self._refine = refine
@@ -299,6 +288,7 @@ class PosRealValue:
         self._lock = threading.Lock()
         self.exact = exact
         self._terms: Optional[tuple] = None
+        self._factors: Optional[tuple] = None
 
     def approx(self, p: int) -> Interval:
         if isinstance(p, bool) or not isinstance(p, int):
@@ -312,9 +302,9 @@ class PosRealValue:
             try:
                 raw = self._refine(p)
             except RecursionError:
-                # non-linear oracles (products, quotients, roots) still nest
-                # one refine inside another; past the interpreter's depth
-                # the caller gets the typed resource error
+                # chains alternating linear and monomial nodes, and powers,
+                # still nest one refine inside another; past the
+                # interpreter's depth the caller gets the typed resource error
                 raise OracleFailureError(f"oracle nesting too deep at precision {p}") from None
             if not raw.width_at_most(p):
                 raise OracleFailureError(f"refinement wider than 2^-{p}")
@@ -342,30 +332,33 @@ def real_from_rat(q: PosRat) -> PosRealValue:
     return PosRealValue(lambda p: point, exact=q)
 
 
-def _flatten(terms: tuple) -> list:
-    """Leaves of the linear DAG under a node's terms, with total coefficients.
+def _flatten(terms: tuple, attr: str) -> list:
+    """Leaves of the DAG of linear or monomial nodes under a node, with total weights.
 
-    Coefficients are signed fractions num/den in lowest terms, den > 0.
-    They are pushed down in topological order over distinct nodes, so a
-    shared subnode is expanded once however many paths reach it (k doublings
+    attr names the inner nodes' slot: "_terms", whose weights are signed
+    coefficients num/den in lowest terms, den > 0, or "_factors", whose
+    weights are integer exponents num/1.  Weights multiply down the DAG and
+    are pushed down in topological order over distinct nodes, so a shared
+    subnode is expanded once however many paths reach it (k doublings
     c = c + c make k nodes but 2^k paths).  Both walks keep their own stacks,
     so a chain's depth costs memory, not interpreter frames.  A leaf whose
-    coefficients cancel to 0 is dropped.  Each leaf comes back as
+    weights cancel to 0 is dropped.  Each leaf comes back as
     (source, num, den, extra): source is the leaf, or its exact point; num/den
-    is its coefficient; extra = max(0, ceil(log2 |num|/den)).
+    is its weight; extra = max(0, ceil(log2 |num|/den)).
     """
     # count each inner node's parents, so it is expanded after all of them
     parents: dict = {}
     stack = [term[0] for term in terms]
     while stack:
         node = stack.pop()
-        if node._terms is None or node.exact is not None:
+        children = getattr(node, attr)
+        if children is None or node.exact is not None:
             continue
         if node in parents:
             parents[node] += 1
         else:
             parents[node] = 1
-            stack.extend(term[0] for term in node._terms)
+            stack.extend(term[0] for term in children)
     weight: dict = {}
     ready = [(terms, 1, 1)]
     while ready:
@@ -382,7 +375,7 @@ def _flatten(terms: tuple) -> list:
             if child in parents:
                 parents[child] -= 1
                 if not parents[child]:
-                    ready.append((child._terms, num, den))
+                    ready.append((getattr(child, attr), num, den))
     # ceil(log2 a/b) for a > b is the bit length of floor((a - 1)/b)
     return [
         (node if node.exact is None else node.exact, num, den, ((abs(num) - 1) // den).bit_length())
@@ -407,7 +400,7 @@ def _linear(terms: tuple, exact: Optional[PosRat]) -> PosRealValue:
     def refine(p: int) -> Interval:
         nonlocal leaves
         if leaves is None:  # under the node's lock, on first refine
-            leaves = _flatten(terms)
+            leaves = _flatten(terms, "_terms")
         base = p + (3 * len(leaves) - 1).bit_length()
         # sums and scalings end on the first grid; a difference whose lower sum
         # is not yet positive is read again on finer grids, up to 256 bits
@@ -478,54 +471,136 @@ def real_subtract(x: PosRealValue, y: PosRealValue) -> PosRealValue:
     return _linear(((x, 1, 1), (y, -1, 1)), exact)
 
 
-def _round_out(lo_num: int, lo_den: int, hi_num: int, hi_den: int, w: int) -> Interval:
-    """[lo_num/lo_den, hi_num/hi_den] floored and ceiled onto the 2^-w grid.
+PRECISION_GUARD = 8  # guard bits of a non-linear node's working precision
 
-    The rounding rule of products and quotients: it keeps representation
-    size linear in precision under long chains and widens by at most
-    2^(1-w).  A lower end whose floor would reach zero stays exact.
+
+def _grid_refine(inputs: Callable[[], list], ends: Callable, what: str) -> Callable:
+    """refine(p) of a product, quotient or power node: one widen-and-retry loop.
+
+    Each try reads the values inputs() gives at one working precision w,
+    p + bit_length(p) + PRECISION_GUARD or, when larger, p plus the last
+    w - p that worked.  ends(w, reads) gives ticks lo <= hi of 2^-w around
+    the value, and the bits the grid falls short of a lower end below it
+    (0 if lo >= 1).  A short or too wide grid is refined by the excess plus
+    PRECISION_GUARD bits, eight tries at most.  Reading here, not in ends,
+    keeps a chain of such nodes at two interpreter frames per level.
     """
-    lo_ticks = (lo_num << w) // lo_den
-    hi_ticks = -((-hi_num << w) // hi_den)
-    lo = PosRat(lo_num, lo_den) if lo_ticks < 1 else PosRat(lo_ticks, 1 << w)
-    return Interval(lo, PosRat(hi_ticks, 1 << w))
+    guard = 0
+
+    def refine(p: int) -> Interval:
+        nonlocal guard
+        w = p + max(p.bit_length() + PRECISION_GUARD, guard)
+        values = inputs()
+        for _ in range(8):
+            reads = []
+            for x in values:
+                reads.append(x.approx(w))
+            lo, hi, short = ends(w, reads)
+            short = max(short, (hi - lo).bit_length() - (w - p))
+            if short <= 0:
+                guard = w - p
+                return Interval(PosRat(lo, 1 << w), PosRat(hi, 1 << w))
+            w += short + PRECISION_GUARD
+        raise OracleFailureError(f"{what} did not reach width 2^-{p} in budget")
+
+    return refine
+
+
+def _shift(man: int, s: int, up: int) -> int:
+    """man / 2^s rounded down (up = 0) or up (up = 1), for man >= 1."""
+    return man << -s if s <= 0 else ((man - up) >> s) + up
+
+
+def _trim(man: int, exp: int, m: int, up: int) -> Tuple[int, int]:
+    """The binary float man * 2^exp rounded down or up to its leading m bits,
+    or, when it is at least 1, to the bits down to 2^-m."""
+    n = man.bit_length()
+    s = n - m - max(0, n + exp)
+    return (man, exp) if s <= 0 else (((man - up) >> s) + up, exp + s)
+
+
+def _times_power(acc: tuple, num: int, den: int, k: int, m: int, up: int) -> Tuple[int, int]:
+    """The binary float acc = (man, exp) times (num/den)^k, k >= 1, rounded
+    down (up = 0) or up (up = 1).
+
+    Square-and-multiply, trimming each step outward (see _trim), so the
+    floats stay near m bits whatever k is; an exact power would hold k
+    times the bits of num/den.
+    """
+    man, exp = acc
+    if den & (den - 1):  # not a power of two: divide, rounding outward
+        t = m + den.bit_length()
+        num, den = ((num << t) - up) // den + up, 1 << t
+    b, e = num, 1 - den.bit_length()
+    while True:
+        if k & 1:
+            man, exp = _trim(man * b, exp + e, m, up)
+        k >>= 1
+        if not k:
+            return man, exp
+        b, e = _trim(b * b, 2 * e, m, up)
+
+
+def _monomial(factors: tuple) -> PosRealValue:
+    """One node for the product of x^k over factors (x, k, 1), k a nonzero int.
+
+    The product DAG is flattened (see _flatten) on the first refine, or at
+    once when every factor is exact; exact leaves fold into a coefficient.
+    A refine reads the other leaves at one working precision w (see
+    _grid_refine) and forms the lower product from each leaf's lower
+    endpoint raised to its exponent (for k < 0 the upper one, inverted), and
+    the upper product likewise; both are binary floats of w +
+    PRECISION_GUARD bits, rounded outward at every step, then rounded
+    outward onto the grid 2^-w.  Positive factors are monotone in their
+    endpoints, so the value stays enclosed.
+    """
+    leaves, exponents, coef = None, [], RAT_ONE
+
+    def flat() -> list:
+        nonlocal leaves, coef
+        if leaves is None:  # under the node's lock, on first refine
+            leaves = []
+            for src, k, _, _ in _flatten(factors, "_factors"):
+                if src.__class__ is PosRat:
+                    coef *= src**k if k > 0 else src.reciprocal() ** -k
+                else:
+                    leaves.append(src)
+                    exponents.append(k)
+        return leaves
+
+    def product(reads: list, m: int, up: int) -> Tuple[int, int]:
+        acc = (1, 0) if coef is RAT_ONE else _times_power((1, 0), coef.num, coef.den, 1, m, up)
+        for iv, k in zip(reads, exponents):
+            q = iv.lo if (k > 0) != up else iv.hi
+            if k > 0:
+                acc = _times_power(acc, q.num, q.den, k, m, up)
+            else:
+                acc = _times_power(acc, q.den, q.num, -k, m, up)
+        return acc
+
+    def ends(w: int, reads: list) -> Tuple[int, int, int]:
+        lm, le = product(reads, w + PRECISION_GUARD, 0)
+        hm, he = product(reads, w + PRECISION_GUARD, 1)
+        lo, hi = _shift(lm, -le - w, 0), _shift(hm, -he - w, 1)
+        # a lower end below the grid needs the grid 2^-(1 - le - bit_length(lm))
+        return lo, hi, 0 if lo >= 1 else 1 - le - lm.bit_length() - w
+
+    if all(x.exact is not None for x, _, _ in factors):
+        flat()
+        return real_from_rat(coef)
+    value = PosRealValue(_grid_refine(flat, ends, "product"))
+    value._factors = factors
+    return value
 
 
 def real_mul(x: PosRealValue, y: PosRealValue) -> PosRealValue:
-    """Product oracle; input precision chosen from coarse magnitude bounds."""
-    if x.exact is not None and y.exact is not None:
-        return real_from_rat(x.exact * y.exact)
-
-    def refine(p: int) -> Interval:
-        bound = x.approx(0).hi + y.approx(0).hi
-        q = p + 2 + max(0, bound.ceil_log2())
-        a, b = x.approx(q), y.approx(q)
-        # positivity makes endpoint products monotone
-        lo_num, lo_den = a.lo.num * b.lo.num, a.lo.den * b.lo.den
-        return _round_out(lo_num, lo_den, a.hi.num * b.hi.num, a.hi.den * b.hi.den, p + 2)
-
-    return PosRealValue(refine)
+    """Product node x * y: the monomial x^1 y^1 (see _monomial)."""
+    return _monomial(((x, 1, 1), (y, 1, 1)))
 
 
 def real_div(x: PosRealValue, y: PosRealValue) -> PosRealValue:
-    """Quotient oracle x / y by interval division of deeper input refinements.
-
-    The input precision comes from magnitude bounds: the width of
-    [x.lo/y.hi, x.hi/y.lo] is at most (X + Y)/Y^2 times the input width,
-    with X an upper bound on x and Y a positive lower bound on y.
-    """
-    if x.exact is not None and y.exact is not None:
-        return real_from_rat(x.exact / y.exact)
-
-    def refine(p: int) -> Interval:
-        y_floor = y.approx(0).lo
-        gain = (x.approx(0).hi + y_floor) / (y_floor * y_floor)
-        q = p + 2 + max(0, gain.ceil_log2())
-        a, b = x.approx(q), y.approx(q)
-        lo_num, lo_den = a.lo.num * b.hi.den, a.lo.den * b.hi.num
-        return _round_out(lo_num, lo_den, a.hi.num * b.lo.den, a.hi.den * b.lo.num, p + 2)
-
-    return PosRealValue(refine)
+    """Quotient node x / y: the monomial x^1 y^-1, so real_div(x, x) is exactly 1."""
+    return _monomial(((x, 1, 1), (y, -1, 1)))
 
 
 def ladder(cap: int = 256) -> Tuple[int, ...]:
@@ -611,18 +686,6 @@ class Model:
 
     def certainly_greater(self, a, b) -> bool:
         return self.order(a, b).is_greater
-
-    def multiple(self, n: int, a):
-        """n-fold sum of a by binary doubling, in O(log n) combines."""
-        acc = None
-        chunk = a
-        while True:
-            if n & 1:
-                acc = chunk if acc is None else self.combine(acc, chunk)
-            n >>= 1
-            if not n:
-                return acc
-            chunk = self.combine(chunk, chunk)
 
     def least_multiple_exceeding(self, a, b) -> int:
         """Least n with n*a certainly above b: doubling, then bisection."""

@@ -8,9 +8,9 @@ additive positive reals into it sending 1 to x; evaluating that embedding
 at y is x^y.
 
 Membership is certified once, when a value enters through ``into_mul``.
-The space is closed under products and positive powers, so a product
-(one ``real_mul`` node), a power and a root stay in it without a second
-certification walk.
+The space is closed under products and positive powers, so a product or
+multiple x^n (one monomial node each), a power and a root stay in it
+without a second certification walk.
 
 The computable route is integer arithmetic on x's interval endpoints
 scaled by 2^w: a rational exponent m/n with n up to w costs one integer
@@ -18,8 +18,8 @@ n-th root per endpoint; a real exponent, or a larger denominator, is
 bracketed between dyadic exponents k/2^w and read off Briggs' table of
 successive square roots.  Each power is one oracle node.  Uniqueness of
 the embedding is what the law suite leans on: any two correct evaluators
-(the square-and-multiply ``mul_multiple`` is the other one) must agree
-wherever their intervals are queried.
+(``mul_multiple``, a monomial node raising x's endpoints to n on binary
+floats, is the other one) must agree wherever their intervals are queried.
 """
 
 from __future__ import annotations
@@ -32,7 +32,6 @@ from .core import ModelDescriptor, Ordering3, Record, Rel, check_precision
 from .errors import (
     InexactModelError,
     NotAboveOneError,
-    OracleFailureError,
 )
 from .models import (
     RAT_ONE,
@@ -41,6 +40,8 @@ from .models import (
     Overlap,
     PosRat,
     PosRealValue,
+    _grid_refine,
+    _monomial,
     certify,
     ladder,
     real_from_rat,
@@ -58,8 +59,6 @@ __all__ = [
     "nth_root",
     "pow",
 ]
-
-PRECISION_GUARD = 8  # extra bits absorbing rounding in the scaled-integer power
 
 
 class MulReal(Record):
@@ -116,6 +115,10 @@ class _MulRealModel(Model):
     def combine(self, a: MulReal, b: MulReal) -> MulReal:
         return mul_combine(a, b)
 
+    def multiple(self, n: int, a: MulReal) -> MulReal:
+        # one monomial node a^n; above one by closure (a^n >= a > 1)
+        return MulReal(_monomial(((a.value, n, 1),)))
+
     def order(self, a, b) -> Ordering3:
         raise InexactModelError("multiplicative order is certified; use mul_compare")
 
@@ -127,7 +130,7 @@ MUL = _MulRealModel()
 
 
 def mul_combine(x: MulReal, y: MulReal) -> MulReal:
-    """Product, one ``real_mul`` node; above one by closure (x*y > y > 1)."""
+    """Product, one monomial node; above one by closure (x*y > y > 1)."""
     return MulReal(real_mul(x.value, y.value))
 
 
@@ -138,7 +141,7 @@ def mul_compare(x: MulReal, y: MulReal) -> Union[Rel, Overlap]:
 
 
 def mul_multiple(n: int, x: MulReal) -> MulReal:
-    """x^n as the n-th multiplicative multiple, by square-and-multiply."""
+    """x^n as the n-th multiplicative multiple: one monomial node, apart from ``pow``."""
     return core.multiple(n, x, MUL)
 
 
@@ -202,20 +205,13 @@ def pow(x: MulReal, y, p: int = 30) -> MulReal:
         if num**e.den == b.num and den**e.den == b.den:
             return MulReal(real_from_rat(PosRat(num, den) ** e.num))
 
-    def refine(prec: int) -> Interval:
-        w = prec + prec.bit_length() + PRECISION_GUARD
-        for _ in range(8):
-            xi, yi = x.value.approx(w), y.approx(w)
-            # x^y > 1 also keeps the floor chain's bound positive
-            lo = max(_scaled_pow(_ticks(xi.lo, w, 0), yi.lo, w, 0), 1 << w)
-            hi = _scaled_pow(_ticks(xi.hi, w, 1), yi.hi, w, 1)
-            excess = (hi - lo).bit_length() - (w - prec)
-            if excess <= 0:
-                return Interval(PosRat(lo, 1 << w), PosRat(hi, 1 << w))
-            w += excess + PRECISION_GUARD
-        raise OracleFailureError(f"power did not reach width 2^-{prec} in budget")
+    def ends(w: int, reads):
+        xi, yi = reads
+        # x^y > 1 also keeps the floor chain's bound positive
+        lo = max(_scaled_pow(_ticks(xi.lo, w, 0), yi.lo, w, 0), 1 << w)
+        return lo, _scaled_pow(_ticks(xi.hi, w, 1), yi.hi, w, 1), 0
 
-    value = PosRealValue(refine)
+    value = PosRealValue(_grid_refine(lambda: (x.value, y), ends, "power"))
     value.approx(p)
     return MulReal(value)
 

@@ -246,3 +246,17 @@ class TestParserReuse:
                 monkeypatch.setenv("MAGNITUDES_PRECISION", precision)
             alone = run_cold(argv, precision)
             assert run_cli(*argv) == alone, argv
+
+
+class TestConsoleIntegers:
+    # the console entry point lifts Python's 4,300-digit int/str limit
+    def test_exact_product_of_4000_digit_naturals(self):
+        nines = "9" * 4000
+        code, out, _ = run_cold(["mul", nines, nines, "--model", "nat"])
+        assert code == EXIT_OK
+        assert out.strip() == "9" * 3999 + "8" + "0" * 3999 + "1"
+
+    def test_huge_exact_power(self):
+        code, out, _ = run_cold(["pow", "3", "100000", "-p", "30"])
+        assert code == EXIT_OK
+        assert len(out.split(".")[0]) == 47713  # 3^100000 has 47,713 digits

@@ -178,11 +178,12 @@ class TestQuotient:
             quotient(6, 4)
 
     def test_real_interval_pinned(self):
-        # interval division of the inputs' 63-bit intervals; recorded output
+        # the inputs' 74-bit intervals, their endpoint quotients rounded out
+        # onto the 2^-74 grid; recorded output
         d = quotient(isqrt_real(3), isqrt_real(2), ApproxPolicy(60))
         iv = d.approx(60)
         assert iv == Interval(
-            PosRat(5648138799537240563, 1 << 62), PosRat(5648138799537240565, 1 << 62)
+            PosRat(23134776522904537350343, 1 << 74), PosRat(23134776522904537350346, 1 << 74)
         )
         # sqrt(3)/sqrt(2) = sqrt(6)/2: the interval holds isqrt's bracket
         s = math.isqrt(6 << 400)

@@ -18,12 +18,12 @@ from magnitudes.errors import (
 from magnitudes.models import (
     NAT,
     RAT,
+    RAT_ONE,
     REAL,
     Interval,
     Overlap,
     PosRat,
     PosRealValue,
-    _round_out,
     certify,
     format_element,
     ladder,
@@ -33,11 +33,13 @@ from magnitudes.models import (
     rat_make,
     real_add,
     real_compare,
+    real_div,
     real_from_rat,
     real_mul,
     real_scale,
     real_subtract,
 )
+from magnitudes.power import MulReal, mul_multiple
 
 from conftest import isqrt_real, recorded
 
@@ -81,11 +83,6 @@ class TestPosRat:
         with pytest.raises(ParseError):
             PosRat.from_text("0/3")
 
-    @given(rationals)
-    def test_ceil_log2(self, q):
-        e = q.ceil_log2()
-        assert q._le_pow2(e) and not q._le_pow2(e - 1)
-
     @given(rationals, rationals)
     def test_field_ops_roundtrip(self, a, b):
         assert (a * b) / b == a
@@ -105,13 +102,6 @@ class TestInterval:
     def test_width_zero_allowed(self):
         point = Interval(PosRat(1, 3), PosRat(1, 3))
         assert point.width_at_most(100)
-
-    def test_round_out_encloses(self):
-        out = _round_out(10, 7, 22, 14, 8)
-        assert out.lo <= PosRat(10, 7) and PosRat(11, 7) <= out.hi
-        assert out.lo.den == 256 and out.hi.den in (1, 2, 4, 8, 16, 32, 64, 128, 256)
-        # a lower end that floors to zero on the grid stays exact
-        assert _round_out(2, 1000, 1, 3, 8).lo == PosRat(1, 500)
 
     @given(rationals, rationals)
     def test_intersect(self, a, b):
@@ -418,11 +408,177 @@ class TestLinearNodes:
             assert all(iv is ivs[0] for iv in ivs) and ivs[0].width_at_most(p)
 
     def test_deep_nonlinear_chain_is_a_typed_error(self):
+        # x <- x*c + sqrt(3) alternates monomial and linear nodes, so each
+        # level still nests one refine inside another
+        c = real_scale(isqrt_real(5), PosRat(1, 3))
+        acc = isqrt_real(2)
+        for _ in range(3000):
+            acc = real_add(real_mul(acc, c), isqrt_real(3))
+        with pytest.raises(OracleFailureError, match="nesting too deep"):
+            acc.approx(4)
+
+
+def squared(ref):
+    """The square c^2 * prod k^e of the value c * prod sqrt(k)^e that ref = (c, {k: e}) names."""
+    c, roots = ref
+    out = c * c
+    for k, e in roots.items():
+        out *= Fraction(k) ** e
+    return out
+
+
+def encloses_square(iv, v2):
+    """lo^2 <= v2 <= hi^2 in exact arithmetic: iv contains sqrt(v2)."""
+    lo, hi = Fraction(iv.lo.num, iv.lo.den), Fraction(iv.hi.num, iv.hi.den)
+    return lo * lo <= v2 <= hi * hi
+
+
+@st.composite
+def monomial_dags(draw):
+    """Random DAG of real_mul/real_div/mul_multiple over exact and sqrt leaves.
+
+    Returns (nodes, refs): refs[i] = (c, {k: e}) is node i's value
+    c * prod sqrt(k)^e, so its square is c^2 * prod k^e.  Operands are drawn
+    from all earlier nodes, so subnodes are shared.  A multiplicative
+    multiple is taken of a node above one, with total exponent at most 64.
+    """
+    nodes, refs = [], []
+    for _ in range(draw(st.integers(1, 4))):
+        if draw(st.booleans()):
+            q = draw(st.fractions(min_value=Fraction(1, 1 << 20), max_value=1 << 20))
+            nodes.append(real_from_rat(PosRat(q.numerator, q.denominator)))
+            refs.append((q, {}))
+        else:
+            k = draw(st.sampled_from(NON_SQUARES))
+            nodes.append(isqrt_real(k))
+            refs.append((Fraction(1), {k: 1}))
+    for _ in range(draw(st.integers(1, 25))):
+        i = draw(st.integers(0, len(nodes) - 1))
+        ci, ri = refs[i]
+        op = draw(st.sampled_from(("mul", "div", "multiple")))
+        if op == "multiple":
+            n = draw(st.integers(1, 6))
+            if squared(refs[i]) <= 1 or n * sum(map(abs, ri.values())) > 64:
+                continue
+            nodes.append(mul_multiple(n, MulReal(nodes[i])).value)
+            refs.append((ci**n, {k: e * n for k, e in ri.items()}))
+            continue
+        j = draw(st.integers(0, len(nodes) - 1))
+        cj, rj = refs[j]
+        sign = 1 if op == "mul" else -1
+        roots = {k: ri.get(k, 0) + sign * rj.get(k, 0) for k in ri.keys() | rj.keys()}
+        if sum(map(abs, roots.values())) > 64:
+            continue
+        nodes.append(real_mul(nodes[i], nodes[j]) if op == "mul" else real_div(nodes[i], nodes[j]))
+        refs.append((ci * cj**sign, {k: e for k, e in roots.items() if e}))
+    return nodes, refs
+
+
+def refine_from_threads(nodes):
+    """Refine nodes from 8 threads at once; {(node index, p): every interval seen}."""
+    seen = {}
+
+    def worker(offset):
+        for step in range(40):
+            node = (offset + step) % len(nodes)
+            p = 8 + (step * 7) % 50
+            seen.setdefault((node, p), []).append(nodes[node].approx(p))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(i,)) for i in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    return seen
+
+
+class TestMonomialNodes:
+    def test_products_quotients_and_multiples_are_one_node(self):
+        x, y = isqrt_real(2), isqrt_real(3)
+        assert real_mul(x, y)._factors == ((x, 1, 1), (y, 1, 1))
+        assert real_div(x, y)._factors == ((x, 1, 1), (y, -1, 1))
+        assert mul_multiple(5, MulReal(x)).value._factors == ((x, 5, 1),)
+        # exact points multiply out
+        two_thirds, nine_fourths = real_from_rat(PosRat(2, 3)), real_from_rat(PosRat(9, 4))
+        assert real_mul(two_thirds, nine_fourths).exact == PosRat(3, 2)
+        assert real_div(two_thirds, nine_fourths).exact == PosRat(8, 27)
+
+    def test_deep_product_chain(self):
+        # 3,000 products are one node over 3,001 leaves: no refine nests
         acc = isqrt_real(2)
         for _ in range(3000):
             acc = real_mul(acc, isqrt_real(3))
-        with pytest.raises(OracleFailureError, match="nesting too deep"):
-            acc.approx(4)
+        iv = acc.approx(4)
+        assert iv.width_at_most(4)
+        assert encloses_square(iv, 2 * Fraction(3) ** 3000)
+
+    def test_product_chain_reads_its_leaf_shallow(self):
+        # x * c^200 for c = 0.7 x: one node over x and c, so the leaf is read
+        # once directly and once through c, both near the working precision
+        seen = []
+        x = recorded(2, seen)
+        c = real_scale(x, PosRat(7, 10))
+        acc = x
+        for _ in range(200):
+            acc = real_mul(acc, c)
+        iv = acc.approx(4)
+        assert iv.width_at_most(4)
+        assert encloses_square(iv, 2 * Fraction(98, 100) ** 200)
+        assert len(seen) == 2 and max(seen) <= 32
+
+    def test_large_exponent(self):
+        # x^10000 is squared and multiplied on floats of about w bits; an
+        # exact endpoint power would hold 10,000 times the bits of a read
+        iv = mul_multiple(10000, MulReal(isqrt_real(3))).value.approx(30)
+        assert iv.width_at_most(30)
+        assert encloses_square(iv, Fraction(3) ** 10000)
+
+    def test_quotient_by_itself_is_one(self):
+        seen = []
+        x, y = recorded(2, seen), recorded(3, seen)
+        one = Interval(RAT_ONE, RAT_ONE)
+        assert real_div(x, x).approx(30) == one
+        assert real_div(real_mul(x, y), real_mul(y, x)).approx(300) == one
+        assert seen == []
+
+    @pytest.mark.parametrize("e", [400, 5000])
+    def test_tiny_and_huge_values(self, e):
+        # sqrt(2) 2^-e * sqrt(3), sqrt(3) / (sqrt(2) 2^e) and their reciprocal
+        # sizes: a floor of the lower product to 0 moves the grid below it
+        small, big = PosRat(1, 1 << e), PosRat(1 << e)
+        cases = [
+            (real_mul(real_scale(isqrt_real(2), small), isqrt_real(3)), Fraction(6, 1 << 2 * e)),
+            (real_div(isqrt_real(3), real_scale(isqrt_real(2), big)), Fraction(3, 2 << 2 * e)),
+            (real_mul(real_scale(isqrt_real(2), big), isqrt_real(3)), Fraction(6 << 2 * e)),
+            (real_div(isqrt_real(3), real_scale(isqrt_real(2), small)), Fraction(3 << 2 * e, 2)),
+        ]
+        for node, v2 in cases:
+            iv = node.approx(30)
+            assert iv.width_at_most(30)
+            assert encloses_square(iv, v2)
+
+    @given(monomial_dags(), st.integers(0, 200))
+    def test_random_dags_contain_and_meet_width(self, dag, p):
+        nodes, refs = dag
+        for node, ref in reversed(list(zip(nodes, refs))):
+            iv = node.approx(p)
+            assert iv.width_at_most(p)
+            assert encloses_square(iv, squared(ref))
+
+    def test_concurrent_refines_of_shared_products(self):
+        # products and quotients sharing leaves, refined from many threads:
+        # every thread sees the one cached interval per (node, precision)
+        leaves = [isqrt_real(k) for k in NON_SQUARES[:6]]
+        nodes = [real_div(real_mul(x, y), z) for x, y, z in zip(leaves, leaves[1:], leaves[3:] + leaves)]
+        nodes.append(mul_multiple(3, MulReal(real_mul(nodes[0], nodes[1]))).value)
+        for (node, p), ivs in refine_from_threads(nodes).items():
+            assert all(iv is ivs[0] for iv in ivs) and ivs[0].width_at_most(p)
 
 
 class TestRealCompare:
