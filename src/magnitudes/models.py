@@ -62,9 +62,16 @@ class PosRat:
     __slots__ = ("num", "den")
 
     def __init__(self, num: int, den: int = 1):
-        check_positive_int(num, "numerator")
-        check_positive_int(den, "denominator")
-        g = gcd(num, den)
+        # two exact ints >= 1 are the common case and skip the validators
+        if num.__class__ is not int or den.__class__ is not int or num < 1 or den < 1:
+            check_positive_int(num, "numerator")
+            check_positive_int(den, "denominator")
+        if den & (den - 1):
+            g = gcd(num, den)
+        else:  # a power of two, as on every grid: the gcd is num's lowest set bit, or den
+            g = num & -num
+            if g > den:
+                g = den
         self.num = num // g
         self.den = den // g
 
@@ -144,16 +151,16 @@ class PosRat:
         )
 
     def __lt__(self, other: "PosRat") -> bool:
-        return self._cmp(other) < 0
+        return self.num * other.den < other.num * self.den
 
     def __le__(self, other: "PosRat") -> bool:
-        return self._cmp(other) <= 0
+        return self.num * other.den <= other.num * self.den
 
     def __gt__(self, other: "PosRat") -> bool:
-        return self._cmp(other) > 0
+        return self.num * other.den > other.num * self.den
 
     def __ge__(self, other: "PosRat") -> bool:
-        return self._cmp(other) >= 0
+        return self.num * other.den >= other.num * self.den
 
     def __hash__(self):
         return hash((self.num, self.den))
@@ -173,9 +180,6 @@ class PosRat:
 
     def __repr__(self) -> str:
         return f"PosRat({self.num}, {self.den})"
-
-    def is_integer(self) -> bool:
-        return self.den == 1
 
     def decimal(self, digits: int) -> str:
         """Decimal rendering truncated toward zero at ``digits`` places."""
@@ -211,7 +215,7 @@ class Interval:
     __slots__ = ("lo", "hi")
 
     def __init__(self, lo: PosRat, hi: PosRat):
-        if lo > hi:
+        if lo.num * hi.den > hi.num * lo.den:
             raise ValueError("interval endpoints out of order")
         self.lo = lo
         self.hi = hi
@@ -271,12 +275,13 @@ class PosRealValue:
     ``exact`` optionally records that the value is a known rational point,
     enabling exact fast paths downstream.
 
-    A sum, difference or rational scaling also records its direct terms in
-    ``_terms``, as (value, num, den) triples with the signed integer
-    coefficient num/den; every other value is a leaf of the linear DAG those
-    terms span.  A product, quotient or multiplicative multiple x^n likewise
-    records its direct factors in ``_factors``, as (value, k, 1) triples with
-    a nonzero integer exponent k; every other value is a monomial leaf.
+    A sum, difference or rational scaling is a _Linear node, this class with
+    its refine as a method; it records its direct terms in ``_terms``, as
+    (value, num, den) triples with the signed integer coefficient num/den,
+    and every other value is a leaf of the linear DAG those terms span.  A
+    product, quotient or multiplicative multiple x^n likewise records its
+    direct factors in ``_factors``, as (value, k, 1) triples with a nonzero
+    integer exponent k; every other value is a monomial leaf.
     """
 
     __slots__ = ("_refine", "_cache", "_best", "_lock", "exact", "_terms", "_factors")
@@ -291,32 +296,39 @@ class PosRealValue:
         self._factors: Optional[tuple] = None
 
     def approx(self, p: int) -> Interval:
-        if isinstance(p, bool) or not isinstance(p, int):
-            raise TypeError("precision must be an int")
-        if p < 0:
-            raise ValueError("precision must be >= 0")
-        with self._lock:
+        # an exact int >= 0 is the common case and skips the type tests
+        if p.__class__ is not int or p < 0:
+            if isinstance(p, bool) or not isinstance(p, int):
+                raise TypeError("precision must be an int")
+            if p < 0:
+                raise ValueError("precision must be >= 0")
+        # acquire and release rather than a with block, whose protocol costs
+        # about as much as the rest of a cache hit
+        lock = self._lock
+        lock.acquire()
+        try:
             cached = self._cache.get(p)
             if cached is not None:
                 return cached
             try:
-                raw = self._refine(p)
+                iv = self._refine(p)
             except RecursionError:
                 # chains alternating linear and monomial nodes, and powers,
                 # still nest one refine inside another; past the
                 # interpreter's depth the caller gets the typed resource error
                 raise OracleFailureError(f"oracle nesting too deep at precision {p}") from None
-            if not raw.width_at_most(p):
+            lo, hi = iv.lo, iv.hi
+            if (hi.num * lo.den - lo.num * hi.den) << p > hi.den * lo.den:
                 raise OracleFailureError(f"refinement wider than 2^-{p}")
-            if self._best is None:
-                iv = raw
-            else:
-                if not raw.intersects(self._best):
+            if self._best is not None:
+                if not iv.intersects(self._best):
                     raise OracleFailureError("inconsistent refinement oracle")
-                iv = raw.intersect(self._best)
+                iv = iv.intersect(self._best)
             self._best = iv
             self._cache[p] = iv
             return iv
+        finally:
+            lock.release()
 
     def __repr__(self) -> str:
         if self.exact is not None:
@@ -343,49 +355,62 @@ def _flatten(terms: tuple, attr: str) -> list:
     c = c + c make k nodes but 2^k paths).  Both walks keep their own stacks,
     so a chain's depth costs memory, not interpreter frames.  A leaf whose
     weights cancel to 0 is dropped.  Each leaf comes back as
-    (source, num, den, extra): source is the leaf, or its exact point; num/den
-    is its weight; extra = max(0, ceil(log2 |num|/den)).
+    (source, num, den, extra), in the order the second walk first reaches
+    it: source is the leaf, or its exact point; num/den is its weight;
+    extra = max(0, ceil(log2 |num|/den)).
     """
     # count each inner node's parents, so it is expanded after all of them
     parents: dict = {}
-    stack = [term[0] for term in terms]
+    stack = [terms]
     while stack:
-        node = stack.pop()
-        children = getattr(node, attr)
-        if children is None or node.exact is not None:
-            continue
-        if node in parents:
-            parents[node] += 1
-        else:
-            parents[node] = 1
-            stack.extend(term[0] for term in children)
+        for node, _, _ in stack.pop():
+            children = getattr(node, attr)
+            if children is None or node.exact is not None:
+                continue
+            if node in parents:
+                parents[node] += 1
+            else:
+                parents[node] = 1
+                stack.append(children)
+    # a leaf's weight gathers in weight; an inner node's in pending, until
+    # its last parent has been expanded and it is expanded in turn
     weight: dict = {}
+    pending: dict = {}
     ready = [(terms, 1, 1)]
     while ready:
         node_terms, c_num, c_den = ready.pop()
         for child, k_num, k_den in node_terms:
             num, den = c_num * k_num, c_den * k_den
-            prev = weight.get(child)
+            left = parents.get(child)
+            prev = (weight if left is None else pending).get(child)
             if prev is not None:
                 num, den = num * prev[1] + prev[0] * den, den * prev[1]
             if den != 1:
                 g = gcd(num, den)
                 num, den = num // g, den // g
-            weight[child] = (num, den)
-            if child in parents:
-                parents[child] -= 1
-                if not parents[child]:
-                    ready.append((getattr(child, attr), num, den))
+            if left is None:
+                weight[child] = (num, den)
+            elif left == 1:
+                ready.append((getattr(child, attr), num, den))
+            else:
+                parents[child] = left - 1
+                pending[child] = (num, den)
     # ceil(log2 a/b) for a > b is the bit length of floor((a - 1)/b)
     return [
         (node if node.exact is None else node.exact, num, den, ((abs(num) - 1) // den).bit_length())
         for node, (num, den) in weight.items()
-        if num and node not in parents
+        if num
     ]
 
 
-def _linear(terms: tuple, exact: Optional[PosRat]) -> PosRealValue:
+class _Linear(PosRealValue):
     """One node for sum of c*x over terms, refined from its leaves directly.
+
+    A sum node allocates itself, its terms and their (value, num, den)
+    triples, its cache and its lock; its refine is the method below, which
+    takes the place of the per-value refine callable, so no function object
+    or cell is built per node.  The DAG under the node is flattened (see
+    _flatten) on its first refine, under its lock, and the leaves are kept.
 
     With n leaves, refine(p) works on the grid w = p + ceil(log2 3n).  Each
     leaf is read at w plus its coefficient's bits, so its scaled interval is
@@ -395,12 +420,22 @@ def _linear(terms: tuple, exact: Optional[PosRat]) -> PosRealValue:
     takes the leaf's upper end into the lower sum and its lower end into the
     upper sum, so only a difference can have a lower sum that is not positive.
     """
-    leaves = None
 
-    def refine(p: int) -> Interval:
-        nonlocal leaves
-        if leaves is None:  # under the node's lock, on first refine
-            leaves = _flatten(terms, "_terms")
+    __slots__ = ("_leaves",)
+
+    def __init__(self, terms: tuple, exact: Optional[PosRat]):
+        self._cache = {}
+        self._best = None
+        self._lock = threading.Lock()
+        self.exact = exact
+        self._terms = terms
+        self._factors = None
+        self._leaves = None
+
+    def _refine(self, p: int) -> Interval:
+        leaves = self._leaves
+        if leaves is None:  # under the node's lock, on the first refine
+            leaves = self._leaves = _flatten(self._terms, "_terms")
         base = p + (3 * len(leaves) - 1).bit_length()
         # sums and scalings end on the first grid; a difference whose lower sum
         # is not yet positive is read again on finer grids, up to 256 bits
@@ -414,8 +449,11 @@ def _linear(terms: tuple, exact: Optional[PosRat]) -> PosRealValue:
                     lo, hi = iv.lo, iv.hi
                 else:
                     lo, hi = iv.hi, iv.lo
-                lo_ticks += (lo.num * u << w) // (lo.den * v)
-                hi_ticks -= (-(hi.num * u) << w) // (hi.den * v)
+                # a power-of-two divisor, as every grid read has, floors by a shift
+                n, d = lo.num * u << w, lo.den * v
+                lo_ticks += n // d if d & (d - 1) else n >> d.bit_length() - 1
+                n, d = -(hi.num * u) << w, hi.den * v
+                hi_ticks -= n // d if d & (d - 1) else n >> d.bit_length() - 1
             if hi_ticks < 1:
                 raise OracleFailureError("difference is not positive")
             hi = PosRat(hi_ticks, 1 << w)
@@ -433,20 +471,16 @@ def _linear(terms: tuple, exact: Optional[PosRat]) -> PosRealValue:
                 return Interval(PosRat._reduced(num, den), hi)
         raise OracleFailureError("difference not certified positive in budget")
 
-    value = PosRealValue(refine, exact=exact)
-    value._terms = terms
-    return value
-
 
 def real_add(x: PosRealValue, y: PosRealValue) -> PosRealValue:
     """Sum node x + y.
 
     Nested sums, scalings and differences refine as one linear node over
-    their leaves (see _linear): integer endpoint sums on one dyadic grid,
+    their leaves (see _Linear): integer endpoint sums on one dyadic grid,
     ceil(log2 3n) guard bits for n leaves, and no recursion through the chain.
     """
     exact = x.exact + y.exact if (x.exact is not None and y.exact is not None) else None
-    return _linear(((x, 1, 1), (y, 1, 1)), exact)
+    return _Linear(((x, 1, 1), (y, 1, 1)), exact)
 
 
 def real_scale(x: PosRealValue, q: PosRat) -> PosRealValue:
@@ -458,17 +492,17 @@ def real_scale(x: PosRealValue, q: PosRat) -> PosRealValue:
     if q == RAT_ONE:
         return x
     exact = x.exact * q if x.exact is not None else None
-    return _linear(((x, q.num, q.den),), exact)
+    return _Linear(((x, q.num, q.den),), exact)
 
 
 def real_subtract(x: PosRealValue, y: PosRealValue) -> PosRealValue:
-    """Difference node x - y for y < x: the linear node x + (-1)*y (see _linear).
+    """Difference node x - y for y < x: the linear node x + (-1)*y (see _Linear).
 
     Exact points raise NotGreaterError unless y < x; otherwise a refine
     raises OracleFailureError when its grids cannot show x - y > 0.
     """
     exact = x.exact - y.exact if (x.exact is not None and y.exact is not None) else None
-    return _linear(((x, 1, 1), (y, -1, 1)), exact)
+    return _Linear(((x, 1, 1), (y, -1, 1)), exact)
 
 
 PRECISION_GUARD = 8  # guard bits of a non-linear node's working precision

@@ -24,6 +24,7 @@ from magnitudes.models import (
     Overlap,
     PosRat,
     PosRealValue,
+    _flatten,
     certify,
     format_element,
     ladder,
@@ -87,6 +88,11 @@ class TestPosRat:
     def test_field_ops_roundtrip(self, a, b):
         assert (a * b) / b == a
         assert (a + b) - b == a
+
+    @given(st.integers(1, 1 << 400), st.integers(0, 400))
+    def test_power_of_two_denominator_in_lowest_terms(self, num, k):
+        q, f = PosRat(num, 1 << k), Fraction(num, 1 << k)
+        assert (q.num, q.den) == (f.numerator, f.denominator)
 
     def test_decimal_truncates(self):
         assert PosRat(1, 3).decimal(4) == "0.3333"
@@ -166,6 +172,69 @@ class TestPosRealValue:
         for t in threads:
             t.join()
         assert all(iv == seen[0] for iv in seen)
+
+
+class Int(int):
+    """An int subclass: validated like any int, and reduced like one."""
+
+
+def parts(q):
+    return q.num, q.den
+
+
+def too_wide(p):
+    """An oracle whose interval is one tick of 2^-(p + 8) wider than 2^-p."""
+    t = 1 << (p + 8)
+    return Interval(PosRat(t, t), PosRat(t + (1 << 8) + 1, t))
+
+
+def exactly_wide(p):
+    """An oracle whose interval is exactly 2^-p wide."""
+    return Interval(PosRat(1), PosRat((1 << p) + 1, 1 << p))
+
+
+# The contract the fast paths of PosRat, Interval and approx keep: the common
+# case (exact ints >= 1, ordered endpoints, a narrow enough refinement) skips
+# the validators, and everything else raises as the validators always have.
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: PosRat(True, 1), TypeError, "numerator must be an int, got bool"),
+        (lambda: PosRat(1, 2.0), TypeError, "denominator must be an int, got float"),
+        (lambda: PosRat(0, 1), ValueError, "numerator must be >= 1, got 0"),
+        (lambda: PosRat(1, -2), ValueError, "denominator must be >= 1, got -2"),
+        (lambda: parts(PosRat(Int(4), Int(6))) == (2, 3), None, None),
+        (lambda: parts(PosRat(Int(48), Int(8))) == (6, 1), None, None),
+        (lambda: isqrt_real(2).approx(True), TypeError, "precision must be an int"),
+        (lambda: isqrt_real(2).approx(1.0), TypeError, "precision must be an int"),
+        (lambda: isqrt_real(2).approx(-1), ValueError, "precision must be >= 0"),
+        (lambda: isqrt_real(2).approx(Int(10)).width_at_most(10), None, None),
+        (lambda: Interval(PosRat(2), PosRat(1)), ValueError, "interval endpoints out of order"),
+        (lambda: PosRealValue(too_wide).approx(10), OracleFailureError, r"refinement wider than 2\^-10"),
+        (lambda: PosRealValue(exactly_wide).approx(10).width_at_most(10), None, None),
+    ],
+    ids=[
+        "PosRat(True, 1)",
+        "PosRat(1, 2.0)",
+        "PosRat(0, 1)",
+        "PosRat(1, -2)",
+        "PosRat(int subclass)",
+        "PosRat(int subclass, power of two)",
+        "approx(True)",
+        "approx(1.0)",
+        "approx(-1)",
+        "approx(int subclass)",
+        "Interval(2, 1)",
+        "one tick too wide",
+        "exactly 2^-p wide",
+    ],
+)
+def test_validation_contract(call, error, message):
+    if error is None:
+        assert call()
+    else:
+        with pytest.raises(error, match=message):
+            call()
 
 
 class TestRealArithmetic:
@@ -579,6 +648,73 @@ class TestMonomialNodes:
         nodes.append(mul_multiple(3, MulReal(real_mul(nodes[0], nodes[1]))).value)
         for (node, p), ivs in refine_from_threads(nodes).items():
             assert all(iv is ivs[0] for iv in ivs) and ivs[0].width_at_most(p)
+
+
+def reference_flatten(terms: tuple, attr: str) -> list:
+    """_flatten as it was when every sum node was a closure, with a generator
+    per node: the reference for the leaves, weights, extra bits and leaf
+    order that _flatten must keep."""
+    parents: dict = {}
+    stack = [term[0] for term in terms]
+    while stack:
+        node = stack.pop()
+        children = getattr(node, attr)
+        if children is None or node.exact is not None:
+            continue
+        if node in parents:
+            parents[node] += 1
+        else:
+            parents[node] = 1
+            stack.extend(term[0] for term in children)
+    weight: dict = {}
+    ready = [(terms, 1, 1)]
+    while ready:
+        node_terms, c_num, c_den = ready.pop()
+        for child, k_num, k_den in node_terms:
+            num, den = c_num * k_num, c_den * k_den
+            prev = weight.get(child)
+            if prev is not None:
+                num, den = num * prev[1] + prev[0] * den, den * prev[1]
+            if den != 1:
+                g = math.gcd(num, den)
+                num, den = num // g, den // g
+            weight[child] = (num, den)
+            if child in parents:
+                parents[child] -= 1
+                if not parents[child]:
+                    ready.append((getattr(child, attr), num, den))
+    return [
+        (node if node.exact is None else node.exact, num, den, ((abs(num) - 1) // den).bit_length())
+        for node, (num, den) in weight.items()
+        if num and node not in parents
+    ]
+
+
+class TestFlatten:
+    # the same leaves in the same order: _monomial rounds its product leaf by
+    # leaf, so another order would change the intervals a node returns
+
+    @given(linear_dags())
+    def test_linear_dags_match_reference(self, dag):
+        for node in dag[0]:
+            if node._terms is not None:
+                assert _flatten(node._terms, "_terms") == reference_flatten(node._terms, "_terms")
+
+    @given(monomial_dags())
+    def test_monomial_dags_match_reference(self, dag):
+        for node in dag[0]:
+            if node._factors is not None:
+                assert _flatten(node._factors, "_factors") == reference_flatten(node._factors, "_factors")
+
+    def test_deep_add_chain_matches_reference(self):
+        # 1000 sums over fresh leaves and ten leaves that recur
+        shared = [isqrt_real(k) for k in NON_SQUARES[:10]]
+        acc = isqrt_real(2)
+        for i in range(1000):
+            acc = real_add(acc, shared[i % 10] if i % 3 else isqrt_real(NON_SQUARES[i % len(NON_SQUARES)]))
+        leaves = _flatten(acc._terms, "_terms")
+        assert leaves == reference_flatten(acc._terms, "_terms")
+        assert len(leaves) == 1 + 10 + 334
 
 
 class TestRealCompare:
