@@ -3,13 +3,13 @@
 Three concrete models (naturals, positive rationals, and computable
 positive reals as interval-refinement oracles) share one generic core:
 trichotomous comparison carrying its difference witness, partial
-subtraction, integral multiples and Archimedean multiple searches (closed
-form on nat and rat; one scaling node and a certified search on reals).
-On top of the core sit the classical ratio engine (exact decisions on
-rational models, certified witness search elsewhere), embeddings with
-fourth proportionals, the operator algebra of the embedding space
-(products, quotients), power functions through the multiplicative space
-of reals above one, and an executable law suite covering all of it.
+subtraction, integral multiples and Archimedean multiple searches (one
+floor(b/a) + 1 formula, exact on points, from enclosures on reals).  On top
+of the core sit the classical ratio engine (exact decisions on exact
+points, certified witness search elsewhere), embeddings with fourth
+proportionals, the operator algebra of the embedding space (products,
+quotients), power functions through the multiplicative space of reals
+above one, and an executable law suite covering all of it.
 """
 
 from .core import (

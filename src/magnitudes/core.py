@@ -241,9 +241,9 @@ def find_multiple_exceeding(a, b, model=None) -> int:
     """Least n with multiple(n, a) > b, by the model's ``least_multiple_exceeding``.
 
     Exists for every pair in an Archimedean model (all shipped models are).
-    nat and rat answer floor(b/a) + 1 in closed form; real and the
-    multiplicative space search, doubling then bisecting, so O(log n)
-    certified comparisons.
+    nat, rat and real answer floor(b/a) + 1, exactly on points and otherwise
+    from b/a enclosed on the ladder, one read per side per rung; the
+    multiplicative space, whose multiples are powers, doubles then bisects.
     """
     model = _resolve(model, a, b)
     return model.least_multiple_exceeding(a, b)

@@ -99,8 +99,11 @@ class LawReport(Record):
 _REGISTRY: list[LawSpec] = []
 
 
-def _law(law_id, statement, law_set, models, gen):
+def _law(law_id, statement, models, gen):
+    """Register the decorated check under the set named by its module."""
+
     def register(fn):
+        law_set = fn.__module__.rpartition(".")[2]
         _REGISTRY.append(LawSpec(law_id, statement, law_set, models, gen, fn))
         return fn
 

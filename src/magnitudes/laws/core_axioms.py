@@ -10,7 +10,6 @@ from . import _elems, _expect, _law, _same, _same_tag
 @_law(
     "core-combine-associative",
     "a + (b + c) = (a + b) + c",
-    "core_axioms",
     ("nat", "rat", "real"),
     _elems("a", "b", "c"),
 )
@@ -23,7 +22,6 @@ def _combine_assoc(model, v, tol):
 @_law(
     "core-combine-commutative",
     "a + b = b + a",
-    "core_axioms",
     ("nat", "rat", "real"),
     _elems("a", "b"),
 )
@@ -34,7 +32,6 @@ def _combine_comm(model, v, tol):
 @_law(
     "core-trichotomy-witness",
     "exactly one of a < b, a = b, b < a holds, and the witness rebuilds the larger side",
-    "core_axioms",
     ("nat", "rat"),
     _elems("a", "b"),
 )
@@ -55,7 +52,6 @@ def _trichotomy(model, v, tol):
 @_law(
     "core-translation-invariance",
     "b < c implies a + b < a + c",
-    "core_axioms",
     ("nat", "rat"),
     _elems("a", "b", "c"),
 )
@@ -69,7 +65,6 @@ def _translation(model, v, tol):
 @_law(
     "core-cancellation",
     "a + b relates to a + c exactly as b relates to c",
-    "core_axioms",
     ("nat", "rat"),
     _elems("a", "b", "c"),
 )
@@ -84,7 +79,6 @@ def _cancellation(model, v, tol):
 @_law(
     "core-difference-decomposition",
     "for a < b < c: c - a = (c - b) + (b - a)",
-    "core_axioms",
     ("nat", "rat"),
     _elems("a", "d1", "d2"),
 )

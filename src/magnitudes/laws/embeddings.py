@@ -15,7 +15,6 @@ def _gen_unit_embedding(model, rng):
 @_law(
     "embedding-fast-matches-naive",
     "evaluating n -> n*image by doubling equals the literal recursion",
-    "embeddings",
     ("nat", "rat"),
     _gen_unit_embedding,
 )
@@ -27,7 +26,6 @@ def _embed_fast_naive(model, v, tol):
 @_law(
     "embedding-additive",
     "phi(b + c) = phi(b) + phi(c) for constructed embeddings",
-    "embeddings",
     ("rat",),
     _elems("image", "b", "c"),
 )
@@ -41,7 +39,6 @@ def _embed_additive(model, v, tol):
 @_law(
     "embedding-multiple-commutes",
     "phi(n*a) = n*phi(a)",
-    "embeddings",
     ("nat", "rat"),
     _elems_mults(("image", "a"), ("n",), bound=256),
 )
@@ -60,7 +57,6 @@ def _embed_multiple_commutes(model, v, tol):
 @_law(
     "embedding-unique-at-anchor",
     "the unit-multiple map and the anchored map with the same unit image agree",
-    "embeddings",
     ("rat",),
     _elems_mults(("image",), ("p1", "p2", "p3"), bound=512),
 )
@@ -75,7 +71,6 @@ def _embed_unique(model, v, tol):
 @_law(
     "embedding-probe-independent",
     "comparing two embeddings gives one answer at every probe",
-    "embeddings",
     ("rat",),
     _elems_mults(("im1", "im2"), ("p1", "p2", "p3"), bound=512),
 )
@@ -92,7 +87,6 @@ def _probe_independent(model, v, tol):
 @_law(
     "fourth-proportional-unique",
     "independent constructions of the fourth proportional intersect",
-    "embeddings",
     ("rat",),
     _elems("a", "b", "c"),
 )

@@ -14,7 +14,6 @@ def _scaled_pair(model, a, b, k):
 @_law(
     "V.1-multiple-of-sum",
     "n(a + b) = na + nb",
-    "euclid_v",
     ("nat", "rat"),
     _elems_mults(("a", "b"), ("n",)),
 )
@@ -27,7 +26,6 @@ def _v1(model, v, tol):
 @_law(
     "V.2-sum-of-multipliers",
     "(m + n)a = ma + na",
-    "euclid_v",
     ("nat", "rat"),
     _elems_mults(("a",), ("m", "n")),
 )
@@ -40,7 +38,6 @@ def _v2(model, v, tol):
 @_law(
     "V.3-multiple-of-multiple",
     "(mn)a = m(na)",
-    "euclid_v",
     ("nat", "rat"),
     _elems_mults(("a",), ("m", "n")),
 )
@@ -56,7 +53,6 @@ def _v3(model, v, tol):
 @_law(
     "V.4-scaled-proportionals",
     "a:b = a':b' implies ja:kb = ja':kb'",
-    "euclid_v",
     ("nat", "rat"),
     _elems_mults(("a", "b"), ("f", "j", "k"), bound=256),
 )
@@ -75,7 +71,6 @@ def _v4(model, v, tol):
 @_law(
     "V.5-multiples-preserve-element-order",
     "na relates to nb as a relates to b; on strict order na - nb = n(a - b)",
-    "euclid_v",
     ("nat", "rat"),
     _elems_mults(("a", "b"), ("n",)),
 )
@@ -91,7 +86,6 @@ def _v5(model, v, tol):
 @_law(
     "V.6-multiples-preserve-multiplier-order",
     "ma relates to na as m relates to n; on strict order ma - na = (m - n)a",
-    "euclid_v",
     ("nat", "rat"),
     _elems_mults(("a",), ("m", "n")),
 )
@@ -107,7 +101,6 @@ def _v6(model, v, tol):
 @_law(
     "V.7-equals-have-equal-ratios",
     "a = b implies a:c = b:c and c:a = c:b",
-    "euclid_v",
     ("nat", "rat"),
     _elems("a", "c"),
 )
@@ -120,7 +113,6 @@ def _v7(model, v, tol):
 @_law(
     "V.8-greater-has-greater-ratio",
     "a > b implies a:c > b:c and c:b > c:a",
-    "euclid_v",
     ("nat", "rat"),
     _elems("b", "d", "c"),
 )
@@ -141,7 +133,6 @@ def _v8(model, v, tol):
 @_law(
     "V.9-equal-ratios-cancel",
     "a:c = b:c exactly when a = b",
-    "euclid_v",
     ("nat", "rat"),
     _elems("a", "b", "c"),
 )
@@ -158,7 +149,6 @@ def _v9(model, v, tol):
 @_law(
     "V.10-ratio-order-reflects-element-order",
     "a:c > b:c implies a > b; c:a > c:b implies b > a",
-    "euclid_v",
     ("nat", "rat"),
     _elems("a", "b", "c"),
 )
@@ -171,7 +161,6 @@ def _v10(model, v, tol):
 @_law(
     "V.11-same-ratio-transitive",
     "ratios equal to the same ratio are equal to each other",
-    "euclid_v",
     ("nat", "rat"),
     _elems_mults(("a", "b"), ("j", "k"), bound=256),
 )
@@ -185,7 +174,6 @@ def _v11(model, v, tol):
 @_law(
     "V.12-sum-of-proportionals",
     "a:b = c:d implies a:b = (a + c):(b + d)",
-    "euclid_v",
     ("nat", "rat"),
     _elems_mults(("a", "b"), ("f",), bound=256),
 )
@@ -199,7 +187,6 @@ def _v12(model, v, tol):
 @_law(
     "V.13-equality-respects-strict-order",
     "a:b = a':b' and a':b' > a'':b'' imply a:b > a'':b''",
-    "euclid_v",
     ("nat", "rat"),
     _elems_mults(("a", "b", "c", "d"), ("f",), bound=256),
 )
@@ -214,7 +201,6 @@ def _v13(model, v, tol):
 @_law(
     "V.14-proportion-crosses-order",
     "a:b = c:d implies a relates to c as b relates to d",
-    "euclid_v",
     ("nat", "rat"),
     _elems_mults(("a", "b"), ("f",), bound=256),
 )
@@ -227,7 +213,6 @@ def _v14(model, v, tol):
 @_law(
     "V.15-common-scaling",
     "a:b = ka:kb",
-    "euclid_v",
     ("nat", "rat"),
     _elems_mults(("a", "b"), ("k",)),
 )
@@ -239,7 +224,6 @@ def _v15(model, v, tol):
 @_law(
     "V.16-alternation",
     "a:b = c:d implies a:c = b:d (all four in one space)",
-    "euclid_v",
     ("nat", "rat"),
     _elems_mults(("a", "b"), ("f",), bound=256),
 )
@@ -252,7 +236,6 @@ def _v16(model, v, tol):
 @_law(
     "V.17-separation",
     "(a + b):b = (a' + b'):b' implies a:b = a':b'",
-    "euclid_v",
     ("nat", "rat"),
     _elems_mults(("a", "b"), ("k",), bound=256),
 )
@@ -269,7 +252,6 @@ def _v17(model, v, tol):
 @_law(
     "V.18-composition",
     "a:b = a':b' implies (a + b):b = (a' + b'):b'",
-    "euclid_v",
     ("nat", "rat"),
     _elems_mults(("a", "b"), ("k",), bound=256),
 )
@@ -285,7 +267,6 @@ def _v18(model, v, tol):
 @_law(
     "V.19-remainder-proportion",
     "(a + b):(c + d) = a:c implies b:d = a:c",
-    "euclid_v",
     ("nat", "rat"),
     _elems_mults(("a", "c"), ("f",), bound=256),
 )
@@ -302,7 +283,6 @@ def _v19(model, v, tol):
 @_law(
     "V.20-ex-aequali-order",
     "from a:b = a':b' and b:c = b':c', a relates to c as a' relates to c'",
-    "euclid_v",
     ("nat", "rat"),
     _elems_mults(("a", "b", "c"), ("f",), bound=256),
 )
@@ -328,7 +308,6 @@ def _perturbed_chain(model, a, b, c, k):
 @_law(
     "V.21-perturbed-order",
     "from a:b = b':c' and b:c = a':b', a relates to c as a' relates to c'",
-    "euclid_v",
     ("nat", "rat"),
     _elems_mults(("a", "b", "c"), ("k",), bound=64),
 )
@@ -343,7 +322,6 @@ def _v21(model, v, tol):
 @_law(
     "V.22-ex-aequali",
     "a:b = a':b' and b:c = b':c' imply a:c = a':c'",
-    "euclid_v",
     ("nat", "rat"),
     _elems_mults(("a", "b", "c"), ("f",), bound=256),
 )
@@ -356,7 +334,6 @@ def _v22(model, v, tol):
 @_law(
     "V.23-perturbed-ex-aequali",
     "a:b = b':c' and b:c = a':b' imply a:c = a':c'",
-    "euclid_v",
     ("nat", "rat"),
     _elems_mults(("a", "b", "c"), ("k",), bound=64),
 )
@@ -369,7 +346,6 @@ def _v23(model, v, tol):
 @_law(
     "V.24-sum-of-same-ratio",
     "a:b = c:d and e:b = f:d imply (a + e):b = (c + f):d",
-    "euclid_v",
     ("nat", "rat"),
     _elems_mults(("a", "e", "b"), ("k",), bound=256),
 )

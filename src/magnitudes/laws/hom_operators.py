@@ -9,7 +9,6 @@ from . import _elems, _expect, _law, _same, _same_tag
 @_law(
     "hom-add-associative",
     "(phi + chi) + psi = phi + (chi + psi) at probes",
-    "hom_operators",
     ("rat",),
     _elems("x", "y", "z", "probe"),
 )
@@ -23,7 +22,6 @@ def _hom_add_assoc(model, v, tol):
 @_law(
     "hom-add-commutative",
     "phi + chi = chi + phi at probes",
-    "hom_operators",
     ("rat",),
     _elems("x", "y", "probe"),
 )
@@ -35,7 +33,6 @@ def _hom_add_comm(model, v, tol):
 @_law(
     "hom-trichotomy-delta",
     "hom comparison is trichotomous and its delta rebuilds the larger map",
-    "hom_operators",
     ("rat",),
     _elems("x", "y", "probe"),
 )
@@ -53,7 +50,6 @@ def _hom_trichotomy(model, v, tol):
 @_law(
     "endo-compose-commutative",
     "composition of endomorphisms commutes",
-    "hom_operators",
     ("rat",),
     _elems("x", "y", "probe"),
 )
@@ -70,7 +66,6 @@ def _endo_commute(model, v, tol):
 @_law(
     "endo-compose-associative",
     "composition of endomorphisms is associative",
-    "hom_operators",
     ("rat",),
     _elems("x", "y", "z", "probe"),
 )
@@ -84,7 +79,6 @@ def _endo_assoc(model, v, tol):
 @_law(
     "endo-distributes-left",
     "phi o (chi + psi) = phi o chi + phi o psi",
-    "hom_operators",
     ("rat",),
     _elems("x", "y", "z", "probe"),
 )
@@ -98,7 +92,6 @@ def _endo_dist_left(model, v, tol):
 @_law(
     "endo-distributes-right",
     "(phi + chi) o psi = phi o psi + chi o psi",
-    "hom_operators",
     ("rat",),
     _elems("x", "y", "z", "probe"),
 )
@@ -112,7 +105,6 @@ def _endo_dist_right(model, v, tol):
 @_law(
     "endo-identity",
     "the identity endomorphism is neutral for composition",
-    "hom_operators",
     ("rat",),
     _elems("x", "probe"),
 )
@@ -126,7 +118,6 @@ def _endo_identity(model, v, tol):
 @_law(
     "endo-compose-preserves-order",
     "composing with a fixed endomorphism preserves order on either side",
-    "hom_operators",
     ("rat",),
     _elems("x", "y", "z"),
 )
@@ -140,7 +131,6 @@ def _endo_order(model, v, tol):
 @_law(
     "psi-additive",
     "the unit-anchored correspondence turns sums into sums of maps",
-    "hom_operators",
     ("rat",),
     _elems("x", "y"),
 )
@@ -153,7 +143,6 @@ def _psi_additive(model, v, tol):
 @_law(
     "psi-turns-product-into-composition",
     "the map for a*b is the composition of the maps for a and b",
-    "hom_operators",
     ("rat",),
     _elems("x", "y"),
 )
@@ -166,7 +155,6 @@ def _psi_compose(model, v, tol):
 @_law(
     "psi-unit-is-identity",
     "the map for the unit is the identity",
-    "hom_operators",
     ("rat",),
     _elems("probe"),
 )
@@ -178,7 +166,6 @@ def _psi_unit(model, v, tol):
 @_law(
     "psi-onto",
     "every endomorphism is the map of its own value at the unit",
-    "hom_operators",
     ("rat",),
     _elems("x"),
 )

@@ -25,7 +25,6 @@ def _as_mul(q: PosRat) -> power.MulReal:
 @_law(
     "mul-order-agrees-with-additive",
     "multiplicative comparison certifies the same order as the additive one",
-    "power_laws",
     ("real",),
     _gen_mul,
 )
@@ -46,7 +45,6 @@ def _mul_order(model, v, tol):
 @_law(
     "mul-trichotomy-by-quotient",
     "for x > y above one, x = y * d with d above one",
-    "power_laws",
     ("real",),
     _gen_mul,
 )
@@ -63,7 +61,6 @@ def _mul_trichotomy(model, v, tol):
 @_law(
     "power-integer-consistency",
     "x^(n/1) equals the n-fold multiplicative multiple",
-    "power_laws",
     ("real",),
     _gen_mul,
 )
@@ -78,7 +75,6 @@ def _pow_integer(model, v, tol):
 @_law(
     "root-power-roundtrip",
     "raising the n-th root back to the n-th power recovers x",
-    "power_laws",
     ("real",),
     _gen_mul,
 )
@@ -93,7 +89,6 @@ def _root_roundtrip(model, v, tol):
 @_law(
     "power-base-law",
     "(x1 * x2)^y = x1^y * x2^y as intersecting intervals",
-    "power_laws",
     ("real",),
     _gen_mul,
 )
@@ -108,7 +103,6 @@ def _pow_base_law(model, v, tol):
 @_law(
     "power-exponent-law",
     "x^(y1 + y2) = x^y1 * x^y2 as intersecting intervals",
-    "power_laws",
     ("real",),
     _gen_mul,
 )
@@ -123,7 +117,6 @@ def _pow_exponent_law(model, v, tol):
 @_law(
     "power-monotone-in-exponent",
     "for x > 1 and y1 < y2, x^y1 < x^y2 certifiably",
-    "power_laws",
     ("real",),
     _gen_mul,
 )

@@ -9,7 +9,6 @@ from . import _elems, _law, _same, _same_tag
 @_law(
     "product-commutative",
     "a * b = b * a",
-    "product_quotient",
     ("nat", "rat", "real"),
     _elems("a", "b"),
 )
@@ -20,7 +19,6 @@ def _prod_comm(model, v, tol):
 @_law(
     "product-associative",
     "(a * b) * c = a * (b * c)",
-    "product_quotient",
     ("nat", "rat", "real"),
     _elems("a", "b", "c"),
 )
@@ -33,7 +31,6 @@ def _prod_assoc(model, v, tol):
 @_law(
     "product-distributes-left",
     "a * (b + c) = a*b + a*c",
-    "product_quotient",
     ("nat", "rat", "real"),
     _elems("a", "b", "c"),
 )
@@ -46,7 +43,6 @@ def _prod_dist_left(model, v, tol):
 @_law(
     "product-distributes-right",
     "(a + b) * c = a*c + b*c",
-    "product_quotient",
     ("nat", "rat", "real"),
     _elems("a", "b", "c"),
 )
@@ -59,7 +55,6 @@ def _prod_dist_right(model, v, tol):
 @_law(
     "product-unit",
     "1 * a = a",
-    "product_quotient",
     ("nat", "rat"),
     _elems("a"),
 )
@@ -71,7 +66,6 @@ def _prod_unit(model, v, tol):
 @_law(
     "product-preserves-order",
     "multiplying by a fixed element preserves order in each argument",
-    "product_quotient",
     ("nat", "rat"),
     _elems("a", "b", "c"),
 )
@@ -94,7 +88,6 @@ def _prod_order(model, v, tol):
 @_law(
     "product-matches-fraction-arithmetic",
     "the rational product coincides with ordinary fraction multiplication",
-    "product_quotient",
     ("rat",),
     _elems("a", "b"),
 )
@@ -105,7 +98,6 @@ def _prod_fractions(model, v, tol):
 @_law(
     "quotient-roundtrip",
     "(b / a) * a = b",
-    "product_quotient",
     ("rat", "real"),
     _elems("a", "b"),
 )
@@ -117,7 +109,6 @@ def _quot_roundtrip(model, v, tol):
 @_law(
     "quotient-matches-fraction-arithmetic",
     "the rational quotient coincides with ordinary fraction division",
-    "product_quotient",
     ("rat",),
     _elems("a", "b"),
 )
@@ -128,7 +119,6 @@ def _quot_fractions(model, v, tol):
 @_law(
     "quotient-order",
     "b relates to a as b/a relates to the unit",
-    "product_quotient",
     ("rat",),
     _elems("a", "b"),
 )

@@ -11,7 +11,6 @@ from . import _elems, _elems_mults, _expect, _law, _same_tag
 @_law(
     "engine-matches-exact-oracle",
     "the comparison engine agrees with cross-multiplication on exact ratios",
-    "ratio_engine",
     ("nat", "rat"),
     _elems("a", "b", "c", "d"),
 )
@@ -28,7 +27,6 @@ def _engine_vs_oracle(model, v, tol):
 @_law(
     "engine-witness-soundness",
     "every strict verdict carries a witness that verifies",
-    "ratio_engine",
     ("nat", "rat"),
     _elems("a", "b", "c", "d"),
 )
@@ -44,7 +42,6 @@ def _witness_soundness(model, v, tol):
 @_law(
     "engine-rejects-bogus-witness",
     "no multiplier pair separates a ratio from itself",
-    "ratio_engine",
     ("nat", "rat"),
     _elems_mults(("a", "b"), ("m", "n"), bound=512),
 )
@@ -60,7 +57,6 @@ def _rejects_bogus(model, v, tol):
 @_law(
     "engine-antisymmetry",
     "swapping the ratio pairs swaps greater and less, keeping the witness",
-    "ratio_engine",
     ("nat", "rat"),
     _elems("a", "b", "c", "d"),
 )
@@ -77,7 +73,6 @@ def _antisymmetry(model, v, tol):
 @_law(
     "engine-strict-transitive",
     "greater-than composes: a:b > c:d and c:d > e:f imply a:b > e:f",
-    "ratio_engine",
     ("nat", "rat"),
     _elems("a", "b", "c", "d", "e", "f"),
 )
@@ -92,7 +87,6 @@ def _strict_transitive(model, v, tol):
 @_law(
     "embedded-ratio-never-strict",
     "promoting a rational pair to reals never changes its ratio detectably",
-    "ratio_engine",
     ("rat",),
     _elems("a", "b"),
 )
@@ -106,7 +100,6 @@ def _embedded_never_strict(model, v, tol):
 @_law(
     "proportionality-under-embedding",
     "an embedding sends a:b to (phi a):(phi b) with the same ratio",
-    "ratio_engine",
     ("rat",),
     _elems_mults(("a", "b"), ("k",), bound=256),
 )

@@ -10,7 +10,6 @@ from . import _elems, _elems_mults, _expect, _law, _mul, _same, _same_tag
 @_law(
     "subtract-recombines",
     "a + (b - a) = b and b - a < b, for a < b",
-    "structure",
     ("nat", "rat"),
     _elems("a", "d"),
 )
@@ -25,7 +24,6 @@ def _subtract_recombines(model, v, tol):
 @_law(
     "multiple-vs-naive",
     "doubling and repeated addition agree on n-fold sums",
-    "structure",
     ("nat", "rat"),
     _elems_mults(("a",), ("n",)),
 )
@@ -38,7 +36,6 @@ def _multiple_vs_naive(model, v, tol):
 @_law(
     "least-exceeding-multiple",
     "the multiple search returns the least n with n*a > b",
-    "structure",
     ("nat", "rat"),
     _elems("a", "b"),
 )
@@ -54,7 +51,6 @@ def _least_exceeding(model, v, tol):
 @_law(
     "ratio-existence",
     "every pair has multiples exceeding each other (Archimedean closure)",
-    "structure",
     ("nat", "rat", "real"),
     _elems("a", "b"),
 )
@@ -77,7 +73,6 @@ def _ratio_existence(model, v, tol):
 @_law(
     "discrete-gap",
     "nothing lies strictly between b and b + smallest",
-    "structure",
     ("nat",),
     _elems("b", "c"),
 )
@@ -92,7 +87,6 @@ def _discrete_gap(model, v, tol):
 @_law(
     "shrink-below",
     "nondiscrete models shrink below any element: n * shrink(a, n) < a",
-    "structure",
     ("rat",),
     _elems_mults(("a",), ("n",), bound=64),
 )
@@ -108,7 +102,6 @@ def _shrink_below(model, v, tol):
 @_law(
     "descriptor-flags",
     "model descriptors state the truth about discreteness, symmetry, exactness",
-    "structure",
     ("nat", "rat", "real"),
     _elems("a"),
 )
@@ -126,7 +119,6 @@ def _descriptor_flags(model, v, tol):
 @_law(
     "approx-idempotent",
     "repeated refinement queries return the identical interval",
-    "structure",
     ("real",),
     _elems("a"),
 )
@@ -140,7 +132,6 @@ def _approx_idempotent(model, v, tol):
 @_law(
     "rational-embedding-additive",
     "promoting rationals to reals commutes with addition",
-    "structure",
     ("rat",),
     _elems("a", "b"),
 )
@@ -153,7 +144,6 @@ def _real_from_rat_additive(model, v, tol):
 @_law(
     "certificate-stability",
     "a certified real comparison is never contradicted at higher precision",
-    "structure",
     ("rat",),
     _elems("a", "b"),
 )

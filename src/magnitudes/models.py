@@ -344,6 +344,20 @@ def real_from_rat(q: PosRat) -> PosRealValue:
     return PosRealValue(lambda p: point, exact=q)
 
 
+def _num_den(t):
+    """(num, den) of a known point (nat, rat, or real with ``exact`` set), else None."""
+    if isinstance(t, int):
+        return t, 1
+    q = t if isinstance(t, PosRat) else t.exact
+    return None if q is None else (q.num, q.den)
+
+
+def _point(t):
+    """A known point as a PosRat; any other real as given."""
+    nd = _num_den(t)
+    return t if nd is None else PosRat._reduced(*nd)
+
+
 def _flatten(terms: tuple, attr: str) -> list:
     """Leaves of the DAG of linear or monomial nodes under a node, with total weights.
 
@@ -718,25 +732,26 @@ class Model:
     def order(self, a, b) -> Ordering3:
         raise NotImplementedError
 
-    def certainly_greater(self, a, b) -> bool:
-        return self.order(a, b).is_greater
-
     def least_multiple_exceeding(self, a, b) -> int:
-        """Least n with n*a certainly above b: doubling, then bisection."""
-        if self.certainly_greater(a, b):
-            return 1
-        lo = 1  # known: lo * a <= b
-        hi = 2
-        while not self.certainly_greater(self.multiple(hi, a), b):
-            lo = hi
-            hi <<= 1
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            if self.certainly_greater(self.multiple(mid, a), b):
-                hi = mid
-            else:
-                lo = mid
-        return hi
+        """Least n with n*a certainly above b: floor(b/a) + 1.
+
+        Two points answer exactly.  Otherwise [b.lo/a.hi, b.hi/a.lo] encloses
+        b/a on the rungs of ``ladder()``, b read at the rung and a deeper by
+        the bits of the last floor(hi), as ``certify`` reads a multiplied
+        side, until both ends share a floor.  n > hi gives n*a.lo > b.hi, so
+        floor(hi) + 1 is certified and no multiple is built; only within the
+        top rung's reach of an integer can it exceed the least n, by one.
+        """
+        pa, pb = _num_den(a), _num_den(b)
+        if pa and pb:
+            return (pb[0] * pa[1]) // (pb[1] * pa[0]) + 1
+        hi = 0
+        for p in ladder():
+            x, y = a.approx(p + hi.bit_length()), b.approx(p)
+            hi = (y.hi.num * x.lo.den) // (y.hi.den * x.lo.num)
+            if (y.lo.num * x.hi.den) // (y.lo.den * x.hi.num) == hi:
+                break
+        return hi + 1
 
     def ratio_pair(self, a, b) -> Tuple[int, int]:
         """Integers (n, m) with a : b = n : m; exact models only."""
@@ -772,9 +787,6 @@ class NatModel(Model):
 
     def multiple(self, n: int, a: int) -> int:
         return n * a
-
-    def least_multiple_exceeding(self, a: int, b: int) -> int:
-        return b // a + 1
 
     def ratio_pair(self, a: int, b: int) -> Tuple[int, int]:
         return a, b
@@ -812,9 +824,6 @@ class RatModel(Model):
         # gcd(n/g, den/g) = 1 and gcd(num, den) = 1: already in lowest terms
         g = gcd(n, a.den)
         return PosRat._reduced(a.num * (n // g), a.den // g)
-
-    def least_multiple_exceeding(self, a: PosRat, b: PosRat) -> int:
-        return (b.num * a.den) // (b.den * a.num) + 1
 
     def ratio_pair(self, a: PosRat, b: PosRat) -> Tuple[int, int]:
         return a.num * b.den, a.den * b.num
@@ -861,11 +870,6 @@ class RealModel(Model):
         raise InexactModelError(
             "real order is certified three-valued; use real_compare with a precision"
         )
-
-    def certainly_greater(self, a, b) -> bool:
-        # Overlap at the top of the default ladder counts as 'not greater':
-        # honest for searches that only need a sound upper answer.
-        return certify(a, b, ladder())[0] is Rel.GREATER
 
     def scale(self, a: PosRealValue, q: PosRat) -> PosRealValue:
         return real_scale(a, q)

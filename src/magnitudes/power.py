@@ -122,8 +122,22 @@ class _MulRealModel(Model):
     def order(self, a, b) -> Ordering3:
         raise InexactModelError("multiplicative order is certified; use mul_compare")
 
-    def certainly_greater(self, a: MulReal, b: MulReal) -> bool:
-        return mul_compare(a, b) is Rel.GREATER
+    def least_multiple_exceeding(self, a: MulReal, b: MulReal) -> int:
+        """Least n with a^n certainly above b: doubling, then bisection.
+
+        A multiple here is a power, which no enclosure of the ratio b/a
+        answers, so each probe certifies one monomial node a^n against b.
+        """
+        if mul_compare(a, b) is Rel.GREATER:
+            return 1
+        lo, hi = 1, 2  # known: a^lo is not certified above b
+        while mul_compare(self.multiple(hi, a), b) is not Rel.GREATER:
+            lo, hi = hi, hi << 1
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            above = mul_compare(self.multiple(mid, a), b) is Rel.GREATER
+            lo, hi = (lo, mid) if above else (mid, hi)
+        return hi
 
 
 MUL = _MulRealModel()

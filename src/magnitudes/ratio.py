@@ -6,19 +6,19 @@ way it orders m*a2 against n*b2.  A strict verdict is certified by a witness
 (m, n) exhibiting m*a > n*b while m*a2 <= n*b2; equivalently, the fraction
 n/m separates the two ratio values.
 
-The engine decides exact-model comparisons outright: each ratio is an
-integer pair (``Model.ratio_pair``: a : b itself on nat, a.num*b.den :
-a.den*b.num on rat), two pairs compare by cross-multiplication, and only a
-strict verdict reduces them to fractions, for its separating witness.  Mixed
-or real comparisons enclose each ratio value x/y by dividing the terms'
-intervals at each rung of the precision ladder, exact terms being points,
-and no oracle is built.  Once the two enclosures are disjoint, the simplest
-fraction between them (``mediants.simplest_in``) is the witness, returned
-after its strict inequality certifies on the same rungs
-(``models.certify``), as ``verify_witness`` checks it.  The fuel budget caps
-the ladder, which makes the search total, with Unknown as the honest
-out-of-budget answer: equal, or closer than the cap resolves, never a wrong
-verdict.
+Exactness is read from the terms, not their models.  When all four terms
+are exact points (nat and rat elements, and reals with ``exact`` set), each
+ratio is the integer pair a.num*b.den : a.den*b.num, two pairs compare by
+cross-multiplication, and only a strict verdict reduces them to fractions,
+for its separating witness.  Any other comparison encloses each ratio
+value x/y by dividing the terms' intervals at each rung of the precision
+ladder, exact terms being points, and no oracle is built.  Once the two
+enclosures are disjoint, the simplest fraction between them
+(``mediants.simplest_in``) is the witness, returned after its strict
+inequality certifies on the same rungs (``models.certify``), as
+``verify_witness`` checks it.  The fuel budget caps the ladder, which makes
+the search total, with Unknown as the honest out-of-budget answer: equal,
+or closer than the cap resolves, never a wrong verdict.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from typing import Optional, Tuple
 from . import core
 from .core import Record, Rel
 from .mediants import simplest_in
-from .models import PosRat, PosRealValue, certify, ladder, model_by_id, model_of
+from .models import PosRat, _num_den, _point, certify, ladder, model_by_id, model_of
 
 __all__ = [
     "Ratio",
@@ -164,15 +164,6 @@ def ratio_value_exact(r: Ratio) -> PosRat:
     return PosRat(*model_by_id(r.model_id).ratio_pair(r.antecedent, r.consequent))
 
 
-def _point(t):
-    """A term as an exact PosRat when it is a known point; other reals as given."""
-    if isinstance(t, int):
-        return PosRat(t)
-    if isinstance(t, PosRealValue) and t.exact is not None:
-        return t.exact
-    return t
-
-
 def _rel_vs_fraction(x, y, n: int, m: int, rungs) -> Tuple[Optional[Rel], int]:
     """Certified relation of the ratio x:y to the fraction n/m, with its rung.
 
@@ -181,9 +172,9 @@ def _rel_vs_fraction(x, y, n: int, m: int, rungs) -> Tuple[Optional[Rel], int]:
     rung 0; otherwise ``certify`` reads the operands' own cached intervals
     and answers None when the sides stay overlapped at the ladder cap.
     """
-    x, y = _point(x), _point(y)
-    if isinstance(x, PosRat) and isinstance(y, PosRat):
-        lhs, rhs = m * x.num * y.den, n * y.num * x.den
+    px, py = _num_den(x), _num_den(y)
+    if px and py:
+        lhs, rhs = m * px[0] * py[1], n * py[0] * px[1]
         return (Rel.GREATER if lhs > rhs else Rel.LESS if lhs < rhs else Rel.EQUAL), 0
     return certify(x, y, rungs, m, n)
 
@@ -204,8 +195,9 @@ def _exact_separator(lower: PosRat, upper: PosRat) -> Witness:
 def ratio_compare(a, b, a2, b2, fuel: int = 64) -> RatioRel:
     """Compare the ratio a:b with a2:b2 across (possibly different) models.
 
-    Exact models are decided outright by cross-multiplication.  Otherwise
-    each ratio is enclosed by dividing its terms' intervals at each rung of
+    Four exact points (nat, rat, or reals with ``exact`` set) are decided
+    outright by cross-multiplication.  Otherwise each ratio is enclosed by
+    dividing its terms' intervals at each rung of
     ``ladder(max(16, 4*fuel))``, exact terms being points; once the two
     enclosures are disjoint, the simplest fraction between them is the
     witness, returned after its strict inequality certifies on the same
@@ -213,14 +205,11 @@ def ratio_compare(a, b, a2, b2, fuel: int = 64) -> RatioRel:
     """
     if isinstance(fuel, bool) or not isinstance(fuel, int) or fuel < 1:
         raise ValueError("fuel must be an integer >= 1")
-    model1 = model_of(a)
-    model1.check(b)
-    model2 = model_of(a2)
-    model2.check(b2)
-
-    if model1.descriptor.exact_order and model2.descriptor.exact_order:
-        n1, m1 = model1.ratio_pair(a, b)
-        n2, m2 = model2.ratio_pair(a2, b2)
+    model_of(a).check(b)
+    model_of(a2).check(b2)
+    if (p := _num_den(a)) and (q := _num_den(b)) and (p2 := _num_den(a2)) and (q2 := _num_den(b2)):
+        n1, m1 = p[0] * q[1], p[1] * q[0]
+        n2, m2 = p2[0] * q2[1], p2[1] * q2[0]
         lhs, rhs = n1 * m2, n2 * m1
         if lhs == rhs:
             return RatioRel.equal()
@@ -230,7 +219,6 @@ def ratio_compare(a, b, a2, b2, fuel: int = 64) -> RatioRel:
         return RatioRel.less(_exact_separator(v1, v2))
 
     x, y, x2, y2 = _point(a), _point(b), _point(a2), _point(b2)
-    points = all(isinstance(t, PosRat) for t in (x, y, x2, y2))
     cap = max(16, 4 * fuel)
     rungs = ladder(cap)
     for p in rungs:
@@ -240,14 +228,12 @@ def ratio_compare(a, b, a2, b2, fuel: int = 64) -> RatioRel:
             verdict, upper, w = RatioRel.greater, (x, y), _exact_separator(hi2, lo1)
         elif hi1 < lo2:
             verdict, upper, w = RatioRel.less, (x2, y2), _exact_separator(hi1, lo2)
-        elif points:
-            return RatioRel.equal()
         else:
             continue
         # a witness whose strict side does not certify waits for a later rung
         rel, q = _rel_vs_fraction(*upper, w.n, w.m, rungs)
         if rel is Rel.GREATER:
-            return verdict(w, 0 if points else -(-max(p, q) // 4))
+            return verdict(w, -(-max(p, q) // 4))
     return RatioRel.unknown(fuel, cap)
 
 
@@ -255,7 +241,7 @@ def verify_witness(w: Witness, a, b, a2, b2, fuel: int = 64) -> bool:
     """Check both witness inequalities for a Greater verdict on ((a,b),(a2,b2)).
 
     m*a > n*b must be exactly or certificate-grade strict; m*a2 <= n*b2 is
-    accepted exactly on exact models, and on the real model when no strict
+    decided exactly on exact points, and otherwise accepted when no strict
     'greater' certificate is obtainable on the precision ladder.
     """
     if w.m < 1 or w.n < 1:
@@ -263,15 +249,10 @@ def verify_witness(w: Witness, a, b, a2, b2, fuel: int = 64) -> bool:
     core.check_positive_int(w.m, "multiplier")
     core.check_positive_int(w.n, "multiplier")
     model_of(a).check(b)
-    model2 = model_of(a2)
-    model2.check(b2)
+    model_of(a2).check(b2)
     rungs = ladder(max(16, 4 * fuel))
     first, _ = _rel_vs_fraction(a, b, w.n, w.m, rungs)
     if first is not Rel.GREATER:
         return False
     second, _ = _rel_vs_fraction(a2, b2, w.n, w.m, rungs)
-    if second is Rel.GREATER:
-        return False
-    if second is None and model2.descriptor.exact_order:
-        return False
-    return True
+    return second is not Rel.GREATER

@@ -4,10 +4,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from magnitudes import core
 from magnitudes.core import Rel
 from magnitudes.errors import NotAboveOneError
 from magnitudes.models import RAT_ONE, Interval, PosRat, certify, ladder, real_from_rat
 from magnitudes.power import (
+    MUL,
     MulReal,
     int_nth_root,
     into_mul,
@@ -112,6 +114,17 @@ class TestMulMultiple:
     def test_exact_powers(self, base, n):
         got = mul_multiple(n, as_mul(base))
         assert got.value.exact == PosRat(base**n, 1)
+
+
+class TestMulSearch:
+    """The multiplicative "least multiple exceeding" is the least power above."""
+
+    def test_least_power_above(self, sqrt2):
+        a, b = into_mul(sqrt2), as_mul(10)
+        assert core.find_multiple_exceeding(a, b, MUL) == 7
+        assert core.find_multiple_exceeding(b, a, MUL) == 1
+        # sqrt(2)^6 = 8 is certified below 10, so 7 is the least
+        assert mul_compare(mul_multiple(6, a), b) is Rel.LESS
 
 
 class TestIntNthRoot:
