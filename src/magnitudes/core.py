@@ -99,7 +99,7 @@ class Ordering3(Record):
 
     @staticmethod
     def equal() -> "Ordering3":
-        return Ordering3(Rel.EQUAL, None)
+        return _ORDER_EQUAL
 
     @staticmethod
     def greater_by(d) -> "Ordering3":
@@ -120,6 +120,10 @@ class Ordering3(Record):
     def swapped(self) -> "Ordering3":
         """The outcome for the pair in reverse order; same witness."""
         return Ordering3(self.tag.swapped(), self.gap)
+
+
+# records are immutable, so every EQUAL outcome can be this one
+_ORDER_EQUAL = Ordering3(Rel.EQUAL, None)
 
 
 class ModelDescriptor(Record):
@@ -177,6 +181,8 @@ def _resolve(model, *elements):
 
 
 def check_positive_int(value, what: str) -> int:
+    if value.__class__ is int and value >= 1:  # the common case
+        return value
     if isinstance(value, bool) or not isinstance(value, int):
         raise TypeError(f"{what} must be an int, got {type(value).__name__}")
     if value < 1:
@@ -231,9 +237,10 @@ def multiple_naive(n: int, a, model=None):
     n = check_positive_int(n, "multiplier")
     if n > NAIVE_GUARD:
         raise ValueError(f"naive multiple guarded to n <= {NAIVE_GUARD}")
+    combine = model.combine
     acc = a
     for _ in range(n - 1):
-        acc = model.combine(acc, a)
+        acc = combine(acc, a)
     return acc
 
 

@@ -25,7 +25,7 @@ from typing import Callable, Optional
 from .. import core
 from ..core import Record, Rel
 from ..errors import MagnitudeError
-from ..models import Model, PosRat, model_by_id
+from ..models import Model, PosRat, model_by_id, randint
 
 __all__ = ["LawFailure", "LawSpec", "LawReport", "list_laws", "law_sets", "run_suite"]
 
@@ -168,7 +168,7 @@ def _elems(*names):
 def _elems_mults(elems, mults, bound=1 << 10):
     def gen(model, rng):
         out = {name: model.random_element(rng) for name in elems}
-        out.update({name: rng.randint(1, bound) for name in mults})
+        out.update({name: randint(rng, 1, bound) for name in mults})
         return out
 
     return gen

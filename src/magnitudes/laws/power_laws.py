@@ -4,17 +4,17 @@ from __future__ import annotations
 
 from .. import hom, power
 from ..core import Rel
-from ..models import PosRat, REAL, real_from_rat
+from ..models import PosRat, REAL, randint, real_from_rat
 from . import _expect, _law, _same, _same_tag
 
 
 def _gen_mul(model, rng):
     # bases above one; exponents with modest denominators
-    base = PosRat(rng.randint(2, 64), 1) + PosRat(rng.randint(1, 64), 64)
-    other = PosRat(rng.randint(2, 64), 1) + PosRat(rng.randint(1, 64), 64)
-    y = PosRat(rng.randint(1, 8), rng.randint(1, 8))
-    y2 = PosRat(rng.randint(1, 8), rng.randint(1, 8))
-    n = rng.randint(1, 10)
+    base = PosRat(randint(rng, 2, 64), 1) + PosRat(randint(rng, 1, 64), 64)
+    other = PosRat(randint(rng, 2, 64), 1) + PosRat(randint(rng, 1, 64), 64)
+    y = PosRat(randint(rng, 1, 8), randint(rng, 1, 8))
+    y2 = PosRat(randint(rng, 1, 8), randint(rng, 1, 8))
+    n = randint(rng, 1, 10)
     return {"x1": base, "x2": other, "y": y, "y2": y2, "n": n}
 
 

@@ -101,11 +101,17 @@ class PosRat:
 
     # -- arithmetic ---------------------------------------------------
 
+    # The four operations fill their result in place, as _reduced does,
+    # without the classmethod's call.
+
     def __add__(self, other: "PosRat") -> "PosRat":
         num = self.num * other.den + other.num * self.den
         den = self.den * other.den
         g = gcd(num, den)
-        return PosRat._reduced(num // g, den // g)
+        out = object.__new__(PosRat)
+        out.num = num // g
+        out.den = den // g
+        return out
 
     def __sub__(self, other: "PosRat") -> "PosRat":
         num = self.num * other.den - other.num * self.den
@@ -113,23 +119,26 @@ class PosRat:
             raise NotGreaterError("difference of positive rationals needs the minuend larger")
         den = self.den * other.den
         g = gcd(num, den)
-        return PosRat._reduced(num // g, den // g)
+        out = object.__new__(PosRat)
+        out.num = num // g
+        out.den = den // g
+        return out
 
     def __mul__(self, other: "PosRat") -> "PosRat":
         g1 = gcd(self.num, other.den)
         g2 = gcd(other.num, self.den)
-        return PosRat._reduced(
-            (self.num // g1) * (other.num // g2),
-            (self.den // g2) * (other.den // g1),
-        )
+        out = object.__new__(PosRat)
+        out.num = (self.num // g1) * (other.num // g2)
+        out.den = (self.den // g2) * (other.den // g1)
+        return out
 
     def __truediv__(self, other: "PosRat") -> "PosRat":
         g1 = gcd(self.num, other.num)
         g2 = gcd(other.den, self.den)
-        return PosRat._reduced(
-            (self.num // g1) * (other.den // g2),
-            (self.den // g2) * (other.num // g1),
-        )
+        out = object.__new__(PosRat)
+        out.num = (self.num // g1) * (other.den // g2)
+        out.den = (self.den // g2) * (other.num // g1)
+        return out
 
     def reciprocal(self) -> "PosRat":
         return PosRat._reduced(self.den, self.num)
@@ -191,6 +200,24 @@ class PosRat:
 
 
 RAT_ONE = PosRat._reduced(1, 1)
+
+
+def randint(rng, lo: int, hi: int) -> int:
+    """A draw from lo..hi making exactly the calls ``rng.randint(lo, hi)`` makes.
+
+    ``random.Random.randint`` draws getrandbits(k), k the bit length of the
+    width, until the draw is below the width; this does the same without
+    its three layers of argument checks, so a seeded stream yields the same
+    values in the same order.
+    """
+    width = hi - lo + 1
+    if width < 1:
+        raise ValueError(f"empty range {lo}..{hi}")
+    k = width.bit_length()
+    r = rng.getrandbits(k)
+    while r >= width:
+        r = rng.getrandbits(k)
+    return lo + r
 
 
 def nat_make(text: str) -> int:
@@ -782,6 +809,10 @@ class NatModel(Model):
     def owns(self, x) -> bool:
         return isinstance(x, int) and not isinstance(x, bool) and x >= 1
 
+    def check(self, x):
+        # an exact int >= 1 is the common case; anything else takes owns()
+        return x if x.__class__ is int and x >= 1 else Model.check(self, x)
+
     def combine(self, a: int, b: int) -> int:
         return a + b
 
@@ -799,7 +830,7 @@ class NatModel(Model):
         return Ordering3.equal()
 
     def random_element(self, rng) -> int:
-        return rng.randint(1, 1 << 32)
+        return randint(rng, 1, 1 << 32)
 
 
 class RatModel(Model):
@@ -817,13 +848,19 @@ class RatModel(Model):
     def owns(self, x) -> bool:
         return isinstance(x, PosRat)
 
+    def check(self, x):
+        return x if x.__class__ is PosRat else Model.check(self, x)
+
     def combine(self, a: PosRat, b: PosRat) -> PosRat:
         return a + b
 
     def multiple(self, n: int, a: PosRat) -> PosRat:
         # gcd(n/g, den/g) = 1 and gcd(num, den) = 1: already in lowest terms
         g = gcd(n, a.den)
-        return PosRat._reduced(a.num * (n // g), a.den // g)
+        out = object.__new__(PosRat)
+        out.num = a.num * (n // g)
+        out.den = a.den // g
+        return out
 
     def ratio_pair(self, a: PosRat, b: PosRat) -> Tuple[int, int]:
         return a.num * b.den, a.den * b.num
@@ -841,7 +878,7 @@ class RatModel(Model):
 
     def random_element(self, rng) -> PosRat:
         # spans magnitudes 2^-16 .. 2^16
-        return PosRat(rng.randint(1, 1 << 16), rng.randint(1, 1 << 16))
+        return PosRat(randint(rng, 1, 1 << 16), randint(rng, 1, 1 << 16))
 
 
 class RealModel(Model):
@@ -859,6 +896,9 @@ class RealModel(Model):
     def owns(self, x) -> bool:
         return isinstance(x, PosRealValue)
 
+    def check(self, x):
+        return x if isinstance(x, PosRealValue) else Model.check(self, x)
+
     def combine(self, a: PosRealValue, b: PosRealValue) -> PosRealValue:
         return real_add(a, b)
 
@@ -875,7 +915,7 @@ class RealModel(Model):
         return real_scale(a, q)
 
     def random_element(self, rng) -> PosRealValue:
-        return real_from_rat(PosRat(rng.randint(1, 1 << 16), rng.randint(1, 1 << 16)))
+        return real_from_rat(PosRat(randint(rng, 1, 1 << 16), randint(rng, 1, 1 << 16)))
 
 
 NAT = NatModel()
@@ -894,6 +934,8 @@ def model_by_id(model_id: str) -> Model:
 
 def model_of(x) -> Model:
     """Infer the shipped model owning a value."""
+    if x.__class__ is PosRat:  # the common case skips the tests below
+        return RAT
     if isinstance(x, bool):
         raise ModelMismatchError("booleans are not magnitude elements")
     if isinstance(x, int):

@@ -9,8 +9,8 @@ n/m separates the two ratio values.
 Exactness is read from the terms, not their models.  When all four terms
 are exact points (nat and rat elements, and reals with ``exact`` set), each
 ratio is the integer pair a.num*b.den : a.den*b.num, two pairs compare by
-cross-multiplication, and only a strict verdict reduces them to fractions,
-for its separating witness.  Any other comparison encloses each ratio
+cross-multiplication, and a strict verdict reads its separating witness
+from their continued fractions.  Any other comparison encloses each ratio
 value x/y by dividing the terms' intervals at each rung of the precision
 ladder, exact terms being points, and no oracle is built.  Once the two
 enclosures are disjoint, the simplest fraction between them
@@ -27,7 +27,7 @@ from typing import Optional, Tuple
 
 from . import core
 from .core import Record, Rel
-from .mediants import simplest_in
+from .mediants import _simplest, simplest_in
 from .models import PosRat, _num_den, _point, certify, ladder, model_by_id, model_of
 
 __all__ = [
@@ -104,7 +104,7 @@ class RatioRel(Record):
 
     @staticmethod
     def equal(fuel_spent: int = 0) -> "RatioRel":
-        return RatioRel("equal", fuel_spent=fuel_spent)
+        return _RATIO_EQUAL if fuel_spent == 0 else RatioRel("equal", fuel_spent=fuel_spent)
 
     @staticmethod
     def greater(witness: Witness, fuel_spent: int = 0) -> "RatioRel":
@@ -139,6 +139,10 @@ class RatioRel(Record):
         if self.is_unknown:
             raise ValueError("unknown verdict carries no order tag")
         return {"equal": Rel.EQUAL, "greater": Rel.GREATER, "less": Rel.LESS}[self.kind]
+
+
+# records are immutable, so every exact Equal verdict can be this one
+_RATIO_EQUAL = RatioRel("equal")
 
 
 def have_ratio_witness(a, b) -> Tuple[int, int]:
@@ -196,12 +200,18 @@ def ratio_compare(a, b, a2, b2, fuel: int = 64) -> RatioRel:
     """Compare the ratio a:b with a2:b2 across (possibly different) models.
 
     Four exact points (nat, rat, or reals with ``exact`` set) are decided
-    outright by cross-multiplication.  Otherwise each ratio is enclosed by
-    dividing its terms' intervals at each rung of
-    ``ladder(max(16, 4*fuel))``, exact terms being points; once the two
-    enclosures are disjoint, the simplest fraction between them is the
-    witness, returned after its strict inequality certifies on the same
-    rungs.  Enclosures that never part give Unknown.
+    outright by cross-multiplication of the integer pairs n1 : m1 =
+    a.num*b.den : a.den*b.num and n2 : m2.  A strict verdict's witness
+    (m, n) is the simplest n/m with lower <= n/m < upper, read by the
+    continued-fraction walk (``mediants._simplest``) straight off those
+    pairs, which need not be in lowest terms: the walk reads them as
+    values, and its answer always is in lowest terms.
+
+    Otherwise each ratio is enclosed by dividing its terms' intervals at
+    each rung of ``ladder(max(16, 4*fuel))``, exact terms being points;
+    once the two enclosures are disjoint, the simplest fraction between
+    them is the witness, returned after its strict inequality certifies on
+    the same rungs.  Enclosures that never part give Unknown.
     """
     if isinstance(fuel, bool) or not isinstance(fuel, int) or fuel < 1:
         raise ValueError("fuel must be an integer >= 1")
@@ -212,11 +222,12 @@ def ratio_compare(a, b, a2, b2, fuel: int = 64) -> RatioRel:
         n2, m2 = p2[0] * q2[1], p2[1] * q2[0]
         lhs, rhs = n1 * m2, n2 * m1
         if lhs == rhs:
-            return RatioRel.equal()
-        v1, v2 = PosRat(n1, m1), PosRat(n2, m2)
+            return _RATIO_EQUAL
         if lhs > rhs:
-            return RatioRel.greater(_exact_separator(v2, v1))
-        return RatioRel.less(_exact_separator(v1, v2))
+            n, m = _simplest(n2, m2, n1, m1, True, False)
+            return RatioRel.greater(Witness(m, n))
+        n, m = _simplest(n1, m1, n2, m2, True, False)
+        return RatioRel.less(Witness(m, n))
 
     x, y, x2, y2 = _point(a), _point(b), _point(a2), _point(b2)
     cap = max(16, 4 * fuel)

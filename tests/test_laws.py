@@ -1,6 +1,11 @@
+import hashlib
+import io
+import json
+from pathlib import Path
+
 import pytest
 
-from magnitudes import core, laws, ratio
+from magnitudes import cli, core, laws, ratio
 from magnitudes.errors import NotAboveOneError, NotGreaterError, UndecidedError
 from magnitudes.models import model_of
 
@@ -164,3 +169,20 @@ class TestRunnerRobustness:
         _throwaway_law(monkeypatch, check)
         (report,) = laws.run_suite("nat", "throwaway_set", trials=1)
         assert report.failures == [{"inputs": {"n": "100"}, "observed": "100", "expected": "n < 100"}]
+
+
+# Law-report digests recorded by the benchmark: one (set, model) pair per
+# test, over every seed of the pool, with the benchmark's argv.
+DIGESTS = json.loads((Path(__file__).resolve().parent.parent / "perfbench/data/laws_digests.json").read_text())
+
+
+@pytest.mark.parametrize("law_set, model", DIGESTS["pairs"], ids=["/".join(p) for p in DIGESTS["pairs"]])
+def test_reports_match_recorded_digests(law_set, model):
+    seeds = sorted(int(key.rsplit("/", 1)[1]) for key in DIGESTS["digests"] if key.startswith(f"{law_set}/{model}/"))
+    assert len(seeds) == 16
+    for seed in seeds:
+        argv = ["laws", "run", law_set, "--model", model, "--format", "json", "--seed", str(seed)]
+        out, err = io.StringIO(), io.StringIO()
+        assert cli.main(argv, out=out, err=err) == 0
+        digest = hashlib.sha256(out.getvalue().encode()).hexdigest()
+        assert digest == DIGESTS["digests"][f"{law_set}/{model}/{seed}"], f"seed {seed}"

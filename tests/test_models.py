@@ -1,4 +1,5 @@
 import math
+import random
 import sys
 import threading
 from fractions import Fraction
@@ -31,6 +32,7 @@ from magnitudes.models import (
     model_of,
     nat_make,
     parse_element,
+    randint,
     rat_make,
     real_add,
     real_compare,
@@ -41,6 +43,7 @@ from magnitudes.models import (
     real_subtract,
 )
 from magnitudes.power import MulReal, mul_multiple
+from magnitudes.ratio import ratio_compare
 
 from conftest import isqrt_real, recorded
 
@@ -866,3 +869,66 @@ class TestModelDispatch:
         assert NAT.descriptor.discrete and NAT.descriptor.smallest == 1
         assert RAT.descriptor.symmetric and not RAT.descriptor.discrete
         assert REAL.descriptor.continuous_at_oracle and not REAL.descriptor.exact_order
+
+
+# Ownership for each shipped model, and values it must refuse: nat needs an
+# int >= 1, so a class test alone would admit 0, -1 and True.
+NOT_OWNED = [
+    (NAT, 0),
+    (NAT, -1),
+    (NAT, True),
+    (NAT, PosRat(2)),
+    (RAT, 2),
+    (RAT, real_from_rat(PosRat(2))),
+    (REAL, PosRat(2)),
+]
+OWNED = {NAT: 3, RAT: PosRat(2, 3), REAL: real_from_rat(PosRat(2, 3))}
+
+
+class TestMembership:
+    @pytest.mark.parametrize("model, bad", NOT_OWNED)
+    def test_check_refuses(self, model, bad):
+        assert not model.owns(bad)
+        with pytest.raises(ModelMismatchError, match="is not an element of model"):
+            model.check(bad)
+
+    @pytest.mark.parametrize("model, bad", NOT_OWNED)
+    def test_operations_refuse(self, model, bad):
+        good = OWNED[model]
+        calls = [
+            lambda: core.multiple(2, bad, model),
+            lambda: core.combine(good, bad, model),
+            lambda: core.combine(bad, good, model),
+            lambda: core.compare(good, bad, model),
+            lambda: core.subtract(good, bad, model),
+            lambda: core.subtract(bad, good, model),
+            lambda: ratio_compare(good, bad, good, good),
+            lambda: ratio_compare(good, good, good, bad),
+        ]
+        for call in calls:
+            with pytest.raises(ModelMismatchError):
+                call()
+
+    def test_owned_values_pass(self):
+        for model, good in OWNED.items():
+            assert model.check(good) is good
+        assert NAT.check(Int(5)) == 5  # an int subclass is an int
+        assert REAL.check(real_add(OWNED[REAL], OWNED[REAL])).exact == PosRat(4, 3)
+
+
+class TestRandint:
+    WIDTHS = [1, 2] + [w for k in (10, 16, 32) for w in (1 << k, (1 << k) + 1)] + [(1 << 64) + 3]
+
+    @pytest.mark.parametrize("width", WIDTHS)
+    def test_same_stream_as_random_randint(self, width):
+        for seed in range(60):
+            ours, theirs = random.Random(seed), random.Random(seed)
+            lo = seed % 3 + 1
+            for _ in range(8):
+                assert randint(ours, lo, lo + width - 1) == theirs.randint(lo, lo + width - 1)
+            # the streams stay in step: the same number of bits was drawn
+            assert ours.getrandbits(64) == theirs.getrandbits(64)
+
+    def test_empty_range(self):
+        with pytest.raises(ValueError):
+            randint(random.Random(0), 5, 4)

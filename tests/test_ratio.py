@@ -139,6 +139,31 @@ class TestRatioCompareExact:
         else:
             assert got.is_less and verify_witness(got.witness, a2, b2, a, b)
 
+    @settings(max_examples=300)
+    @given(st.data())
+    def test_witness_from_unreduced_cross_products(self, data):
+        # each pair is (k*x, k*y) as nat, rat or exact real terms, so its
+        # cross products a.num*b.den : a.den*b.num share the factor k >= 2
+        xy = st.tuples(st.integers(1, 1 << 30), st.integers(1, 1 << 30))
+        (x, y), (x2, y2) = data.draw(xy), data.draw(xy)
+        if data.draw(st.booleans()):
+            x2, y2 = x, y  # the same ratio at another scale
+        quad = []
+        for u, v in ((x, y), (x2, y2)):
+            k = data.draw(st.integers(2, 1 << 20))
+            wrap = data.draw(st.sampled_from([int, PosRat, lambda t: real_from_rat(PosRat(t))]))
+            quad += [wrap(k * u), wrap(k * v)]
+        got = ratio_compare(*quad)
+        assert got.fuel_spent == 0
+        v1, v2 = Fraction(x, y), Fraction(x2, y2)
+        if v1 == v2:
+            assert got == RatioRel.equal()
+            return
+        lower, upper = sorted((v1, v2))
+        s = simplest_in(PosRat(lower.numerator, lower.denominator), PosRat(upper.numerator, upper.denominator))
+        assert got.witness == Witness(m=s.den, n=s.num)
+        assert got.is_greater == (v1 > v2)
+
     def test_equal_at_different_scales(self):
         for a2, b2 in [(2, 3), (4, 6), (PosRat(2), PosRat(3)), (PosRat(4, 5), PosRat(6, 5))]:
             got = ratio_compare(2, 3, a2, b2)

@@ -138,3 +138,19 @@ def test_law_report_is_mutable_with_its_own_failures():
     assert first.trials == 2 and first != second
     with pytest.raises(TypeError):
         hash(first)
+
+
+def test_shared_equal_records():
+    for shared, fresh in [
+        (Ordering3.equal(), Ordering3(Rel.EQUAL, None)),
+        (RatioRel.equal(), RatioRel("equal")),
+    ]:
+        assert shared == fresh and hash(shared) == hash(fresh)
+        assert type(shared).equal() is shared
+        for name in fields(type(shared)):
+            with pytest.raises(AttributeError):
+                setattr(shared, name, None)
+    assert NAT.order(4, 4) is Ordering3.equal()
+    spent = RatioRel.equal(fuel_spent=3)
+    assert spent.fuel_spent == 3 and spent.is_equal and spent != RatioRel.equal()
+    assert RatioRel.equal().fuel_spent == 0
