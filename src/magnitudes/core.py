@@ -127,47 +127,29 @@ _ORDER_EQUAL = Ordering3(Rel.EQUAL, None)
 
 
 class ModelDescriptor(Record):
-    """Static facts about a model, checked once at construction.
+    """Static facts about a model.
 
-    discrete       -- has a smallest element (and then ``smallest`` holds it)
     symmetric      -- every pair a, b is related by an endomorphism a -> b,
                       equivalently quotients exist
-    continuous_at_oracle -- completeness realized as interval refinement to
-                      any requested precision
     exact_order    -- comparison decides without precision parameters
+    smallest       -- the smallest element, or None
+    discrete       -- has a smallest element: ``smallest is not None``
     """
 
-    __slots__ = (
-        "model_id",
-        "discrete",
-        "symmetric",
-        "continuous_at_oracle",
-        "exact_order",
-        "unit",
-        "smallest",
-    )
+    __slots__ = ("model_id", "symmetric", "exact_order", "unit", "smallest")
 
     def __init__(
-        self,
-        model_id: str,
-        discrete: bool,
-        symmetric: bool,
-        continuous_at_oracle: bool,
-        exact_order: bool,
-        unit: Any = None,
-        smallest: Any = None,
+        self, model_id: str, symmetric: bool, exact_order: bool, unit: Any = None, smallest: Any = None
     ):
-        if discrete != (smallest is not None):
-            raise ValueError("discrete models must carry their smallest element")
-        if continuous_at_oracle and discrete:
-            raise ValueError("a continuous model cannot be discrete")
         object.__setattr__(self, "model_id", model_id)
-        object.__setattr__(self, "discrete", discrete)
         object.__setattr__(self, "symmetric", symmetric)
-        object.__setattr__(self, "continuous_at_oracle", continuous_at_oracle)
         object.__setattr__(self, "exact_order", exact_order)
         object.__setattr__(self, "unit", unit)
         object.__setattr__(self, "smallest", smallest)
+
+    @property
+    def discrete(self) -> bool:
+        return self.smallest is not None
 
 
 def _resolve(model, *elements):

@@ -107,13 +107,12 @@ def _shrink_below(model, v, tol):
 )
 def _descriptor_flags(model, v, tol):
     d = model.descriptor
-    _expect(d.discrete == (d.smallest is not None), d, "discrete iff smallest")
     if d.model_id == "nat":
         _expect(d.discrete and not d.symmetric and d.exact_order, d, "nat flags")
     if d.model_id == "rat":
         _expect(d.symmetric and not d.discrete and d.exact_order, d, "rat flags")
     if d.model_id == "real":
-        _expect(d.continuous_at_oracle and not d.exact_order, d, "real flags")
+        _expect(d.symmetric and not d.discrete and not d.exact_order, d, "real flags")
 
 
 @_law(

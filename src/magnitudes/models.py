@@ -92,7 +92,7 @@ class PosRat:
             num, den = parts
         else:
             raise ParseError(f"malformed rational {text!r}")
-        if not (num.strip().isdigit() and den.strip().isdigit()):
+        if not (num.strip().isdecimal() and den.strip().isdecimal()):
             raise ParseError(f"malformed rational {text!r}")
         n, d = int(num), int(den)
         if n < 1 or d < 1:
@@ -223,7 +223,7 @@ def randint(rng, lo: int, hi: int) -> int:
 def nat_make(text: str) -> int:
     """Parse a strictly positive decimal integer."""
     s = text.strip()
-    if not s.isdigit():
+    if not s.isdecimal():
         raise ParseError(f"not a decimal natural: {text!r}")
     value = int(s)
     if value < 1:
@@ -302,16 +302,12 @@ class PosRealValue:
     ``exact`` optionally records that the value is a known rational point,
     enabling exact fast paths downstream.
 
-    A sum, difference or rational scaling is a _Linear node, this class with
-    its refine as a method; it records its direct terms in ``_terms``, as
-    (value, num, den) triples with the signed integer coefficient num/den,
-    and every other value is a leaf of the linear DAG those terms span.  A
-    product, quotient or multiplicative multiple x^n likewise records its
-    direct factors in ``_factors``, as (value, k, 1) triples with a nonzero
-    integer exponent k; every other value is a monomial leaf.
+    A value built from a refine callable is a leaf, as is an exact point.
+    Every other value the operators compute is a _Node, a subclass whose
+    refine is a method.
     """
 
-    __slots__ = ("_refine", "_cache", "_best", "_lock", "exact", "_terms", "_factors")
+    __slots__ = ("_refine", "_cache", "_best", "_lock", "exact")
 
     def __init__(self, refine: Callable[[int], Interval], exact: Optional[PosRat] = None):
         self._refine = refine
@@ -319,8 +315,6 @@ class PosRealValue:
         self._best: Optional[Interval] = None
         self._lock = threading.Lock()
         self.exact = exact
-        self._terms: Optional[tuple] = None
-        self._factors: Optional[tuple] = None
 
     def approx(self, p: int) -> Interval:
         # an exact int >= 0 is the common case and skips the type tests
@@ -385,14 +379,39 @@ def _point(t):
     return t if nd is None else PosRat._reduced(*nd)
 
 
-def _flatten(terms: tuple, attr: str) -> list:
-    """Leaves of the DAG of linear or monomial nodes under a node, with total weights.
+class _Node(PosRealValue):
+    """A value an operator computed: a slotted subclass per node kind.
 
-    attr names the inner nodes' slot: "_terms", whose weights are signed
-    coefficients num/den in lowest terms, den > 0, or "_factors", whose
-    weights are integer exponents num/1.  Weights multiply down the DAG and
-    are pushed down in topological order over distinct nodes, so a shared
-    subnode is expanded once however many paths reach it (k doublings
+    ``_terms`` holds the node's direct inputs as (value, num, den) triples;
+    the kind gives the weight num/den its meaning.  ``_leaves`` holds what
+    a refine reads, found from the terms on the first refine, under the
+    node's lock, and kept.  The refine is the subclass's ``_refine`` method,
+    in place of a leaf's refine callable, so a node builds no function
+    object or cell.  A node never calls PosRealValue.__init__: its
+    assignment to the ``_refine`` slot would meet the method and fail.
+    """
+
+    __slots__ = ("_terms", "_leaves")
+
+    def __init__(self, terms: tuple, exact: Optional[PosRat] = None):
+        self._cache = {}
+        self._best = None
+        self._lock = threading.Lock()
+        self.exact = exact
+        self._terms = terms
+        self._leaves = None
+
+
+def _flatten(terms: tuple, kind: type) -> list:
+    """Leaves of the DAG of one node kind under a node, with total weights.
+
+    kind is _Linear, whose weights are signed coefficients num/den in lowest
+    terms, den > 0, or _Monomial, whose weights are integer exponents num/1.
+    A value of class kind that is not an exact point is an inner node, whose
+    terms are expanded; any other value is a leaf, a node of another kind or
+    a user's PosRealValue subclass included.  Weights multiply down the DAG
+    and are pushed down in topological order over distinct nodes, so a
+    shared subnode is expanded once however many paths reach it (k doublings
     c = c + c make k nodes but 2^k paths).  Both walks keep their own stacks,
     so a chain's depth costs memory, not interpreter frames.  A leaf whose
     weights cancel to 0 is dropped.  Each leaf comes back as
@@ -405,14 +424,13 @@ def _flatten(terms: tuple, attr: str) -> list:
     stack = [terms]
     while stack:
         for node, _, _ in stack.pop():
-            children = getattr(node, attr)
-            if children is None or node.exact is not None:
+            if node.__class__ is not kind or node.exact is not None:
                 continue
             if node in parents:
                 parents[node] += 1
             else:
                 parents[node] = 1
-                stack.append(children)
+                stack.append(node._terms)
     # a leaf's weight gathers in weight; an inner node's in pending, until
     # its last parent has been expanded and it is expanded in turn
     weight: dict = {}
@@ -432,7 +450,7 @@ def _flatten(terms: tuple, attr: str) -> list:
             if left is None:
                 weight[child] = (num, den)
             elif left == 1:
-                ready.append((getattr(child, attr), num, den))
+                ready.append((child._terms, num, den))
             else:
                 parents[child] = left - 1
                 pending[child] = (num, den)
@@ -444,39 +462,26 @@ def _flatten(terms: tuple, attr: str) -> list:
     ]
 
 
-class _Linear(PosRealValue):
-    """One node for sum of c*x over terms, refined from its leaves directly.
+class _Linear(_Node):
+    """One node for the sum of c*x over terms (x, num, den), c = num/den signed.
 
-    A sum node allocates itself, its terms and their (value, num, den)
-    triples, its cache and its lock; its refine is the method below, which
-    takes the place of the per-value refine callable, so no function object
-    or cell is built per node.  The DAG under the node is flattened (see
-    _flatten) on its first refine, under its lock, and the leaves are kept.
-
-    With n leaves, refine(p) works on the grid w = p + ceil(log2 3n).  Each
-    leaf is read at w plus its coefficient's bits, so its scaled interval is
-    no wider than 2^-w, and its endpoints are floored and ceiled onto the
-    grid as integers: 3n ticks of 2^-w at most, so width <= 2^-p.  A single
-    scaling (n = 1) reads its leaf at p + 2 + extra.  A negative coefficient
-    takes the leaf's upper end into the lower sum and its lower end into the
-    upper sum, so only a difference can have a lower sum that is not positive.
+    The DAG under the node is flattened (see _flatten) on its first refine,
+    and the node reads its leaves directly.  With n leaves, refine(p) works
+    on the grid w = p + ceil(log2 3n).  Each leaf is read at w plus its
+    coefficient's bits, so its scaled interval is no wider than 2^-w, and
+    its endpoints are floored and ceiled onto the grid as integers: 3n ticks
+    of 2^-w at most, so width <= 2^-p.  A single scaling (n = 1) reads its
+    leaf at p + 2 + extra.  A negative coefficient takes the leaf's upper
+    end into the lower sum and its lower end into the upper sum, so only a
+    difference can have a lower sum that is not positive.
     """
 
-    __slots__ = ("_leaves",)
-
-    def __init__(self, terms: tuple, exact: Optional[PosRat]):
-        self._cache = {}
-        self._best = None
-        self._lock = threading.Lock()
-        self.exact = exact
-        self._terms = terms
-        self._factors = None
-        self._leaves = None
+    __slots__ = ()
 
     def _refine(self, p: int) -> Interval:
         leaves = self._leaves
         if leaves is None:  # under the node's lock, on the first refine
-            leaves = self._leaves = _flatten(self._terms, "_terms")
+            leaves = self._leaves = _flatten(self._terms, _Linear)
         base = p + (3 * len(leaves) - 1).bit_length()
         # sums and scalings end on the first grid; a difference whose lower sum
         # is not yet positive is read again on finer grids, up to 256 bits
@@ -549,36 +554,39 @@ def real_subtract(x: PosRealValue, y: PosRealValue) -> PosRealValue:
 PRECISION_GUARD = 8  # guard bits of a non-linear node's working precision
 
 
-def _grid_refine(inputs: Callable[[], list], ends: Callable, what: str) -> Callable:
-    """refine(p) of a product, quotient or power node: one widen-and-retry loop.
+class _Grid(_Node):
+    """A product, quotient or power node: one widen-and-retry refine.
 
-    Each try reads the values inputs() gives at one working precision w,
-    p + bit_length(p) + PRECISION_GUARD or, when larger, p plus the last
-    w - p that worked.  ends(w, reads) gives ticks lo <= hi of 2^-w around
-    the value, and the bits the grid falls short of a lower end below it
-    (0 if lo >= 1).  A short or too wide grid is refined by the excess plus
-    PRECISION_GUARD bits, eight tries at most.  Reading here, not in ends,
-    keeps a chain of such nodes at two interpreter frames per level.
+    A subclass gives _inputs(), the values it reads, and _ends(w, reads):
+    ticks lo <= hi of 2^-w around the value, and the bits the grid falls
+    short of a lower end below it (0 if lo >= 1).  Each try reads every
+    input at one working precision w, p + bit_length(p) + PRECISION_GUARD
+    or, when larger, p plus the last w - p that worked, kept in _guard.  A
+    short or too wide grid is refined by the excess plus PRECISION_GUARD
+    bits, eight tries at most.  Reading here, not in _ends, keeps a chain of
+    such nodes at two interpreter frames per level.
     """
-    guard = 0
 
-    def refine(p: int) -> Interval:
-        nonlocal guard
-        w = p + max(p.bit_length() + PRECISION_GUARD, guard)
-        values = inputs()
+    __slots__ = ("_guard",)
+    _what = "product"
+
+    def _refine(self, p: int) -> Interval:
+        values = self._leaves
+        if values is None:  # under the node's lock, on the first refine
+            values = self._leaves = self._inputs()
+            self._guard = 0
+        w = p + max(p.bit_length() + PRECISION_GUARD, self._guard)
         for _ in range(8):
             reads = []
             for x in values:
                 reads.append(x.approx(w))
-            lo, hi, short = ends(w, reads)
+            lo, hi, short = self._ends(w, reads)
             short = max(short, (hi - lo).bit_length() - (w - p))
             if short <= 0:
-                guard = w - p
+                self._guard = w - p
                 return Interval(PosRat(lo, 1 << w), PosRat(hi, 1 << w))
             w += short + PRECISION_GUARD
-        raise OracleFailureError(f"{what} did not reach width 2^-{p} in budget")
-
-    return refine
+        raise OracleFailureError(f"{self._what} did not reach width 2^-{p} in budget")
 
 
 def _shift(man: int, s: int, up: int) -> int:
@@ -616,36 +624,42 @@ def _times_power(acc: tuple, num: int, den: int, k: int, m: int, up: int) -> Tup
         b, e = _trim(b * b, 2 * e, m, up)
 
 
-def _monomial(factors: tuple) -> PosRealValue:
-    """One node for the product of x^k over factors (x, k, 1), k a nonzero int.
+def _fold(factors: tuple) -> Tuple[list, list, PosRat]:
+    """The leaves of a product DAG (see _flatten), their exponents, and the
+    coefficient its exact leaves multiply out to."""
+    leaves, exponents, coef = [], [], RAT_ONE
+    for src, k, _, _ in _flatten(factors, _Monomial):
+        if src.__class__ is PosRat:
+            coef *= src**k if k > 0 else src.reciprocal() ** -k
+        else:
+            leaves.append(src)
+            exponents.append(k)
+    return leaves, exponents, coef
 
-    The product DAG is flattened (see _flatten) on the first refine, or at
-    once when every factor is exact; exact leaves fold into a coefficient.
-    A refine reads the other leaves at one working precision w (see
-    _grid_refine) and forms the lower product from each leaf's lower
-    endpoint raised to its exponent (for k < 0 the upper one, inverted), and
-    the upper product likewise; both are binary floats of w +
-    PRECISION_GUARD bits, rounded outward at every step, then rounded
-    outward onto the grid 2^-w.  Positive factors are monotone in their
-    endpoints, so the value stays enclosed.
+
+class _Monomial(_Grid):
+    """One node for the product of x^k over terms (x, k, 1), k a nonzero int.
+
+    The product DAG is flattened on the first refine (see _fold); exact
+    leaves fold into _coef, and the others are kept with their _exponents.
+    A refine reads them at one working precision w (see _Grid) and forms
+    the lower product from each leaf's lower endpoint raised to its exponent
+    (for k < 0 the upper one, inverted), and the upper product likewise;
+    both are binary floats of w + PRECISION_GUARD bits, rounded outward at
+    every step, then rounded outward onto the grid 2^-w.  Positive factors
+    are monotone in their endpoints, so the value stays enclosed.
     """
-    leaves, exponents, coef = None, [], RAT_ONE
 
-    def flat() -> list:
-        nonlocal leaves, coef
-        if leaves is None:  # under the node's lock, on first refine
-            leaves = []
-            for src, k, _, _ in _flatten(factors, "_factors"):
-                if src.__class__ is PosRat:
-                    coef *= src**k if k > 0 else src.reciprocal() ** -k
-                else:
-                    leaves.append(src)
-                    exponents.append(k)
+    __slots__ = ("_exponents", "_coef")
+
+    def _inputs(self) -> list:
+        leaves, self._exponents, self._coef = _fold(self._terms)
         return leaves
 
-    def product(reads: list, m: int, up: int) -> Tuple[int, int]:
+    def _product(self, reads: list, m: int, up: int) -> Tuple[int, int]:
+        coef = self._coef
         acc = (1, 0) if coef is RAT_ONE else _times_power((1, 0), coef.num, coef.den, 1, m, up)
-        for iv, k in zip(reads, exponents):
+        for iv, k in zip(reads, self._exponents):
             q = iv.lo if (k > 0) != up else iv.hi
             if k > 0:
                 acc = _times_power(acc, q.num, q.den, k, m, up)
@@ -653,23 +667,24 @@ def _monomial(factors: tuple) -> PosRealValue:
                 acc = _times_power(acc, q.den, q.num, -k, m, up)
         return acc
 
-    def ends(w: int, reads: list) -> Tuple[int, int, int]:
-        lm, le = product(reads, w + PRECISION_GUARD, 0)
-        hm, he = product(reads, w + PRECISION_GUARD, 1)
+    def _ends(self, w: int, reads: list) -> Tuple[int, int, int]:
+        lm, le = self._product(reads, w + PRECISION_GUARD, 0)
+        hm, he = self._product(reads, w + PRECISION_GUARD, 1)
         lo, hi = _shift(lm, -le - w, 0), _shift(hm, -he - w, 1)
         # a lower end below the grid needs the grid 2^-(1 - le - bit_length(lm))
         return lo, hi, 0 if lo >= 1 else 1 - le - lm.bit_length() - w
 
-    if all(x.exact is not None for x, _, _ in factors):
-        flat()
-        return real_from_rat(coef)
-    value = PosRealValue(_grid_refine(flat, ends, "product"))
-    value._factors = factors
-    return value
+
+def _monomial(factors: tuple) -> PosRealValue:
+    """The node of real_mul, real_div and MUL.multiple; exact factors give a point."""
+    for x, _, _ in factors:
+        if x.exact is None:
+            return _Monomial(factors)
+    return real_from_rat(_fold(factors)[2])
 
 
 def real_mul(x: PosRealValue, y: PosRealValue) -> PosRealValue:
-    """Product node x * y: the monomial x^1 y^1 (see _monomial)."""
+    """Product node x * y: the monomial x^1 y^1 (see _Monomial)."""
     return _monomial(((x, 1, 1), (y, 1, 1)))
 
 
@@ -798,9 +813,7 @@ class NatModel(Model):
     def __init__(self):
         self.descriptor = ModelDescriptor(
             model_id="nat",
-            discrete=True,
             symmetric=False,
-            continuous_at_oracle=False,
             exact_order=True,
             unit=1,
             smallest=1,
@@ -837,9 +850,7 @@ class RatModel(Model):
     def __init__(self):
         self.descriptor = ModelDescriptor(
             model_id="rat",
-            discrete=False,
             symmetric=True,
-            continuous_at_oracle=False,
             exact_order=True,
             unit=RAT_ONE,
             smallest=None,
@@ -885,9 +896,7 @@ class RealModel(Model):
     def __init__(self):
         self.descriptor = ModelDescriptor(
             model_id="real",
-            discrete=False,
             symmetric=True,
-            continuous_at_oracle=True,
             exact_order=False,
             unit=real_from_rat(RAT_ONE),
             smallest=None,

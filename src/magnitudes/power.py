@@ -16,7 +16,8 @@ The computable route is integer arithmetic on x's interval endpoints
 scaled by 2^w: a rational exponent m/n with n up to w costs one integer
 n-th root per endpoint; a real exponent, or a larger denominator, is
 bracketed between dyadic exponents k/2^w and read off Briggs' table of
-successive square roots.  Each power is one oracle node.  Uniqueness of
+successive square roots.  Each power is one node, a _Power on the
+widen-and-retry refine that products share (see models._Grid).  Uniqueness of
 the embedding is what the law suite leans on: any two correct evaluators
 (``mul_multiple``, a monomial node raising x's endpoints to n on binary
 floats, is the other one) must agree wherever their intervals are queried.
@@ -40,7 +41,7 @@ from .models import (
     Overlap,
     PosRat,
     PosRealValue,
-    _grid_refine,
+    _Grid,
     _monomial,
     certify,
     ladder,
@@ -101,9 +102,7 @@ class _MulRealModel(Model):
     def __init__(self):
         self.descriptor = ModelDescriptor(
             model_id="mul-real",
-            discrete=False,
             symmetric=True,
-            continuous_at_oracle=True,
             exact_order=False,
             unit=None,
             smallest=None,
@@ -199,7 +198,7 @@ def pow(x: MulReal, y, p: int = 30) -> MulReal:
     """x^y for y a positive int, rational or real; result refined to precision p.
 
     An exact base whose numerator and denominator are perfect n-th powers,
-    raised to an exact y = m/n, gives the exact point.  Otherwise one oracle
+    raised to an exact y = m/n, gives the exact point.  Otherwise one _Power
     node raises the integer-scaled endpoints of x's interval to the
     endpoints of y's: the lower ones rounding down at every step, the upper
     ones rounding up.  x > 1 makes x^y increasing in both x and y, so the
@@ -219,15 +218,25 @@ def pow(x: MulReal, y, p: int = 30) -> MulReal:
         if num**e.den == b.num and den**e.den == b.den:
             return MulReal(real_from_rat(PosRat(num, den) ** e.num))
 
-    def ends(w: int, reads):
+    value = _Power(((x.value, 1, 1), (y, 1, 1)))
+    value.approx(p)
+    return MulReal(value)
+
+
+class _Power(_Grid):
+    """x^y as one node over its terms (x, 1, 1) and (y, 1, 1) (see pow)."""
+
+    __slots__ = ()
+    _what = "power"
+
+    def _inputs(self) -> list:
+        return [x for x, _, _ in self._terms]
+
+    def _ends(self, w: int, reads: list):
         xi, yi = reads
         # x^y > 1 also keeps the floor chain's bound positive
         lo = max(_scaled_pow(_ticks(xi.lo, w, 0), yi.lo, w, 0), 1 << w)
         return lo, _scaled_pow(_ticks(xi.hi, w, 1), yi.hi, w, 1), 0
-
-    value = PosRealValue(_grid_refine(lambda: (x.value, y), ends, "power"))
-    value.approx(p)
-    return MulReal(value)
 
 
 # Scaled-integer arithmetic: an int a stands for a/2^w.  ``up`` is 0 to

@@ -114,6 +114,13 @@ class TestExitCodes:
         assert code == EXIT_DOMAIN
         assert "domain error" in err
 
+    @pytest.mark.parametrize("model,operand", [("rat", "abc"), ("rat", "²"), ("rat", "3/²"), ("nat", "²")])
+    def test_malformed_operand_is_one_domain_error(self, model, operand):
+        # a digit int() refuses ("²") is malformed like any other text
+        code, out, err = run_cli("multiple", "--model", model, "2", operand)
+        assert code == EXIT_DOMAIN and not out
+        assert err.startswith("domain error")
+
     def test_unknown_subcommand_is_usage(self):
         code, _, _ = run_cli("frobnicate")
         assert code == EXIT_USAGE

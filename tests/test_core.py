@@ -196,11 +196,3 @@ class TestOrdering3:
     def test_descriptor_invariants(self):
         assert NAT.descriptor.discrete and NAT.descriptor.smallest == 1
         assert RAT.descriptor.symmetric and RAT.descriptor.smallest is None
-        with pytest.raises(ValueError):
-            core.ModelDescriptor(
-                model_id="bad",
-                discrete=True,
-                symmetric=False,
-                continuous_at_oracle=False,
-                exact_order=True,
-            )

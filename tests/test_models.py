@@ -26,6 +26,9 @@ from magnitudes.models import (
     PosRat,
     PosRealValue,
     _flatten,
+    _Linear,
+    _Monomial,
+    _Node,
     certify,
     format_element,
     ladder,
@@ -42,7 +45,7 @@ from magnitudes.models import (
     real_scale,
     real_subtract,
 )
-from magnitudes.power import MulReal, mul_multiple
+from magnitudes.power import MulReal, _Power, mul_multiple, nth_root, pow
 from magnitudes.ratio import ratio_compare
 
 from conftest import isqrt_real, recorded
@@ -55,7 +58,8 @@ class TestNatMake:
         assert nat_make("17") == 17
         assert nat_make("340282366920938463463374607431768211456") == 1 << 128
 
-    @pytest.mark.parametrize("bad", ["0", "-3", "+2", "2.5", "x", ""])
+    # "²" passes str.isdigit but not int(): a parse error, not int's ValueError
+    @pytest.mark.parametrize("bad", ["0", "-3", "+2", "2.5", "x", "", "²", "1²"])
     def test_rejects(self, bad):
         with pytest.raises(ParseError):
             nat_make(bad)
@@ -86,6 +90,9 @@ class TestPosRat:
             PosRat.from_text("7/3/2")
         with pytest.raises(ParseError):
             PosRat.from_text("0/3")
+        for bad in ("²", "3/²", "²/3"):
+            with pytest.raises(ParseError, match="malformed rational"):
+                PosRat.from_text(bad)
 
     @given(rationals, rationals)
     def test_field_ops_roundtrip(self, a, b):
@@ -546,6 +553,26 @@ def monomial_dags(draw):
     return nodes, refs
 
 
+@st.composite
+def mixed_dags(draw):
+    """Random DAG of sums, scalings, products and quotients over exact and
+    sqrt leaves, operands drawn from all earlier nodes, so sums sit under
+    products and products under sums."""
+    nodes = [isqrt_real(draw(st.sampled_from(NON_SQUARES))) for _ in range(draw(st.integers(1, 3)))]
+    if draw(st.booleans()):
+        nodes.append(real_from_rat(draw(rationals)))
+    for _ in range(draw(st.integers(1, 25))):
+        x, y = draw(st.sampled_from(nodes)), draw(st.sampled_from(nodes))
+        op = draw(st.sampled_from(("add", "scale", "mul", "div")))
+        if op == "add":
+            nodes.append(real_add(x, y))
+        elif op == "scale":
+            nodes.append(real_scale(x, draw(rationals)))
+        else:
+            nodes.append(real_mul(x, y) if op == "mul" else real_div(x, y))
+    return nodes
+
+
 def refine_from_threads(nodes):
     """Refine nodes from 8 threads at once; {(node index, p): every interval seen}."""
     seen = {}
@@ -573,9 +600,12 @@ def refine_from_threads(nodes):
 class TestMonomialNodes:
     def test_products_quotients_and_multiples_are_one_node(self):
         x, y = isqrt_real(2), isqrt_real(3)
-        assert real_mul(x, y)._factors == ((x, 1, 1), (y, 1, 1))
-        assert real_div(x, y)._factors == ((x, 1, 1), (y, -1, 1))
-        assert mul_multiple(5, MulReal(x)).value._factors == ((x, 5, 1),)
+        for node, terms in (
+            (real_mul(x, y), ((x, 1, 1), (y, 1, 1))),
+            (real_div(x, y), ((x, 1, 1), (y, -1, 1))),
+            (mul_multiple(5, MulReal(x)).value, ((x, 5, 1),)),
+        ):
+            assert node.__class__ is _Monomial and node._terms == terms
         # exact points multiply out
         two_thirds, nine_fourths = real_from_rat(PosRat(2, 3)), real_from_rat(PosRat(9, 4))
         assert real_mul(two_thirds, nine_fourths).exact == PosRat(3, 2)
@@ -652,18 +682,54 @@ class TestMonomialNodes:
         for (node, p), ivs in refine_from_threads(nodes).items():
             assert all(iv is ivs[0] for iv in ivs) and ivs[0].width_at_most(p)
 
+    def test_concurrent_refines_of_powers_and_mixed_dags(self):
+        # powers over shared products, sums of products of sums and powers
+        # of those, refined from many threads: every thread sees the one
+        # cached interval per (node, precision)
+        leaves = [isqrt_real(k) for k in NON_SQUARES[:6]]
+        products = [real_mul(x, y) for x, y in zip(leaves, leaves[1:])]
+        sums = [real_add(x, y) for x, y in zip(leaves, leaves[2:])]
+        mixed = [real_add(real_mul(s, t), x) for s, t, x in zip(sums, sums[1:], leaves)]
+        nodes = [pow(MulReal(m), PosRat(2, 3), 0).value for m in products]
+        nodes += [pow(MulReal(m), s, 0).value for m, s in zip(products, sums)]
+        nodes += mixed + [real_mul(m, s) for m, s in zip(mixed, sums)]
+        nodes += [pow(MulReal(m), x, 0).value for m, x in zip(mixed, leaves)]
+        for (node, p), ivs in refine_from_threads(nodes).items():
+            assert all(iv is ivs[0] for iv in ivs) and ivs[0].width_at_most(p)
 
-def reference_flatten(terms: tuple, attr: str) -> list:
+    def test_every_inexact_result_is_a_node(self):
+        x, y = isqrt_real(2), isqrt_real(3)
+        kinds = [
+            (real_add(x, y), _Linear),
+            (real_scale(x, PosRat(2, 3)), _Linear),
+            (real_subtract(y, x), _Linear),
+            (core.multiple(3, x, REAL), _Linear),
+            (real_mul(x, y), _Monomial),
+            (real_div(x, y), _Monomial),
+            (mul_multiple(3, MulReal(x)).value, _Monomial),
+            (pow(MulReal(x), y, 4).value, _Power),
+            (pow(MulReal(x), PosRat(2, 3), 4).value, _Power),
+            (nth_root(MulReal(x), 3, 4).value, _Power),
+        ]
+        for node, kind in kinds:
+            assert node.__class__ is kind and isinstance(node, _Node)
+        # a leaf carries only the refine protocol's five slots
+        assert PosRealValue.__slots__ == ("_refine", "_cache", "_best", "_lock", "exact")
+        assert not isinstance(x, _Node)
+
+
+def reference_flatten(terms: tuple, kind: type) -> list:
     """_flatten as it was when every sum node was a closure, with a generator
     per node: the reference for the leaves, weights, extra bits and leaf
-    order that _flatten must keep."""
+    order that _flatten must keep.  A node of class kind is inner; any other
+    value, a node of another kind included, is a leaf."""
     parents: dict = {}
     stack = [term[0] for term in terms]
     while stack:
         node = stack.pop()
-        children = getattr(node, attr)
-        if children is None or node.exact is not None:
+        if not isinstance(node, kind) or node.exact is not None:
             continue
+        children = node._terms
         if node in parents:
             parents[node] += 1
         else:
@@ -685,7 +751,7 @@ def reference_flatten(terms: tuple, attr: str) -> list:
             if child in parents:
                 parents[child] -= 1
                 if not parents[child]:
-                    ready.append((getattr(child, attr), num, den))
+                    ready.append((child._terms, num, den))
     return [
         (node if node.exact is None else node.exact, num, den, ((abs(num) - 1) // den).bit_length())
         for node, (num, den) in weight.items()
@@ -700,14 +766,34 @@ class TestFlatten:
     @given(linear_dags())
     def test_linear_dags_match_reference(self, dag):
         for node in dag[0]:
-            if node._terms is not None:
-                assert _flatten(node._terms, "_terms") == reference_flatten(node._terms, "_terms")
+            if node.__class__ is _Linear:
+                assert _flatten(node._terms, _Linear) == reference_flatten(node._terms, _Linear)
 
     @given(monomial_dags())
     def test_monomial_dags_match_reference(self, dag):
         for node in dag[0]:
-            if node._factors is not None:
-                assert _flatten(node._factors, "_factors") == reference_flatten(node._factors, "_factors")
+            if node.__class__ is _Monomial:
+                assert _flatten(node._terms, _Monomial) == reference_flatten(node._terms, _Monomial)
+
+    @given(mixed_dags())
+    def test_mixed_dags_match_reference(self, nodes):
+        # sums under products and products under sums: a node of the other
+        # kind is a leaf of the walk, not a node to expand
+        for node in nodes:
+            if isinstance(node, _Node):
+                kind = node.__class__
+                assert _flatten(node._terms, kind) == reference_flatten(node._terms, kind)
+
+    def test_other_kind_is_a_leaf(self):
+        x, y, z = isqrt_real(2), isqrt_real(3), isqrt_real(5)
+        s = real_add(x, y)
+        m = real_mul(s, z)
+        t = real_add(real_scale(m, PosRat(1, 3)), s)
+        # the product is one leaf of the sums, and the sums are leaves of the
+        # products, which expand the product m under them
+        assert _flatten(t._terms, _Linear) == [(x, 1, 1, 0), (y, 1, 1, 0), (m, 1, 3, 0)]
+        assert _flatten(real_div(t, m)._terms, _Monomial) == [(t, 1, 1, 0), (s, -1, 1, 0), (z, -1, 1, 0)]
+        assert _flatten(real_mul(m, t)._terms, _Monomial) == [(t, 1, 1, 0), (s, 1, 1, 0), (z, 1, 1, 0)]
 
     def test_deep_add_chain_matches_reference(self):
         # 1000 sums over fresh leaves and ten leaves that recur
@@ -715,8 +801,8 @@ class TestFlatten:
         acc = isqrt_real(2)
         for i in range(1000):
             acc = real_add(acc, shared[i % 10] if i % 3 else isqrt_real(NON_SQUARES[i % len(NON_SQUARES)]))
-        leaves = _flatten(acc._terms, "_terms")
-        assert leaves == reference_flatten(acc._terms, "_terms")
+        leaves = _flatten(acc._terms, _Linear)
+        assert leaves == reference_flatten(acc._terms, _Linear)
         assert len(leaves) == 1 + 10 + 334
 
 
@@ -868,7 +954,7 @@ class TestModelDispatch:
     def test_descriptors(self):
         assert NAT.descriptor.discrete and NAT.descriptor.smallest == 1
         assert RAT.descriptor.symmetric and not RAT.descriptor.discrete
-        assert REAL.descriptor.continuous_at_oracle and not REAL.descriptor.exact_order
+        assert not REAL.descriptor.discrete and not REAL.descriptor.exact_order
 
 
 # Ownership for each shipped model, and values it must refuse: nat needs an

@@ -27,9 +27,8 @@ RECORDS = [
     (Ordering3, (Rel.LESS, 5), "Ordering3(tag=<Rel.LESS: 'less'>, gap=5)"),
     (
         ModelDescriptor,
-        ("m", True, False, False, True, 1, 1),
-        "ModelDescriptor(model_id='m', discrete=True, symmetric=False, "
-        "continuous_at_oracle=False, exact_order=True, unit=1, smallest=1)",
+        ("m", False, True, 1, 1),
+        "ModelDescriptor(model_id='m', symmetric=False, exact_order=True, unit=1, smallest=1)",
     ),
     (ApproxPolicy, (12,), "ApproxPolicy(precision=12)"),
     (UnitMultiple, ("i", "d", "c"), "UnitMultiple(image='i', domain='d', codomain='c')"),
@@ -110,16 +109,12 @@ def test_defaults():
     assert ApproxPolicy().precision == 30
     assert HomCheckReport(True, 5).counterexample is None
     assert RatioRel("equal") == RatioRel("equal", None, 0, 0) == RatioRel.equal()
-    assert ModelDescriptor("m", False, True, False, True).unit is None
+    assert ModelDescriptor("m", True, True).unit is None
+    # discrete is read from smallest, not stored
+    assert ModelDescriptor("m", False, True, 1, 1).discrete and not ModelDescriptor("m", True, True).discrete
 
 
 def test_construction_checks():
-    with pytest.raises(ValueError, match="smallest element"):
-        ModelDescriptor("m", True, False, False, True)
-    with pytest.raises(ValueError, match="smallest element"):
-        ModelDescriptor("m", False, False, False, True, smallest=1)
-    with pytest.raises(ValueError, match="cannot be discrete"):
-        ModelDescriptor("m", True, False, True, False, smallest=1)
     with pytest.raises(ValueError, match=">= 0"):
         ApproxPolicy(-1)
     with pytest.raises(ValueError, match=">= 0"):
