@@ -9,7 +9,9 @@
 
 All values are immutable and freely shareable between threads.  A real
 value's refinement cache is guarded by a lock so concurrent queries at the
-same precision observe the identical interval.
+same precision observe the identical interval.  A leaf has its lock and
+cache from construction; a node takes both on its first refine, so an inner
+node that is only ever read through its parent never allocates either.
 """
 
 from __future__ import annotations
@@ -291,6 +293,10 @@ class Overlap(Record):
         object.__setattr__(self, "precision", precision)
 
 
+# held only while a node's first approx makes its lock and cache
+_FIRST_REFINE = threading.Lock()
+
+
 class PosRealValue:
     """Computable positive real: a refinement oracle plus its cache.
 
@@ -302,9 +308,12 @@ class PosRealValue:
     ``exact`` optionally records that the value is a known rational point,
     enabling exact fast paths downstream.
 
-    A value built from a refine callable is a leaf, as is an exact point.
-    Every other value the operators compute is a _Node, a subclass whose
-    refine is a method.
+    A value built from a refine callable is a leaf, as is an exact point;
+    it has its lock and cache from construction.  Every other value the
+    operators compute is a _Node, a subclass whose refine is a method, and
+    which makes its lock and cache on its first ``approx``.  A refine that
+    lies inside the best interval so far is cached as it is; one that
+    sticks out of it is intersected with it.
     """
 
     __slots__ = ("_refine", "_cache", "_best", "_lock", "exact")
@@ -326,6 +335,17 @@ class PosRealValue:
         # acquire and release rather than a with block, whose protocol costs
         # about as much as the rest of a cache hit
         lock = self._lock
+        if lock is None:
+            # a node's first refine makes its lock and cache, the cache
+            # first, so that a thread which finds the lock also finds the cache
+            _FIRST_REFINE.acquire()
+            try:
+                lock = self._lock
+                if lock is None:
+                    self._cache = {}
+                    lock = self._lock = threading.Lock()
+            finally:
+                _FIRST_REFINE.release()
         lock.acquire()
         try:
             cached = self._cache.get(p)
@@ -341,10 +361,11 @@ class PosRealValue:
             lo, hi = iv.lo, iv.hi
             if (hi.num * lo.den - lo.num * hi.den) << p > hi.den * lo.den:
                 raise OracleFailureError(f"refinement wider than 2^-{p}")
-            if self._best is not None:
-                if not iv.intersects(self._best):
+            best = self._best
+            if best is not None and (lo < best.lo or best.hi < hi):
+                if not iv.intersects(best):
                     raise OracleFailureError("inconsistent refinement oracle")
-                iv = iv.intersect(self._best)
+                iv = iv.intersect(best)
             self._best = iv
             self._cache[p] = iv
             return iv
@@ -389,14 +410,16 @@ class _Node(PosRealValue):
     in place of a leaf's refine callable, so a node builds no function
     object or cell.  A node never calls PosRealValue.__init__: its
     assignment to the ``_refine`` slot would meet the method and fail.
+    A node starts with no lock and no ``_cache``; its first ``approx`` makes
+    both (see PosRealValue.approx), so the inner nodes of a chain, which the
+    root reads through its flattened leaves, never make either.
     """
 
     __slots__ = ("_terms", "_leaves")
 
     def __init__(self, terms: tuple, exact: Optional[PosRat] = None):
-        self._cache = {}
         self._best = None
-        self._lock = threading.Lock()
+        self._lock = None
         self.exact = exact
         self._terms = terms
         self._leaves = None
@@ -410,37 +433,65 @@ def _flatten(terms: tuple, kind: type) -> list:
     A value of class kind that is not an exact point is an inner node, whose
     terms are expanded; any other value is a leaf, a node of another kind or
     a user's PosRealValue subclass included.  Weights multiply down the DAG
-    and are pushed down in topological order over distinct nodes, so a
-    shared subnode is expanded once however many paths reach it (k doublings
-    c = c + c make k nodes but 2^k paths).  Both walks keep their own stacks,
-    so a chain's depth costs memory, not interpreter frames.  A leaf whose
-    weights cancel to 0 is dropped.  Each leaf comes back as
-    (source, num, den, extra), in the order the second walk first reaches
-    it: source is the leaf, or its exact point; num/den is its weight;
-    extra = max(0, ceil(log2 |num|/den)).
+    (see _push_down).  A tree of inner nodes, as chains, scalings and
+    products of leaves are, takes one walk; only when that walk reaches an
+    inner node twice are the parents counted and the weights pushed down
+    again, in topological order over distinct nodes, so a shared subnode is
+    expanded once however many paths reach it (k doublings c = c + c make k
+    nodes but 2^k paths).  The walks keep their own stacks, so a chain's
+    depth costs memory, not interpreter frames.  A leaf whose weights cancel
+    to 0 is dropped.  Each leaf comes back as (source, num, den, extra), in
+    the order the last walk first reaches it: source is the leaf, or its
+    exact point; num/den is its weight; extra = max(0, ceil(log2 |num|/den)).
     """
-    # count each inner node's parents, so it is expanded after all of them
-    parents: dict = {}
-    stack = [terms]
-    while stack:
-        for node, _, _ in stack.pop():
-            if node.__class__ is not kind or node.exact is not None:
-                continue
-            if node in parents:
-                parents[node] += 1
-            else:
-                parents[node] = 1
-                stack.append(node._terms)
-    # a leaf's weight gathers in weight; an inner node's in pending, until
-    # its last parent has been expanded and it is expanded in turn
+    weight = _push_down(terms, kind, None)
+    if weight is None:
+        # count each inner node's parents, so it is expanded after all of them
+        parents: dict = {}
+        stack = [terms]
+        while stack:
+            for node, _, _ in stack.pop():
+                if node.__class__ is not kind or node.exact is not None:
+                    continue
+                if node in parents:
+                    parents[node] += 1
+                else:
+                    parents[node] = 1
+                    stack.append(node._terms)
+        weight = _push_down(terms, kind, parents)
+    # ceil(log2 a/b) for a > b is the bit length of floor((a - 1)/b)
+    return [
+        (node if node.exact is None else node.exact, num, den, ((abs(num) - 1) // den).bit_length())
+        for node, (num, den) in weight.items()
+        if num
+    ]
+
+
+def _push_down(terms: tuple, kind: type, parents: Optional[dict]) -> Optional[dict]:
+    """The weights of the leaves under terms (see _flatten), in the order reached.
+
+    With parents, the count of each inner node's parents, an inner node's
+    weight gathers in pending until its last parent has been expanded, and
+    it is expanded in turn.  Without, each inner node is expanded where it is
+    reached, and None comes back if one is reached a second time.
+    """
     weight: dict = {}
     pending: dict = {}
+    expanded = set()
     ready = [(terms, 1, 1)]
     while ready:
         node_terms, c_num, c_den = ready.pop()
         for child, k_num, k_den in node_terms:
             num, den = c_num * k_num, c_den * k_den
-            left = parents.get(child)
+            if parents is not None:
+                left = parents.get(child)
+            elif child.__class__ is not kind or child.exact is not None:
+                left = None
+            elif child in expanded:
+                return None
+            else:
+                expanded.add(child)
+                left = 1
             prev = (weight if left is None else pending).get(child)
             if prev is not None:
                 num, den = num * prev[1] + prev[0] * den, den * prev[1]
@@ -454,12 +505,7 @@ def _flatten(terms: tuple, kind: type) -> list:
             else:
                 parents[child] = left - 1
                 pending[child] = (num, den)
-    # ceil(log2 a/b) for a > b is the bit length of floor((a - 1)/b)
-    return [
-        (node if node.exact is None else node.exact, num, den, ((abs(num) - 1) // den).bit_length())
-        for node, (num, den) in weight.items()
-        if num
-    ]
+    return weight
 
 
 class _Linear(_Node):

@@ -33,6 +33,7 @@ from .core import ModelDescriptor, Ordering3, Record, Rel, check_precision
 from .errors import (
     InexactModelError,
     NotAboveOneError,
+    OracleFailureError,
 )
 from .models import (
     RAT_ONE,
@@ -203,7 +204,8 @@ def pow(x: MulReal, y, p: int = 30) -> MulReal:
     endpoints of y's: the lower ones rounding down at every step, the upper
     ones rounding up.  x > 1 makes x^y increasing in both x and y, so the
     enclosure is rigorous; a query too wide for its precision is retried at
-    a deeper working precision.
+    a deeper working precision.  A result that may need more than
+    RESULT_BITS_CAP bits raises OracleFailureError (see _Power).
     """
     check_precision(p)
     if isinstance(y, int) and not isinstance(y, bool):
@@ -223,8 +225,19 @@ def pow(x: MulReal, y, p: int = 30) -> MulReal:
     return MulReal(value)
 
 
+# a power whose integer part may need more bits than this is refused
+RESULT_BITS_CAP = 1 << 20
+
+
 class _Power(_Grid):
-    """x^y as one node over its terms (x, 1, 1) and (y, 1, 1) (see pow)."""
+    """x^y as one node over its terms (x, 1, 1) and (y, 1, 1) (see pow).
+
+    Before any arithmetic, the result is bounded: x^y < 2^b for b = ceil(y_hi)
+    times a bound on log2 x_hi, the smaller of the bit length of ceil(x_hi)
+    and 3(x_hi - 1)/2 (ln x <= x - 1), so a base near one is not charged a
+    whole bit per unit of y.  A b above RESULT_BITS_CAP raises
+    OracleFailureError rather than square integers of about b bits.
+    """
 
     __slots__ = ()
     _what = "power"
@@ -234,6 +247,11 @@ class _Power(_Grid):
 
     def _ends(self, w: int, reads: list):
         xi, yi = reads
+        x, y = xi.hi, yi.hi
+        n = -(-y.num // y.den)
+        bits = min(n * (-(-x.num // x.den)).bit_length(), -(-3 * n * (x.num - x.den) // (2 * x.den)))
+        if bits > RESULT_BITS_CAP:
+            raise OracleFailureError(f"power may need {bits} bits, over the cap of {RESULT_BITS_CAP}")
         # x^y > 1 also keeps the floor chain's bound positive
         lo = max(_scaled_pow(_ticks(xi.lo, w, 0), yi.lo, w, 0), 1 << w)
         return lo, _scaled_pow(_ticks(xi.hi, w, 1), yi.hi, w, 1), 0

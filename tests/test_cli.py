@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -103,6 +104,16 @@ class TestExitCodes:
         payload = json.loads(out)["result"]
         lo, hi = Fraction(payload["lo"]), Fraction(payload["hi"])
         assert lo <= want <= hi and hi - lo <= Fraction(1, 2**300)
+
+    def test_pow_result_size_cap(self):
+        # 3^(2000001/2) needs about 2,000,002 bits, over the 2^20-bit cap of a
+        # power's result: a typed error at once; 3^(200001/2) still prints
+        start = time.perf_counter()
+        code, out, err = run_cli("pow", "3", "2000001/2", "-p", "30")
+        assert time.perf_counter() - start < 1
+        assert code == EXIT_DOMAIN and not out and "over the cap" in err
+        code, out, _ = run_cold(["pow", "3", "200001/2", "-p", "30"])
+        assert code == EXIT_OK and out.endswith(" ± 2^-30\n")
 
     def test_usage_error(self):
         code, _, err = run_cli("ratio", "cmp", "--model", "rat", "3/2")

@@ -3,12 +3,13 @@ import random
 import sys
 import threading
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from magnitudes import core
+from magnitudes import core, models
 from magnitudes.core import Rel
 from magnitudes.errors import (
     InexactModelError,
@@ -29,6 +30,7 @@ from magnitudes.models import (
     _Linear,
     _Monomial,
     _Node,
+    _push_down,
     certify,
     format_element,
     ladder,
@@ -374,6 +376,19 @@ class TestLinearNodes:
             roots[k] = roots.get(k, 0) + 1
         assert brackets(iv, 0, roots)
 
+    def test_inner_nodes_of_a_chain_take_no_lock(self):
+        # the root reads the chain's leaves directly, so its 998 inner sums
+        # are never refined and never make a lock or a cache
+        acc = isqrt_real(2)
+        inner = []
+        for i in range(999):
+            acc = real_add(acc, isqrt_real(NON_SQUARES[i % len(NON_SQUARES)]))
+            inner.append(acc)
+        root = inner.pop()
+        assert root.approx(30).width_at_most(30)
+        assert root._lock is not None and len(root._cache) == 1
+        assert all(node._lock is None and not hasattr(node, "_cache") for node in inner)
+
     def test_deep_scale_chain(self):
         acc = isqrt_real(2)
         for i in range(3000):
@@ -573,11 +588,18 @@ def mixed_dags(draw):
     return nodes
 
 
-def refine_from_threads(nodes):
-    """Refine nodes from 8 threads at once; {(node index, p): every interval seen}."""
+def refine_from_threads(nodes, together=False):
+    """Refine nodes from 8 threads at once; {(node index, p): every interval seen}.
+
+    The threads start together; each walks the nodes from its own offset,
+    or with together, all from the first node, so that they meet on each
+    node's first refine.
+    """
     seen = {}
+    start = threading.Barrier(8)
 
     def worker(offset):
+        start.wait()
         for step in range(40):
             node = (offset + step) % len(nodes)
             p = 8 + (step * 7) % 50
@@ -586,7 +608,7 @@ def refine_from_threads(nodes):
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        threads = [threading.Thread(target=worker, args=(i,)) for i in range(8)]
+        threads = [threading.Thread(target=worker, args=(0 if together else i,)) for i in range(8)]
         for t in threads:
             t.start()
         for t in threads:
@@ -697,6 +719,26 @@ class TestMonomialNodes:
         for (node, p), ivs in refine_from_threads(nodes).items():
             assert all(iv is ivs[0] for iv in ivs) and ivs[0].width_at_most(p)
 
+    def test_concurrent_first_refines_make_one_lock_per_node(self, monkeypatch):
+        # fresh products, sums and powers over those sums, all first refined
+        # by eight threads at once: a node makes its lock on its first refine,
+        # and a race for it must still leave one lock and one cached interval
+        leaves = [isqrt_real(k) for k in NON_SQUARES[:13]]
+        sums = [real_add(x, y) for x, y in zip(leaves, leaves[1:])]
+        nodes = [real_mul(x, y) for x, y in zip(leaves, leaves[2:])] + sums
+        nodes += [_Power(((s, 1, 1), (x, 1, 1))) for s, x in zip(sums, leaves)]
+        assert all(node._lock is None for node in nodes)
+        made = []
+
+        def lock():
+            made.append(threading.Lock())
+            return made[-1]
+
+        monkeypatch.setattr(models, "threading", SimpleNamespace(Lock=lock))
+        for (node, p), ivs in refine_from_threads(nodes, together=True).items():
+            assert all(iv is ivs[0] for iv in ivs) and ivs[0].width_at_most(p)
+        assert sorted(map(id, made)) == sorted(id(node._lock) for node in nodes)
+
     def test_every_inexact_result_is_a_node(self):
         x, y = isqrt_real(2), isqrt_real(3)
         kinds = [
@@ -804,6 +846,23 @@ class TestFlatten:
         leaves = _flatten(acc._terms, _Linear)
         assert leaves == reference_flatten(acc._terms, _Linear)
         assert len(leaves) == 1 + 10 + 334
+
+    def test_shared_bottom_node_falls_back_after_the_tree_walk(self):
+        # the root's terms are a chain's bottom sum and the chain's top, so the
+        # tree walk gathers the chain's 500 leaves before it meets the bottom
+        # sum a second time, at the chain's foot; the parent-count walk then
+        # starts over, and must give the reference's leaves in its order
+        shared = [isqrt_real(k) for k in NON_SQUARES[:10]]
+        bottom = real_add(shared[0], real_scale(shared[1], PosRat(2, 3)))
+        acc = bottom
+        for i in range(500):
+            acc = real_add(acc, shared[i % 10] if i % 3 else isqrt_real(NON_SQUARES[i % len(NON_SQUARES)]))
+        root = real_add(bottom, real_scale(acc, PosRat(5, 7)))
+        assert _push_down(acc._terms, _Linear, None) is not None
+        assert _push_down(root._terms, _Linear, None) is None
+        leaves = _flatten(root._terms, _Linear)
+        assert leaves == reference_flatten(root._terms, _Linear)
+        assert len(leaves) == 10 + 167
 
 
 class TestRealCompare:

@@ -1,4 +1,5 @@
 import math
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -6,8 +7,8 @@ from hypothesis import strategies as st
 
 from magnitudes import core
 from magnitudes.core import Rel
-from magnitudes.errors import NotAboveOneError
-from magnitudes.models import RAT_ONE, Interval, PosRat, certify, ladder, real_from_rat
+from magnitudes.errors import NotAboveOneError, OracleFailureError
+from magnitudes.models import RAT_ONE, Interval, PosRat, certify, ladder, real_from_rat, real_mul, real_scale
 from magnitudes.power import (
     MUL,
     MulReal,
@@ -311,6 +312,22 @@ class TestPow:
         # two independent evaluators of one embedding must agree
         via_root = mul_multiple(m, nth_root(x, n, p))
         assert iv.intersects(via_root.approx(p))
+
+    def test_result_size_cap(self):
+        # x ~ 1367, a product of isqrt leaves, raised to y ~ 3.49e12 needs
+        # about 3.8e13 bits; the bound is read from the inputs' intervals and
+        # refuses at once, before any integer power is taken
+        x = into_mul(real_mul(isqrt_real(1000), isqrt_real(1869)))
+        y = real_scale(isqrt_real(2), PosRat(2468 * 10**9))
+        start = time.perf_counter()
+        with pytest.raises(OracleFailureError, match="over the cap"):
+            mul_pow(x, y, 4)
+        assert time.perf_counter() - start < 1
+        # a base near one is charged 3(x - 1)/2 bits per unit of y, not a
+        # whole bit: 1.0001^(2000001/2), about 144 bits, is still computed
+        iv = mul_pow(as_mul(10001, 10000), PosRat(2000001, 2), 30).approx(30)
+        assert iv.width_at_most(30)
+        assert abs(math.log2(iv.lo.num) - math.log2(iv.lo.den) - 1000000.5 * math.log2(1.0001)) < 1e-6
 
     def test_numerator_far_above_denominator(self):
         base, y = PosRat(10**6 + 1), PosRat(1000, 3)
