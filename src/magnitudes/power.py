@@ -199,13 +199,16 @@ def pow(x: MulReal, y, p: int = 30) -> MulReal:
     """x^y for y a positive int, rational or real; result refined to precision p.
 
     An exact base whose numerator and denominator are perfect n-th powers,
-    raised to an exact y = m/n, gives the exact point.  Otherwise one _Power
+    raised to an exact y = m/n, gives the exact point when m times the bit
+    length of the larger root, a bound on the point's size, is within
+    RESULT_BITS_CAP.  A larger one is left to the node below, which
+    encloses it to 2^-p without building it.  Otherwise one _Power
     node raises the integer-scaled endpoints of x's interval to the
     endpoints of y's: the lower ones rounding down at every step, the upper
     ones rounding up.  x > 1 makes x^y increasing in both x and y, so the
     enclosure is rigorous; a query too wide for its precision is retried at
-    a deeper working precision.  A result that may need more than
-    RESULT_BITS_CAP bits raises OracleFailureError (see _Power).
+    a deeper working precision.  A result whose integer part may need more
+    than RESULT_BITS_CAP bits raises OracleFailureError (see _Power).
     """
     check_precision(p)
     if isinstance(y, int) and not isinstance(y, bool):
@@ -217,7 +220,7 @@ def pow(x: MulReal, y, p: int = 30) -> MulReal:
     b, e = x.value.exact, y.exact
     if b is not None and e is not None:
         num, den = int_nth_root(b.num, e.den), int_nth_root(b.den, e.den)
-        if num**e.den == b.num and den**e.den == b.den:
+        if num**e.den == b.num and den**e.den == b.den and e.num * max(num, den).bit_length() <= RESULT_BITS_CAP:
             return MulReal(real_from_rat(PosRat(num, den) ** e.num))
 
     value = _Power(((x.value, 1, 1), (y, 1, 1)))

@@ -11,14 +11,15 @@ are exact points (nat and rat elements, and reals with ``exact`` set), each
 ratio is the integer pair a.num*b.den : a.den*b.num, two pairs compare by
 cross-multiplication, and a strict verdict reads its separating witness
 from their continued fractions.  Any other comparison encloses each ratio
-value x/y by dividing the terms' intervals at each rung of the precision
-ladder, exact terms being points, and no oracle is built.  Once the two
-enclosures are disjoint, the simplest fraction between them
-(``mediants.simplest_in``) is the witness, returned after its strict
-inequality certifies on the same rungs (``models.certify``), as
-``verify_witness`` checks it.  The fuel budget caps the ladder, which makes
-the search total, with Unknown as the honest out-of-budget answer: equal,
-or closer than the cap resolves, never a wrong verdict.
+value x/y at each rung of the precision ladder, as integer pairs read from
+the terms' intervals, exact terms being points, and no oracle is built.
+The first rung whose enclosures are disjoint certifies the verdict: with
+x/y >= lo1 > hi2 >= x2/y2, every fraction n/m with hi2 <= n/m < lo1 has
+m*x > n*y and m*x2 <= n*y2, so the simplest one is the witness, and the
+intervals already read are its certificate.  The fuel budget caps the
+ladder, which makes the search total, with Unknown as the honest
+out-of-budget answer: equal, or closer than the cap resolves, never a
+wrong verdict.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from typing import Optional, Tuple
 
 from . import core
 from .core import Record, Rel
-from .mediants import _simplest, simplest_in
+from .mediants import _simplest
 from .models import PosRat, _num_den, _point, certify, ladder, model_by_id, model_of
 
 __all__ = [
@@ -183,19 +184,6 @@ def _rel_vs_fraction(x, y, n: int, m: int, rungs) -> Tuple[Optional[Rel], int]:
     return certify(x, y, rungs, m, n)
 
 
-def _enclose(x, y, p: int) -> Tuple[PosRat, PosRat]:
-    """Ends of an interval holding the ratio value x/y, from the terms at rung p."""
-    a = x if isinstance(x, PosRat) else x.approx(p)
-    b = y if isinstance(y, PosRat) else y.approx(p)
-    return a.lo / b.hi, a.hi / b.lo
-
-
-def _exact_separator(lower: PosRat, upper: PosRat) -> Witness:
-    """Witness from the simplest fraction s with lower <= s < upper."""
-    s = simplest_in(lower, upper, include_lo=True, include_hi=False)
-    return Witness(m=s.den, n=s.num)
-
-
 def ratio_compare(a, b, a2, b2, fuel: int = 64) -> RatioRel:
     """Compare the ratio a:b with a2:b2 across (possibly different) models.
 
@@ -207,11 +195,16 @@ def ratio_compare(a, b, a2, b2, fuel: int = 64) -> RatioRel:
     pairs, which need not be in lowest terms: the walk reads them as
     values, and its answer always is in lowest terms.
 
-    Otherwise each ratio is enclosed by dividing its terms' intervals at
-    each rung of ``ladder(max(16, 4*fuel))``, exact terms being points;
-    once the two enclosures are disjoint, the simplest fraction between
-    them is the witness, returned after its strict inequality certifies on
-    the same rungs.  Enclosures that never part give Unknown.
+    Otherwise, at each rung p of ``ladder(max(16, 4*fuel))``, the terms'
+    intervals u, v, u2, v2 (exact terms being points) enclose x/y in
+    [u.lo/v.hi, u.hi/v.lo] and x2/y2 likewise, each end kept as an
+    unreduced integer pair and the ends compared by cross-multiplication.
+    At the first rung where hi2 = u2.hi/v2.lo < lo1 = u.lo/v.hi, the
+    simplest n/m with hi2 <= n/m < lo1 is the Greater witness: m*x > n*y
+    and m*x2 <= n*y2 follow from the intervals already read, so nothing is
+    read past rung p and the verdict spends ceil(p/4) fuel.  Less is the
+    same with the pairs' roles swapped.  Enclosures that never part give
+    Unknown.
     """
     if isinstance(fuel, bool) or not isinstance(fuel, int) or fuel < 1:
         raise ValueError("fuel must be an integer >= 1")
@@ -231,20 +224,23 @@ def ratio_compare(a, b, a2, b2, fuel: int = 64) -> RatioRel:
 
     x, y, x2, y2 = _point(a), _point(b), _point(a2), _point(b2)
     cap = max(16, 4 * fuel)
-    rungs = ladder(cap)
-    for p in rungs:
-        lo1, hi1 = _enclose(x, y, p)
-        lo2, hi2 = _enclose(x2, y2, p)
-        if hi2 < lo1:
-            verdict, upper, w = RatioRel.greater, (x, y), _exact_separator(hi2, lo1)
-        elif hi1 < lo2:
-            verdict, upper, w = RatioRel.less, (x2, y2), _exact_separator(hi1, lo2)
-        else:
-            continue
-        # a witness whose strict side does not certify waits for a later rung
-        rel, q = _rel_vs_fraction(*upper, w.n, w.m, rungs)
-        if rel is Rel.GREATER:
-            return verdict(w, -(-max(p, q) // 4))
+    for p in ladder(cap):
+        u = x if isinstance(x, PosRat) else x.approx(p)
+        v = y if isinstance(y, PosRat) else y.approx(p)
+        u2 = x2 if isinstance(x2, PosRat) else x2.approx(p)
+        v2 = y2 if isinstance(y2, PosRat) else y2.approx(p)
+        # enclosure ends as unreduced pairs: ln1/ld1 <= x/y <= hn1/hd1, and
+        # likewise for x2/y2; the rung that parts them is the certificate
+        ln1, ld1 = u.lo.num * v.hi.den, u.lo.den * v.hi.num
+        hn2, hd2 = u2.hi.num * v2.lo.den, u2.hi.den * v2.lo.num
+        if hn2 * ld1 < ln1 * hd2:
+            n, m = _simplest(hn2, hd2, ln1, ld1, True, False)
+            return RatioRel.greater(Witness(m, n), -(-p // 4))
+        hn1, hd1 = u.hi.num * v.lo.den, u.hi.den * v.lo.num
+        ln2, ld2 = u2.lo.num * v2.hi.den, u2.lo.den * v2.hi.num
+        if hn1 * ld2 < ln2 * hd1:
+            n, m = _simplest(hn1, hd1, ln2, ld2, True, False)
+            return RatioRel.less(Witness(m, n), -(-p // 4))
     return RatioRel.unknown(fuel, cap)
 
 

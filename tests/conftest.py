@@ -19,6 +19,20 @@ def isqrt_real(k: int) -> PosRealValue:
     return PosRealValue(refine)
 
 
+def sqrt_convergents(k: int):
+    """Continued-fraction convergents P/Q of sqrt(k), k not a square."""
+    a0 = math.isqrt(k)
+    m, d, a = 0, 1, a0
+    p_prev, p, q_prev, q = 1, a0, 0, 1
+    while True:
+        yield p, q
+        m = d * a - m
+        d = (k - m * m) // d
+        a = (a0 + m) // d
+        p_prev, p = p, a * p + p_prev
+        q_prev, q = q, a * q + q_prev
+
+
 def recorded(k: int, seen: list) -> PosRealValue:
     """sqrt(k) that records each precision it is refined at."""
 

@@ -66,3 +66,12 @@ def test_pow_real_exponent(base, k, p):
     with mpmath.workprec(p + 128):
         want = mpmath.power(mpmath.mpf(base.num) / base.den, mpmath.sqrt(k))
         assert _holds(got.approx(p), want, p)
+
+
+def test_pow_exact_base_over_the_size_cap():
+    # 1.0001^(10^6) would be a 13-million-bit point; the node encloses it
+    got = mul_pow(into_mul(real_from_rat(PosRat(10001, 10000))), 10**6, 30)
+    # the value is about 2^144, so 30 + 144 + 64 bits are 64 more than 2^-30
+    with mpmath.workprec(238):
+        want = mpmath.power(mpmath.mpf(10001) / 10000, 10**6)
+        assert _holds(got.approx(30), want, 30)

@@ -329,6 +329,22 @@ class TestPow:
         assert iv.width_at_most(30)
         assert abs(math.log2(iv.lo.num) - math.log2(iv.lo.den) - 1000000.5 * math.log2(1.0001)) < 1e-6
 
+    def test_exact_power_over_the_cap_is_a_node(self):
+        # 10001^(10^6) has about 13.3 million bits; the node encloses the
+        # power, about 2^144, to 2^-30 without building it
+        start = time.perf_counter()
+        got = mul_pow(as_mul(10001, 10000), 10**6, 30)
+        assert time.perf_counter() - start < 1
+        assert got.value.exact is None
+        iv = got.approx(30)
+        assert iv.width_at_most(30)
+        assert iv.lo.num.bit_length() < 400 and iv.lo.den.bit_length() < 400
+        # (9/4)^(7/2) and 4^(10^5) stay exact points: their roots' bits
+        # times the exponent's numerator are under the cap
+        assert mul_pow(as_mul(9, 4), PosRat(7, 2), 30).value.exact == PosRat(2187, 128)
+        assert mul_pow(as_mul(4), 10**5, 30).value.exact == PosRat(4**10**5)
+        assert mul_pow(as_mul(1 << 20), PosRat(10**5, 20), 30).value.exact == PosRat(2**10**5)
+
     def test_numerator_far_above_denominator(self):
         base, y = PosRat(10**6 + 1), PosRat(1000, 3)
         iv = mul_pow(as_mul(base.num), y, 300).approx(300)

@@ -18,7 +18,7 @@ from magnitudes.ratio import (
     verify_witness,
 )
 
-from conftest import isqrt_real
+from conftest import isqrt_real, recorded, sqrt_convergents
 
 rationals = st.builds(PosRat, st.integers(1, 1000), st.integers(1, 1000))
 
@@ -339,20 +339,6 @@ class TestSteering:
             assert got.is_unknown
 
 
-def sqrt_convergents(k: int):
-    """Continued-fraction convergents P/Q of sqrt(k), k not a square."""
-    a0 = math.isqrt(k)
-    m, d, a = 0, 1, a0
-    p_prev, p, q_prev, q = 1, a0, 0, 1
-    while True:
-        yield p, q
-        m = d * a - m
-        d = (k - m * m) // d
-        a = (a0 + m) // d
-        p_prev, p = p, a * p + p_prev
-        q_prev, q = q, a * q + q_prev
-
-
 def exceeds(m: int, n: int, c: Fraction, k: int) -> bool:
     """m * c*sqrt(k) > n, in exact arithmetic."""
     return m * m * c * c * k > n * n
@@ -430,6 +416,20 @@ class TestSeparatedEnclosures:
         else:
             assert verify_witness(got.witness, a2, b2, a, b, fuel=fuel)
         assert ratio_compare(*build(), fuel=got.fuel_spent) == got
+
+    def test_reads_stop_at_the_deciding_rung(self):
+        # sqrt2 - 141/100 is about 2^-7.9, so the enclosures part at rung 8;
+        # the intervals read there certify the witness 24/17, and sqrt2 is
+        # not read again at 4 + bits(17 - 1) = 9 to certify it a second time
+        one = real_from_rat(PosRat(1))
+        for greater in (True, False):
+            seen = []
+            pairs = ((recorded(2, seen), one), (PosRat(141), PosRat(100)))
+            got = ratio_compare(*pairs[0 if greater else 1], *pairs[1 if greater else 0])
+            want = RatioRel.greater if greater else RatioRel.less
+            assert got == want(Witness(m=17, n=24), fuel_spent=2)
+            assert seen == [4, 8]
+        assert verify_witness(got.witness, isqrt_real(2), one, PosRat(141), PosRat(100))
 
     def test_cache_stays_on_the_ladder(self, sqrt2):
         # enclosures read each operand once per rung: 4, 8, ..., 2048, 4096

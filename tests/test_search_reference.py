@@ -6,8 +6,10 @@ one ``real_scale`` node per probe on reals and certifying it on the default
 ladder.  ``reference_ratio_compare`` is the ratio engine before exactness
 was read from the terms: an exact branch chosen by the models'
 ``exact_order`` flags, and a ladder loop that tracked whether every term was
-a point.  Both are kept as they were, apart from being free functions, so
-that the single-path versions can be checked against them.
+a point, divided the terms' intervals into reduced ``PosRat`` enclosures
+(``_enclose``) and certified each witness a second time on a fresh ladder.
+All are kept as they were, apart from being free functions, so that the
+single-path versions can be checked against them.
 """
 
 from math import isqrt
@@ -27,10 +29,10 @@ from magnitudes.models import (
     real_from_rat,
     real_scale,
 )
+from magnitudes.mediants import simplest_in
 from magnitudes.ratio import (
     RatioRel,
-    _enclose,
-    _exact_separator,
+    Witness,
     _rel_vs_fraction,
     have_ratio_witness,
     ratio_compare,
@@ -75,6 +77,19 @@ def _reference_point(t):
     if isinstance(t, PosRealValue) and t.exact is not None:
         return t.exact
     return t
+
+
+def _enclose(x, y, p: int):
+    """Ends of an interval holding the ratio value x/y, from the terms at rung p."""
+    a = x if isinstance(x, PosRat) else x.approx(p)
+    b = y if isinstance(y, PosRat) else y.approx(p)
+    return a.lo / b.hi, a.hi / b.lo
+
+
+def _exact_separator(lower: PosRat, upper: PosRat) -> Witness:
+    """Witness from the simplest fraction s with lower <= s < upper."""
+    s = simplest_in(lower, upper, include_lo=True, include_hi=False)
+    return Witness(m=s.den, n=s.num)
 
 
 def reference_ratio_compare(a, b, a2, b2, fuel: int = 64) -> RatioRel:
