@@ -9,9 +9,11 @@ associative, distributes over sum, and preserves order.
 When the domain carries a designated unit, the map sending a' to the unique
 embedding with unit -> a' is an isomorphism onto the embedding space; it
 induces the product a * b = (embedding for b)(a) and, in symmetric models,
-the quotient b / a.  On rationals these collapse to fraction arithmetic; on
-reals they are monomial nodes of :mod:`magnitudes.models` (``real_mul``,
-``real_div``), so nested products and quotients refine as one node.
+the quotient b / a.  On naturals and rationals the product evaluates that
+embedding, which collapses to fraction arithmetic.  On reals the embedding
+would end in a monomial node of :mod:`magnitudes.models`, so ``product``
+and ``quotient`` build ``real_mul`` and ``real_div`` directly, and nested
+products and quotients refine as one node.
 """
 
 from __future__ import annotations
@@ -37,11 +39,13 @@ from .embed import (
 from .models import (
     NAT,
     RAT,
+    REAL,
     Model,
     certify,
     ladder,
     model_of,
     real_div,
+    real_mul,
     real_subtract,
 )
 
@@ -173,11 +177,16 @@ def psi(model: Model, a_prime) -> HomElement:
 def product(a, b, policy: ApproxPolicy = DEFAULT_POLICY):
     """a * b on a unit-bearing model: apply the embedding for b to a.
 
-    Exact fraction arithmetic on nat/rat; precision-bounded intervals on
-    the real model.
+    On nat and rat the embedding psi(b) is built and evaluated at a, which
+    is exact fraction arithmetic and the executable definition the laws
+    check.  On the real model that evaluation ends in the monomial node
+    ``real_mul(a, b)``, so the node is built directly, as ``quotient``
+    builds ``real_div``.
     """
     model = model_of(a)
     model.check(b)
+    if model is REAL:
+        return real_mul(a, b)
     return evaluate(psi(model, b).mapping, a, policy)
 
 

@@ -43,24 +43,34 @@ def simplest_in(
 
 
 def _simplest(ln: int, ld: int, hn: int, hd: int, lo_in: bool, hi_in: bool) -> Tuple[int, int]:
-    # smallest admissible integer at or above ln/ld
-    floor_lo, rem = divmod(ln, ld)
-    cand = floor_lo if (lo_in and rem == 0) else floor_lo + 1
-    against_hi = cand * hd - hn
-    if against_hi < 0 or (against_hi == 0 and hi_in):
-        return cand, 1
-    # no integer fits: every admissible fraction is floor_lo + 1/y with y in
-    # the reciprocal interval, endpoint roles and inclusion flags swapped
-    rn, rd = ln - floor_lo * ld, ld  # lo - floor_lo  (zero when lo integral)
-    sn, sd = hn - floor_lo * hd, hd  # hi - floor_lo  (> 0: interval nonempty)
-    if rn == 0:
-        # y is only bounded below: pick its smallest admissible integer
-        g, grem = divmod(sd, sn)
-        yn = g if (hi_in and grem == 0) else g + 1
-        yd = 1
-    else:
-        yn, yd = _simplest(sd, sn, rd, rn, hi_in, lo_in)
-    return floor_lo * yn + yd, yn
+    """(num, den) in lowest terms of the simplest fraction from ln/ld to hn/hd.
+
+    Each pass peels one continued-fraction term: when no integer fits the
+    interval, every admissible fraction is floor_lo + 1/y with y in the
+    reciprocal interval, endpoint roles and inclusion flags swapped.  The
+    terms fold into the convergent recurrence as they are found, so the
+    walk is a loop, whatever the length of the answer's continued fraction.
+    """
+    # convergents p/q of the terms so far, seeded at k = -2, -1
+    p_prev, q_prev, p, q = 0, 1, 1, 0
+    while True:
+        floor_lo, rem = divmod(ln, ld)
+        sn = hn - floor_lo * hd  # hi - floor_lo, over hd
+        if rem == 0 and lo_in:  # lo, an integer, is admissible
+            return floor_lo * p + p_prev, floor_lo * q + q_prev
+        if sn > hd or (sn == hd and hi_in):  # floor_lo + 1, at or below hi, is admissible
+            floor_lo += 1
+            return floor_lo * p + p_prev, floor_lo * q + q_prev
+        p_prev, p = p, floor_lo * p + p_prev
+        q_prev, q = q, floor_lo * q + q_prev
+        if rem == 0:
+            # lo is integral, so y is only bounded below: take its smallest
+            # admissible integer
+            g, grem = divmod(hd, sn)
+            last = g if (hi_in and grem == 0) else g + 1
+            return last * p + p_prev, last * q + q_prev
+        # y lies from hd/sn to ld/rem, the reciprocals of hi and lo - floor_lo
+        ln, ld, hn, hd, lo_in, hi_in = hd, sn, ld, rem, hi_in, lo_in
 
 
 def ratio_as_fraction(antecedent, consequent, model: Model) -> PosRat:

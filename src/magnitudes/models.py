@@ -296,6 +296,11 @@ class Overlap(Record):
 # held only while a node's first approx makes its lock and cache
 _FIRST_REFINE = threading.Lock()
 
+# From this precision up, approx checks the width of an interval with dyadic
+# ends by aligning them with shifts: two products of p-bit numbers cost more
+# than the shifts above about 128-200 bits, and less below.
+SHIFT_CHECK_BITS = 192
+
 
 class PosRealValue:
     """Computable positive real: a refinement oracle plus its cache.
@@ -359,7 +364,11 @@ class PosRealValue:
                 # interpreter's depth the caller gets the typed resource error
                 raise OracleFailureError(f"oracle nesting too deep at precision {p}") from None
             lo, hi = iv.lo, iv.hi
-            if (hi.num * lo.den - lo.num * hi.den) << p > hi.den * lo.den:
+            if (
+                (hi.num * lo.den - lo.num * hi.den) << p > hi.den * lo.den
+                if p < SHIFT_CHECK_BITS
+                else _wider(lo, hi, p)
+            ):
                 raise OracleFailureError(f"refinement wider than 2^-{p}")
             best = self._best
             if best is not None and (lo < best.lo or best.hi < hi):
@@ -378,6 +387,20 @@ class PosRealValue:
         if self._best is not None:
             return f"PosRealValue(~[{self._best.lo}, {self._best.hi}])"
         return "PosRealValue(<unrefined>)"
+
+
+def _wider(lo: PosRat, hi: PosRat, p: int) -> bool:
+    """hi - lo > 2^-p, dyadic ends aligned by a shift rather than multiplied."""
+    ld, hd = lo.den, hi.den
+    if ld & (ld - 1) or hd & (hd - 1):
+        return (hi.num * ld - lo.num * hd) << p > hd * ld
+    # both ends as numerators over 2^e; the width is ticks / 2^e
+    s, t = ld.bit_length(), hd.bit_length()
+    if s < t:
+        ticks, e = hi.num - (lo.num << (t - s)), t - 1
+    else:
+        ticks, e = (hi.num << (s - t)) - lo.num, s - 1
+    return ticks > 1 << (e - p) if e >= p else ticks > 0
 
 
 def real_from_rat(q: PosRat) -> PosRealValue:
@@ -432,19 +455,28 @@ def _flatten(terms: tuple, kind: type) -> list:
     terms, den > 0, or _Monomial, whose weights are integer exponents num/1.
     A value of class kind that is not an exact point is an inner node, whose
     terms are expanded; any other value is a leaf, a node of another kind or
-    a user's PosRealValue subclass included.  Weights multiply down the DAG
-    (see _push_down).  A tree of inner nodes, as chains, scalings and
-    products of leaves are, takes one walk; only when that walk reaches an
-    inner node twice are the parents counted and the weights pushed down
-    again, in topological order over distinct nodes, so a shared subnode is
-    expanded once however many paths reach it (k doublings c = c + c make k
-    nodes but 2^k paths).  The walks keep their own stacks, so a chain's
-    depth costs memory, not interpreter frames.  A leaf whose weights cancel
-    to 0 is dropped.  Each leaf comes back as (source, num, den, extra), in
-    the order the last walk first reaches it: source is the leaf, or its
-    exact point; num/den is its weight; extra = max(0, ceil(log2 |num|/den)).
+    a user's PosRealValue subclass included.  Plain terms, with no inner
+    node among them and no value twice, as a product or a scaling of leaves
+    has, are the leaves themselves, in lowest terms already, and take no
+    walk.  Otherwise weights multiply down the DAG (see _push_down).  A tree
+    of inner nodes, as a chain is, takes one walk; only when that walk
+    reaches an inner node twice are the parents counted and the weights
+    pushed down again, in topological order over distinct nodes, so a
+    shared subnode is expanded once however many paths reach it (k doublings
+    c = c + c make k nodes but 2^k paths).  The walks keep their own stacks,
+    so a chain's depth costs memory, not interpreter frames.  A leaf whose
+    weights cancel to 0 is dropped.  Each leaf comes back as (source, num,
+    den, extra), in the order the last walk first reaches it: source is the
+    leaf, or its exact point; num/den is its weight; extra = max(0,
+    ceil(log2 |num|/den)).
     """
-    weight = _push_down(terms, kind, None)
+    # plain terms are their own weights; anything else takes the walks
+    weight: Optional[dict] = {}
+    for node, num, den in terms:
+        if (node.__class__ is kind and node.exact is None) or node in weight:
+            weight = _push_down(terms, kind, None)
+            break
+        weight[node] = (num, den)
     if weight is None:
         # count each inner node's parents, so it is expanded after all of them
         parents: dict = {}
@@ -707,10 +739,12 @@ class _Monomial(_Grid):
         acc = (1, 0) if coef is RAT_ONE else _times_power((1, 0), coef.num, coef.den, 1, m, up)
         for iv, k in zip(reads, self._exponents):
             q = iv.lo if (k > 0) != up else iv.hi
-            if k > 0:
-                acc = _times_power(acc, q.num, q.den, k, m, up)
+            num, den = (q.num, q.den) if k > 0 else (q.den, q.num)
+            if (k == 1 or k == -1) and not den & (den - 1):
+                # a dyadic factor to the first power: _times_power's one step
+                acc = _trim(acc[0] * num, acc[1] + 1 - den.bit_length(), m, up)
             else:
-                acc = _times_power(acc, q.den, q.num, -k, m, up)
+                acc = _times_power(acc, num, den, abs(k), m, up)
         return acc
 
     def _ends(self, w: int, reads: list) -> Tuple[int, int, int]:

@@ -45,6 +45,14 @@ class TestSimplestIn:
     def test_degenerate_point(self):
         assert simplest_in(PosRat(5, 7), PosRat(5, 7), True, True) == PosRat(5, 7)
 
+    def test_continued_fraction_past_the_frame_limit(self):
+        # consecutive Fibonacci ratios: 5,000 terms of 1, one pass each
+        f = [1, 1]
+        while len(f) < 5003:
+            f.append(f[-1] + f[-2])
+        lo, hi = sorted((PosRat(f[-1], f[-2]), PosRat(f[-2], f[-3])))
+        assert simplest_in(lo, hi, True, True) == PosRat(f[-2], f[-3])
+
     @settings(max_examples=300)
     @given(small_rationals, small_rationals, st.booleans(), st.booleans())
     @example(PosRat(1, 48), PosRat(1, 47), False, False)  # answer 2/95

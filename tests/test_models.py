@@ -186,6 +186,45 @@ class TestPosRealValue:
         assert all(iv == seen[0] for iv in seen)
 
 
+def width_cases(p):
+    """(lo, hi) within a few ticks of 2^-p wide, dyadic ends and not.
+
+    On a grid 2^-q, q = p or p + 8, the width is 0, 2^-p less a tick,
+    exactly 2^-p, one tick more, or 2^(1-p).  The lower end is a whole
+    number, odd, even, or 3/2 times 2^q ticks, so the ends reduce to unequal
+    denominators as read intervals' ends do; the same widths recur over
+    denominators 3 * 2^q.  Last, a coarse dyadic interval.
+    """
+    for extra in (0, 8):
+        q = p + extra
+        for t in (1 << q, (1 << q) + 1, (1 << q) + 2, 3 << (q - 1)):
+            for ticks in (0, (1 << extra) - 1, 1 << extra, (1 << extra) + 1, 2 << extra):
+                yield PosRat(t, 1 << q), PosRat(t + ticks, 1 << q)
+                yield PosRat(3 * t + 1, 3 << q), PosRat(3 * (t + ticks) + 1, 3 << q)
+    yield PosRat(1, 2), PosRat(1)
+
+
+class TestWidthCheck:
+    """approx refuses a refinement wider than 2^-p on either path of its check."""
+
+    @pytest.mark.parametrize("p", [30, models.SHIFT_CHECK_BITS - 1, models.SHIFT_CHECK_BITS, 1000])
+    def test_width_check_matches_exact_width(self, p):
+        kinds = set()
+        for lo, hi in width_cases(p):
+            iv = Interval(lo, hi)
+            value = PosRealValue(lambda _, iv=iv: iv)
+            narrow = Fraction(hi.num, hi.den) - Fraction(lo.num, lo.den) <= Fraction(1, 1 << p)
+            dyadic = not (lo.den & (lo.den - 1) or hi.den & (hi.den - 1))
+            kinds.add((narrow, dyadic, lo.den == hi.den))
+            if narrow:
+                assert value.approx(p) is iv
+            else:
+                with pytest.raises(OracleFailureError, match=rf"refinement wider than 2\^-{p}"):
+                    value.approx(p)
+        # passes and failures, dyadic and not, with equal and unequal denominators
+        assert len(kinds) == 8
+
+
 class Int(int):
     """An int subclass: validated like any int, and reduced like one."""
 
@@ -836,6 +875,22 @@ class TestFlatten:
         assert _flatten(t._terms, _Linear) == [(x, 1, 1, 0), (y, 1, 1, 0), (m, 1, 3, 0)]
         assert _flatten(real_div(t, m)._terms, _Monomial) == [(t, 1, 1, 0), (s, -1, 1, 0), (z, -1, 1, 0)]
         assert _flatten(real_mul(m, t)._terms, _Monomial) == [(t, 1, 1, 0), (s, 1, 1, 0), (z, 1, 1, 0)]
+
+    def test_plain_terms_are_the_leaves(self):
+        # no inner node of the kind among the terms and no value twice: the
+        # terms come back as the leaves, an exact point as its value
+        x, y = isqrt_real(2), isqrt_real(3)
+        s, third = real_add(x, y), real_from_rat(PosRat(1, 3))
+        cases = [
+            (real_mul(x, y), [(x, 1, 1, 0), (y, 1, 1, 0)]),
+            (real_div(s, third), [(s, 1, 1, 0), (PosRat(1, 3), -1, 1, 0)]),
+            (real_scale(x, PosRat(22, 7)), [(x, 22, 7, 2)]),
+            # a repeated value takes the walk, which sums its weights
+            (real_mul(x, x), [(x, 2, 1, 1)]),
+        ]
+        for node, want in cases:
+            kind = node.__class__
+            assert _flatten(node._terms, kind) == want == reference_flatten(node._terms, kind)
 
     def test_deep_add_chain_matches_reference(self):
         # 1000 sums over fresh leaves and ten leaves that recur

@@ -373,6 +373,18 @@ class TestSeparatedEnclosures:
         # m * (10^6 + sqrt2) > n >= 1000001 * m
         assert got.is_greater and 2 * m * m > (n - 10**6 * m) ** 2 and 1000001 * m <= n
 
+    def test_witness_with_thousands_of_terms(self):
+        # the first convergent of sqrt2 with a 1901-bit Q is about 2^-3800
+        # from it, inside fuel 1024's cap of 4096 bits; its witness has about
+        # 1,500 continued-fraction terms, past the interpreter's frame limit
+        P, Q = next((P, Q) for P, Q in sqrt_convergents(2) if Q.bit_length() >= 1901)
+        assert P * P - 2 * Q * Q == 1  # P/Q > sqrt2
+        got = ratio_compare(isqrt_real(2), real_from_rat(PosRat(1)), PosRat(P), PosRat(Q), fuel=1024)
+        m, n = got.witness.m, got.witness.n
+        # sqrt2 : 1 < P : Q, witnessed by m*P > n*Q and m*sqrt2 <= n
+        assert got.is_less and got.fuel_spent == 1024
+        assert m * P > n * Q and 2 * m * m <= n * n
+
     @settings(max_examples=120, deadline=None)
     @given(
         st.sampled_from([2, 3, 5, 7, 10, 42, 59]),
