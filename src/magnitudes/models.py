@@ -359,9 +359,9 @@ class PosRealValue:
             try:
                 iv = self._refine(p)
             except RecursionError:
-                # chains alternating linear and monomial nodes, and powers,
-                # still nest one refine inside another; past the
-                # interpreter's depth the caller gets the typed resource error
+                # a node's refine nests no other refine, but a leaf's refine
+                # callable may itself call approx; past the interpreter's
+                # depth the caller gets the typed resource error
                 raise OracleFailureError(f"oracle nesting too deep at precision {p}") from None
             lo, hi = iv.lo, iv.hi
             if (
@@ -423,22 +423,31 @@ def _point(t):
     return t if nd is None else PosRat._reduced(*nd)
 
 
+PRECISION_GUARD = 8  # guard bits of a pass's working precision
+
+
 class _Node(PosRealValue):
     """A value an operator computed: a slotted subclass per node kind.
 
-    ``_terms`` holds the node's direct inputs as (value, num, den) triples;
-    the kind gives the weight num/den its meaning.  ``_leaves`` holds what
-    a refine reads, found from the terms on the first refine, under the
-    node's lock, and kept.  The refine is the subclass's ``_refine`` method,
-    in place of a leaf's refine callable, so a node builds no function
-    object or cell.  A node never calls PosRealValue.__init__: its
-    assignment to the ``_refine`` slot would meet the method and fail.
-    A node starts with no lock and no ``_cache``; its first ``approx`` makes
-    both (see PosRealValue.approx), so the inner nodes of a chain, which the
-    root reads through its flattened leaves, never make either.
+    ``_terms`` holds the node's inputs as (value, num, den) triples, the
+    kind giving num/den its meaning.  ``_setup`` finds ``_leaves``, what the
+    node reads, and ``_nodes``, the nodes of other kinds among them, setting
+    ``_leaves`` last, as an inner node is set up outside its lock.  A node
+    never calls PosRealValue.__init__ (``_refine`` is a method); it makes
+    its lock and cache on its first ``approx``, which an inner node never has.
+
+    refine(p) is one forward pass over the nodes under the root, each after
+    those it reads, at one working precision w: a kind's ``_ends(w, ends)``
+    gives ticks lo <= hi of 2^-w from its leaves' reads and its node inputs'
+    intervals in ``ends``, and the bits its lower end falls short of a tick.
+    The first w is p plus ceil(log2 3n) for a sum of n leaves, else plus
+    bit_length(p) + PRECISION_GUARD, or plus ``_guard``, the last w - p that
+    worked, if larger.  A short lower end or a root wider than 2^-p reruns
+    the pass at w + the excess + PRECISION_GUARD, eight passes at most.  No
+    refine nests another, so depth costs no interpreter frames.
     """
 
-    __slots__ = ("_terms", "_leaves")
+    __slots__ = ("_terms", "_leaves", "_nodes", "_guard")
 
     def __init__(self, terms: tuple, exact: Optional[PosRat] = None):
         self._best = None
@@ -446,6 +455,57 @@ class _Node(PosRealValue):
         self.exact = exact
         self._terms = terms
         self._leaves = None
+        self._guard = 0
+
+    def _refine(self, p: int) -> Interval:
+        if self._leaves is None:  # under the node's lock, on its first refine
+            self._setup()
+        below = self._below() if self._nodes else ()
+        linear = self.__class__ is _Linear
+        guard = (3 * len(self._leaves) - 1).bit_length() if linear else p.bit_length() + PRECISION_GUARD
+        w = p + (guard if guard > self._guard else self._guard)
+        for _ in range(8):
+            ends = {}
+            for node in below:
+                lo, hi, short = node._ends(w, ends)
+                if short > 0:
+                    break
+                ends[node] = _interval(lo, hi, w)
+            else:
+                lo, hi, short = self._ends(w, ends)
+                wide = (hi - lo).bit_length() - (w - p)
+                if wide > short:
+                    short = wide
+                if short <= 0:
+                    self._guard = w - p
+                    return _interval(lo, hi, w)
+            w += short + PRECISION_GUARD
+        raise OracleFailureError(f"eight passes did not reach width 2^-{p} with positive lower ends")
+
+    def _below(self) -> list:
+        """Every node under this one, each after the nodes it reads."""
+        order, seen, stack = [], {self}, [(x, False) for x in self._nodes]
+        while stack:
+            node, done = stack.pop()
+            if done:
+                order.append(node)
+            elif node not in seen:
+                seen.add(node)
+                if node._leaves is None:
+                    node._setup()
+                stack.append((node, True))
+                stack += [(x, False) for x in node._nodes]
+        return order
+
+
+def _interval(lo: int, hi: int, w: int) -> Interval:
+    """Ticks 1 <= lo <= hi of 2^-w as an interval, unchecked: the gcd with 2^w is a low bit."""
+    iv = object.__new__(Interval)
+    iv.lo, iv.hi = a, b = object.__new__(PosRat), object.__new__(PosRat)
+    d, g, h = 1 << w, lo & -lo, hi & -hi
+    a.num, a.den = (lo // g, d // g) if g < d else (lo >> w, 1)
+    b.num, b.den = (hi // h, d // h) if h < d else (hi >> w, 1)
+    return iv
 
 
 def _flatten(terms: tuple, kind: type) -> list:
@@ -543,57 +603,51 @@ def _push_down(terms: tuple, kind: type, parents: Optional[dict]) -> Optional[di
 class _Linear(_Node):
     """One node for the sum of c*x over terms (x, num, den), c = num/den signed.
 
-    The DAG under the node is flattened (see _flatten) on its first refine,
-    and the node reads its leaves directly.  With n leaves, refine(p) works
-    on the grid w = p + ceil(log2 3n).  Each leaf is read at w plus its
-    coefficient's bits, so its scaled interval is no wider than 2^-w, and
-    its endpoints are floored and ceiled onto the grid as integers: 3n ticks
-    of 2^-w at most, so width <= 2^-p.  A single scaling (n = 1) reads its
-    leaf at p + 2 + extra.  A negative coefficient takes the leaf's upper
-    end into the lower sum and its lower end into the upper sum, so only a
-    difference can have a lower sum that is not positive.
+    The DAG under the node is flattened (see _flatten).  With n leaves, a
+    root's first pass is on the grid w = p + ceil(log2 3n).  Each leaf is
+    read at w plus its coefficient's bits, so its scaled interval is no
+    wider than 2^-w, and its endpoints are floored and ceiled onto the grid
+    as integers: 3n ticks of 2^-w at most, so width <= 2^-p.  A single
+    scaling (n = 1) reads its leaf at p + 2 + extra; a node input's interval
+    is on the grid already.  A negative coefficient takes an input's
+    upper end into the lower sum and its lower end into the upper sum, so
+    only a difference can have a lower sum that is not positive.
     """
 
     __slots__ = ()
 
-    def _refine(self, p: int) -> Interval:
-        leaves = self._leaves
-        if leaves is None:  # under the node's lock, on the first refine
-            leaves = self._leaves = _flatten(self._terms, _Linear)
-        base = p + (3 * len(leaves) - 1).bit_length()
-        # sums and scalings end on the first grid; a difference whose lower sum
-        # is not yet positive is read again on finer grids, up to 256 bits
-        # finer, the top rung of ladder()
-        for step in (0, 8, 16, 32, 64, 128, 256):
-            w = base + step
-            lo_ticks = hi_ticks = 0
-            for src, u, v, extra in leaves:
-                iv = src if src.__class__ is PosRat else src.approx(w + extra)
-                if u > 0:
-                    lo, hi = iv.lo, iv.hi
-                else:
-                    lo, hi = iv.hi, iv.lo
-                # a power-of-two divisor, as every grid read has, floors by a shift
-                n, d = lo.num * u << w, lo.den * v
-                lo_ticks += n // d if d & (d - 1) else n >> d.bit_length() - 1
-                n, d = -(hi.num * u) << w, hi.den * v
-                hi_ticks -= n // d if d & (d - 1) else n >> d.bit_length() - 1
-            if hi_ticks < 1:
-                raise OracleFailureError("difference is not positive")
-            hi = PosRat(hi_ticks, 1 << w)
-            if lo_ticks >= 1:
-                return Interval(PosRat(lo_ticks, 1 << w), hi)
-            # the grid floor reached zero: try the exact lower sum (reads hit the cache)
-            num, den = 0, 1
-            for src, u, v, extra in leaves:
-                iv = src if src.__class__ is PosRat else src.approx(w + extra)
-                a = iv.lo if u > 0 else iv.hi
-                num, den = num * a.den * v + a.num * u * den, den * a.den * v
-                g = gcd(num, den)
-                num, den = num // g, den // g
-            if num > 0:
-                return Interval(PosRat._reduced(num, den), hi)
-        raise OracleFailureError("difference not certified positive in budget")
+    def _setup(self) -> None:
+        leaves = _flatten(self._terms, _Linear)
+        self._nodes = [src for src, _, _, _ in leaves if isinstance(src, _Node)] or ()
+        self._leaves = leaves
+
+    def _ends(self, w: int, ends: dict) -> Tuple[int, int, int]:
+        lo_ticks = hi_ticks = 0
+        for src, u, v, extra in self._leaves:
+            iv = src if src.__class__ is PosRat else ends.get(src) or src.approx(w + extra)
+            if u > 0:
+                lo, hi = iv.lo, iv.hi
+            else:
+                lo, hi = iv.hi, iv.lo
+            # a power-of-two divisor, as every grid read has, floors by a shift
+            n, d = lo.num * u << w, lo.den * v
+            lo_ticks += n // d if d & (d - 1) else n >> d.bit_length() - 1
+            n, d = -(hi.num * u) << w, hi.den * v
+            hi_ticks -= n // d if d & (d - 1) else n >> d.bit_length() - 1
+        if hi_ticks < 1:
+            raise OracleFailureError("difference is not positive")
+        if lo_ticks >= 1:
+            return lo_ticks, hi_ticks, 0
+        # the grid floor reached zero: the exact lower sum, if positive, sizes
+        # the next grid, and a difference not yet positive doubles it
+        num, den = 0, 1
+        for src, u, v, extra in self._leaves:
+            iv = src if src.__class__ is PosRat else ends.get(src) or src.approx(w + extra)
+            a = iv.lo if u > 0 else iv.hi  # a read hits the cache
+            num, den = num * a.den * v + a.num * u * den, den * a.den * v
+            g = gcd(num, den)
+            num, den = num // g, den // g
+        return lo_ticks, hi_ticks, max(1, den.bit_length() - num.bit_length() + 1 - w) if num > 0 else w
 
 
 def real_add(x: PosRealValue, y: PosRealValue) -> PosRealValue:
@@ -627,44 +681,6 @@ def real_subtract(x: PosRealValue, y: PosRealValue) -> PosRealValue:
     """
     exact = x.exact - y.exact if (x.exact is not None and y.exact is not None) else None
     return _Linear(((x, 1, 1), (y, -1, 1)), exact)
-
-
-PRECISION_GUARD = 8  # guard bits of a non-linear node's working precision
-
-
-class _Grid(_Node):
-    """A product, quotient or power node: one widen-and-retry refine.
-
-    A subclass gives _inputs(), the values it reads, and _ends(w, reads):
-    ticks lo <= hi of 2^-w around the value, and the bits the grid falls
-    short of a lower end below it (0 if lo >= 1).  Each try reads every
-    input at one working precision w, p + bit_length(p) + PRECISION_GUARD
-    or, when larger, p plus the last w - p that worked, kept in _guard.  A
-    short or too wide grid is refined by the excess plus PRECISION_GUARD
-    bits, eight tries at most.  Reading here, not in _ends, keeps a chain of
-    such nodes at two interpreter frames per level.
-    """
-
-    __slots__ = ("_guard",)
-    _what = "product"
-
-    def _refine(self, p: int) -> Interval:
-        values = self._leaves
-        if values is None:  # under the node's lock, on the first refine
-            values = self._leaves = self._inputs()
-            self._guard = 0
-        w = p + max(p.bit_length() + PRECISION_GUARD, self._guard)
-        for _ in range(8):
-            reads = []
-            for x in values:
-                reads.append(x.approx(w))
-            lo, hi, short = self._ends(w, reads)
-            short = max(short, (hi - lo).bit_length() - (w - p))
-            if short <= 0:
-                self._guard = w - p
-                return Interval(PosRat(lo, 1 << w), PosRat(hi, 1 << w))
-            w += short + PRECISION_GUARD
-        raise OracleFailureError(f"{self._what} did not reach width 2^-{p} in budget")
 
 
 def _shift(man: int, s: int, up: int) -> int:
@@ -702,42 +718,42 @@ def _times_power(acc: tuple, num: int, den: int, k: int, m: int, up: int) -> Tup
         b, e = _trim(b * b, 2 * e, m, up)
 
 
-def _fold(factors: tuple) -> Tuple[list, list, PosRat]:
-    """The leaves of a product DAG (see _flatten), their exponents, and the
-    coefficient its exact leaves multiply out to."""
-    leaves, exponents, coef = [], [], RAT_ONE
+def _fold(factors: tuple) -> Tuple[list, PosRat]:
+    """The leaves of a product DAG (see _flatten) as (leaf, exponent) pairs,
+    and the coefficient its exact leaves multiply out to."""
+    leaves, coef = [], RAT_ONE
     for src, k, _, _ in _flatten(factors, _Monomial):
         if src.__class__ is PosRat:
             coef *= src**k if k > 0 else src.reciprocal() ** -k
         else:
-            leaves.append(src)
-            exponents.append(k)
-    return leaves, exponents, coef
+            leaves.append((src, k))
+    return leaves, coef
 
 
-class _Monomial(_Grid):
+class _Monomial(_Node):
     """One node for the product of x^k over terms (x, k, 1), k a nonzero int.
 
-    The product DAG is flattened on the first refine (see _fold); exact
-    leaves fold into _coef, and the others are kept with their _exponents.
-    A refine reads them at one working precision w (see _Grid) and forms
-    the lower product from each leaf's lower endpoint raised to its exponent
-    (for k < 0 the upper one, inverted), and the upper product likewise;
-    both are binary floats of w + PRECISION_GUARD bits, rounded outward at
-    every step, then rounded outward onto the grid 2^-w.  Positive factors
-    are monotone in their endpoints, so the value stays enclosed.
+    The product DAG is flattened (see _fold); exact leaves fold into _coef,
+    and the others are kept with their exponents.  A pass at w reads them at
+    w and forms the lower product from each leaf's lower endpoint raised to
+    its exponent (for k < 0 the upper one, inverted), and the upper product
+    likewise; both are binary floats of w + PRECISION_GUARD bits, rounded
+    outward at every step, then rounded outward onto the grid 2^-w.
+    Positive factors are monotone in their endpoints, so the value stays
+    enclosed.
     """
 
-    __slots__ = ("_exponents", "_coef")
+    __slots__ = ("_coef",)
 
-    def _inputs(self) -> list:
-        leaves, self._exponents, self._coef = _fold(self._terms)
-        return leaves
+    def _setup(self) -> None:
+        leaves, self._coef = _fold(self._terms)
+        self._nodes = [x for x, _ in leaves if isinstance(x, _Node)] or ()
+        self._leaves = leaves
 
     def _product(self, reads: list, m: int, up: int) -> Tuple[int, int]:
         coef = self._coef
         acc = (1, 0) if coef is RAT_ONE else _times_power((1, 0), coef.num, coef.den, 1, m, up)
-        for iv, k in zip(reads, self._exponents):
+        for iv, (_, k) in zip(reads, self._leaves):
             q = iv.lo if (k > 0) != up else iv.hi
             num, den = (q.num, q.den) if k > 0 else (q.den, q.num)
             if (k == 1 or k == -1) and not den & (den - 1):
@@ -747,7 +763,8 @@ class _Monomial(_Grid):
                 acc = _times_power(acc, num, den, abs(k), m, up)
         return acc
 
-    def _ends(self, w: int, reads: list) -> Tuple[int, int, int]:
+    def _ends(self, w: int, ends: dict) -> Tuple[int, int, int]:
+        reads = [ends.get(x) or x.approx(w) for x, _ in self._leaves]
         lm, le = self._product(reads, w + PRECISION_GUARD, 0)
         hm, he = self._product(reads, w + PRECISION_GUARD, 1)
         lo, hi = _shift(lm, -le - w, 0), _shift(hm, -he - w, 1)
@@ -760,7 +777,7 @@ def _monomial(factors: tuple) -> PosRealValue:
     for x, _, _ in factors:
         if x.exact is None:
             return _Monomial(factors)
-    return real_from_rat(_fold(factors)[2])
+    return real_from_rat(_fold(factors)[1])
 
 
 def real_mul(x: PosRealValue, y: PosRealValue) -> PosRealValue:
@@ -805,8 +822,6 @@ def certify(
     would be; the multiple itself is never built.
     """
     ex, ey = (m - 1).bit_length(), (n - 1).bit_length()
-    # sides are read inline, not through a helper: an extra frame per level
-    # of a nested oracle chain (iterated roots) lowers its recursion ceiling
     p = 0
     for p in rungs:
         a = x if isinstance(x, PosRat) else x.approx(p + ex)

@@ -16,8 +16,8 @@ The computable route is integer arithmetic on x's interval endpoints
 scaled by 2^w: a rational exponent m/n with n up to w costs one integer
 n-th root per endpoint; a real exponent, or a larger denominator, is
 bracketed between dyadic exponents k/2^w and read off Briggs' table of
-successive square roots.  Each power is one node, a _Power on the
-widen-and-retry refine that products share (see models._Grid).  Uniqueness of
+successive square roots.  Each power is one node, a _Power, refined in
+the one forward pass that every node shares (see models._Node).  Uniqueness of
 the embedding is what the law suite leans on: any two correct evaluators
 (``mul_multiple``, a monomial node raising x's endpoints to n on binary
 floats, is the other one) must agree wherever their intervals are queried.
@@ -42,7 +42,7 @@ from .models import (
     Overlap,
     PosRat,
     PosRealValue,
-    _Grid,
+    _Node,
     _monomial,
     certify,
     ladder,
@@ -232,7 +232,7 @@ def pow(x: MulReal, y, p: int = 30) -> MulReal:
 RESULT_BITS_CAP = 1 << 20
 
 
-class _Power(_Grid):
+class _Power(_Node):
     """x^y as one node over its terms (x, 1, 1) and (y, 1, 1) (see pow).
 
     Before any arithmetic, the result is bounded: x^y < 2^b for b = ceil(y_hi)
@@ -243,13 +243,14 @@ class _Power(_Grid):
     """
 
     __slots__ = ()
-    _what = "power"
 
-    def _inputs(self) -> list:
-        return [x for x, _, _ in self._terms]
+    def _setup(self) -> None:
+        values = [x if x.exact is None else x.exact for x, _, _ in self._terms]
+        self._nodes = [x for x in values if isinstance(x, _Node)] or ()
+        self._leaves = values
 
-    def _ends(self, w: int, reads: list):
-        xi, yi = reads
+    def _ends(self, w: int, ends: dict):
+        xi, yi = [x if x.__class__ is PosRat else ends.get(x) or x.approx(w) for x in self._leaves]
         x, y = xi.hi, yi.hi
         n = -(-y.num // y.den)
         bits = min(n * (-(-x.num // x.den)).bit_length(), -(-3 * n * (x.num - x.den) // (2 * x.den)))

@@ -169,21 +169,6 @@ def ratio_value_exact(r: Ratio) -> PosRat:
     return PosRat(*model_by_id(r.model_id).ratio_pair(r.antecedent, r.consequent))
 
 
-def _rel_vs_fraction(x, y, n: int, m: int, rungs) -> Tuple[Optional[Rel], int]:
-    """Certified relation of the ratio x:y to the fraction n/m, with its rung.
-
-    Weighs m*x against n*y and builds no oracle.  Exact points (nat, rat,
-    real with ``exact`` set) compare by integer cross-multiplication, at
-    rung 0; otherwise ``certify`` reads the operands' own cached intervals
-    and answers None when the sides stay overlapped at the ladder cap.
-    """
-    px, py = _num_den(x), _num_den(y)
-    if px and py:
-        lhs, rhs = m * px[0] * py[1], n * py[0] * px[1]
-        return (Rel.GREATER if lhs > rhs else Rel.LESS if lhs < rhs else Rel.EQUAL), 0
-    return certify(x, y, rungs, m, n)
-
-
 def ratio_compare(a, b, a2, b2, fuel: int = 64) -> RatioRel:
     """Compare the ratio a:b with a2:b2 across (possibly different) models.
 
@@ -258,8 +243,6 @@ def verify_witness(w: Witness, a, b, a2, b2, fuel: int = 64) -> bool:
     model_of(a).check(b)
     model_of(a2).check(b2)
     rungs = ladder(max(16, 4 * fuel))
-    first, _ = _rel_vs_fraction(a, b, w.n, w.m, rungs)
-    if first is not Rel.GREATER:
+    if certify(_point(a), _point(b), rungs, w.m, w.n)[0] is not Rel.GREATER:
         return False
-    second, _ = _rel_vs_fraction(a2, b2, w.n, w.m, rungs)
-    return second is not Rel.GREATER
+    return certify(_point(a2), _point(b2), rungs, w.m, w.n)[0] is not Rel.GREATER

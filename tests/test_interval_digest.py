@@ -25,7 +25,7 @@ from magnitudes.power import into_mul, nth_root, pow
 
 from conftest import isqrt_real
 
-DIGEST = "78719b750bce5671b03baa5ff3a47a25f6626e647acd704cb994778fdba90975"
+DIGEST = "a61c82044b523cfbb5af7e183c9aeda781fb1ca4a8c418fc986b2d8dd471275e"
 
 PRECISIONS = (30, 300, 1000)
 

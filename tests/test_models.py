@@ -6,7 +6,7 @@ from fractions import Fraction
 from types import SimpleNamespace
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from magnitudes import core, models
@@ -505,13 +505,17 @@ class TestLinearNodes:
         with pytest.raises(OracleFailureError):
             real_subtract(isqrt_real(2), isqrt_real(3)).approx(10)
 
-    def test_value_below_the_grid_keeps_exact_lower_end(self):
-        # two leaves at p = 10 use the 2^-13 grid, whose floor here is 0
+    def test_value_below_the_grid_reruns_on_a_finer_grid(self):
+        # two leaves at p = 10 use the 2^-13 grid, whose floor here is 0; the
+        # exact lower sum, about 1.75 * 2^-100, sizes the next grid, 2^-108,
+        # on which the lower end is a grid point 447 ticks up
         tiny = PosRat(1, 1 << 100)
         x = real_scale(real_add(isqrt_real(2), real_from_rat(PosRat(1, 3))), tiny)
         iv = x.approx(10)
         assert iv.width_at_most(10)
-        assert iv.lo == (PosRat(math.isqrt(2 << 26), 1 << 13) + PosRat(1, 3)) * tiny
+        assert iv.lo == PosRat(447, 1 << 108)
+        lo, hi = (Fraction(e.num << 100, e.den) - Fraction(1, 3) for e in (iv.lo, iv.hi))
+        assert lo * lo <= 2 <= hi * hi
 
     def test_concurrent_refines_of_shared_leaves(self):
         # sums sharing leaves, refined from many threads: every thread sees
@@ -539,16 +543,6 @@ class TestLinearNodes:
         assert not any(t.is_alive() for t in threads)
         for (node, p), ivs in seen.items():
             assert all(iv is ivs[0] for iv in ivs) and ivs[0].width_at_most(p)
-
-    def test_deep_nonlinear_chain_is_a_typed_error(self):
-        # x <- x*c + sqrt(3) alternates monomial and linear nodes, so each
-        # level still nests one refine inside another
-        c = real_scale(isqrt_real(5), PosRat(1, 3))
-        acc = isqrt_real(2)
-        for _ in range(3000):
-            acc = real_add(real_mul(acc, c), isqrt_real(3))
-        with pytest.raises(OracleFailureError, match="nesting too deep"):
-            acc.approx(4)
 
 
 def squared(ref):
@@ -609,22 +603,97 @@ def monomial_dags(draw):
 
 @st.composite
 def mixed_dags(draw):
-    """Random DAG of sums, scalings, products and quotients over exact and
-    sqrt leaves, operands drawn from all earlier nodes, so sums sit under
-    products and products under sums."""
-    nodes = [isqrt_real(draw(st.sampled_from(NON_SQUARES))) for _ in range(draw(st.integers(1, 3)))]
+    """Random DAG of sums, scalings, products, quotients, powers and roots
+    over exact and sqrt leaves, operands drawn from all earlier nodes, so
+    every kind sits under every other.
+
+    Returns (nodes, refs): refs[i] names node i's value as ("sqrt", k),
+    ("point", q), or (op, i, j) over earlier nodes, where j is a node index
+    or a rational (a scaling's factor, an exponent, a root's index); see
+    mixed_value.  A float log2 of each value, kept alongside, keeps every
+    value within 2^-64..2^64 and takes powers only of bases above 1.001.
+    """
+    nodes, refs, logs = [], [], []
+    for _ in range(draw(st.integers(1, 3))):
+        k = draw(st.sampled_from(NON_SQUARES))
+        nodes.append(isqrt_real(k))
+        refs.append(("sqrt", k))
+        logs.append(math.log2(k) / 2)
     if draw(st.booleans()):
-        nodes.append(real_from_rat(draw(rationals)))
+        q = draw(rationals)
+        nodes.append(real_from_rat(q))
+        refs.append(("point", Fraction(q.num, q.den)))
+        logs.append(math.log2(q.num) - math.log2(q.den))
     for _ in range(draw(st.integers(1, 25))):
-        x, y = draw(st.sampled_from(nodes)), draw(st.sampled_from(nodes))
-        op = draw(st.sampled_from(("add", "scale", "mul", "div")))
+        i, j = draw(st.integers(0, len(nodes) - 1)), draw(st.integers(0, len(nodes) - 1))
+        x, y, lx, ly = nodes[i], nodes[j], logs[i], logs[j]
+        op = draw(st.sampled_from(("add", "scale", "mul", "div", "pow", "root")))
         if op == "add":
-            nodes.append(real_add(x, y))
+            log, node = max(lx, ly) + math.log2(1 + 2 ** -abs(lx - ly)), real_add(x, y)
         elif op == "scale":
-            nodes.append(real_scale(x, draw(rationals)))
+            q = draw(rationals)
+            j, log, node = Fraction(q.num, q.den), lx + math.log2(q.num / q.den), real_scale(x, q)
+        elif op in ("mul", "div"):
+            log = lx + ly if op == "mul" else lx - ly
+            node = real_mul(x, y) if op == "mul" else real_div(x, y)
+        elif lx < 0.0015:
+            continue
+        elif op == "root":
+            n = draw(st.integers(2, 5))
+            j, log, node = Fraction(n), lx / n, nth_root(MulReal(x), n, 0).value
+        elif draw(st.booleans()):
+            e = draw(st.sampled_from((PosRat(2, 3), PosRat(5, 3), PosRat(7, 4), PosRat(3))))
+            if abs(lx * e.num / e.den) > 64:
+                continue
+            j, log, node = Fraction(e.num, e.den), lx * e.num / e.den, pow(MulReal(x), e, 0).value
+        elif ly > 2:
+            continue
         else:
-            nodes.append(real_mul(x, y) if op == "mul" else real_div(x, y))
-    return nodes
+            log, node = lx * 2**ly, pow(MulReal(x), y, 0).value
+        if abs(log) <= 64:
+            nodes.append(node)
+            refs.append((op, i, j))
+            logs.append(log)
+    return nodes, refs
+
+
+def mixed_value(refs: list, mp) -> list:
+    """The values refs name (see mixed_dags): a Fraction where every input
+    is exact and the op rational, an mpf of mp's precision otherwise."""
+
+    def real(t):
+        return mp.mpf(t.numerator) / t.denominator if isinstance(t, Fraction) else t
+
+    values = []
+    for op, a, *rest in refs:
+        if op == "sqrt":
+            values.append(mp.sqrt(a))
+        elif op == "point":
+            values.append(a)
+        else:
+            x, b = values[a], rest[0]
+            y = b if isinstance(b, Fraction) else values[b]
+            if op == "root":
+                values.append(mp.root(real(x), int(y)))
+            elif op == "pow":
+                values.append(mp.power(real(x), real(y)))
+            else:
+                if not (isinstance(x, Fraction) and isinstance(y, Fraction)):
+                    x, y = real(x), real(y)
+                values.append(x + y if op == "add" else x / y if op == "div" else x * y)
+    return values
+
+
+def holds(iv, v, mp) -> bool:
+    """iv contains v: exactly for a Fraction, and for an mpf up to its own
+    error, 2^-(mp.prec - 16) relative."""
+    lo, hi = Fraction(iv.lo.num, iv.lo.den), Fraction(iv.hi.num, iv.hi.den)
+    if isinstance(v, Fraction):
+        return lo <= v <= hi
+    man, exp = mp.mpf(v).man_exp
+    v = man * Fraction(2) ** exp
+    slack = v / (1 << (mp.prec - 16))
+    return lo - slack <= v <= hi + slack
 
 
 def refine_from_threads(nodes, together=False):
@@ -682,8 +751,9 @@ class TestMonomialNodes:
         assert encloses_square(iv, 2 * Fraction(3) ** 3000)
 
     def test_product_chain_reads_its_leaf_shallow(self):
-        # x * c^200 for c = 0.7 x: one node over x and c, so the leaf is read
-        # once directly and once through c, both near the working precision
+        # x * c^200 for c = 0.7 x: one node over x and c, and c is one node
+        # of the same pass, which reads x on the product's grid, so the leaf
+        # is read once, near the working precision
         seen = []
         x = recorded(2, seen)
         c = real_scale(x, PosRat(7, 10))
@@ -693,7 +763,7 @@ class TestMonomialNodes:
         iv = acc.approx(4)
         assert iv.width_at_most(4)
         assert encloses_square(iv, 2 * Fraction(98, 100) ** 200)
-        assert len(seen) == 2 and max(seen) <= 32
+        assert len(seen) == 1 and max(seen) <= 32
 
     def test_large_exponent(self):
         # x^10000 is squared and multiplied on floats of about w bits; an
@@ -799,6 +869,63 @@ class TestMonomialNodes:
         assert not isinstance(x, _Node)
 
 
+def alternating_chain(depth: int, sqrt3=isqrt_real):
+    """x <- x * (sqrt(5)/3) + sqrt(3) from x = sqrt(2), depth times: monomial
+    and linear nodes alternate, each level over a fresh sqrt(3) leaf."""
+    c = real_scale(sqrt3(5), PosRat(1, 3))
+    acc = sqrt3(2)
+    for _ in range(depth):
+        acc = real_add(real_mul(acc, c), sqrt3(3))
+    return acc
+
+
+class TestMixedNodes:
+    # one forward pass over every node under the root, whatever the kinds:
+    # depth costs no interpreter frames and no working precision
+
+    def test_deep_alternating_chain_meets_width(self):
+        iv = alternating_chain(3000).approx(4)
+        assert iv.width_at_most(4)
+
+    def test_alternating_chain_is_contained_and_reads_leaves_shallow(self):
+        mpmath = pytest.importorskip("mpmath")
+        seen = []
+        iv = alternating_chain(1000, lambda k: recorded(k, seen)).approx(30)
+        assert iv.width_at_most(30)
+        # two passes, each reading every leaf once
+        assert len(seen) == 2 * 1002 and max(seen) <= 46
+        with mpmath.workprec(200):
+            x, c, r3 = mpmath.sqrt(2), mpmath.sqrt(5) / 3, mpmath.sqrt(3)
+            for _ in range(1000):
+                x = x * c + r3
+            assert holds(iv, x, mpmath.mp)
+
+    def test_nested_square_roots(self):
+        # each level built by pow(x, 1/2, 4), which refines it once: 2^(2^-201)
+        mpmath = pytest.importorskip("mpmath")
+        x = MulReal(isqrt_real(2))
+        for _ in range(200):
+            x = pow(x, PosRat(1, 2), 4)
+        iv = x.value.approx(30)
+        assert iv.width_at_most(30)
+        with mpmath.workprec(400):
+            assert holds(iv, mpmath.power(2, mpmath.mpf(2) ** -201), mpmath.mp)
+
+    @settings(max_examples=60, deadline=None)
+    @given(mixed_dags(), st.integers(0, 200))
+    def test_random_dags_contain_and_meet_width(self, dag, p):
+        mpmath = pytest.importorskip("mpmath")
+        nodes, refs = dag
+        with mpmath.workprec(p + 200):
+            values = mixed_value(refs, mpmath.mp)
+            for node, v in reversed(list(zip(nodes, values))):
+                iv = node.approx(p)
+                assert iv.width_at_most(p)
+                assert holds(iv, v, mpmath.mp)
+                if node.exact is not None and isinstance(v, Fraction):
+                    assert Fraction(node.exact.num, node.exact.den) == v
+
+
 def reference_flatten(terms: tuple, kind: type) -> list:
     """_flatten as it was when every sum node was a closure, with a generator
     per node: the reference for the leaves, weights, extra bits and leaf
@@ -857,11 +984,11 @@ class TestFlatten:
                 assert _flatten(node._terms, _Monomial) == reference_flatten(node._terms, _Monomial)
 
     @given(mixed_dags())
-    def test_mixed_dags_match_reference(self, nodes):
+    def test_mixed_dags_match_reference(self, dag):
         # sums under products and products under sums: a node of the other
         # kind is a leaf of the walk, not a node to expand
-        for node in nodes:
-            if isinstance(node, _Node):
+        for node in dag[0]:
+            if node.__class__ in (_Linear, _Monomial):
                 kind = node.__class__
                 assert _flatten(node._terms, kind) == reference_flatten(node._terms, kind)
 

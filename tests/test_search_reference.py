@@ -7,7 +7,8 @@ ladder.  ``reference_ratio_compare`` is the ratio engine before exactness
 was read from the terms: an exact branch chosen by the models'
 ``exact_order`` flags, and a ladder loop that tracked whether every term was
 a point, divided the terms' intervals into reduced ``PosRat`` enclosures
-(``_enclose``) and certified each witness a second time on a fresh ladder.
+(``_enclose``) and certified each witness a second time on a fresh ladder
+(``_rel_vs_fraction``, which reads two points at rung 0).
 All are kept as they were, apart from being free functions, so that the
 single-path versions can be checked against them.
 """
@@ -23,6 +24,7 @@ from magnitudes.models import (
     REAL,
     PosRat,
     PosRealValue,
+    _num_den,
     certify,
     ladder,
     model_of,
@@ -33,7 +35,6 @@ from magnitudes.mediants import simplest_in
 from magnitudes.ratio import (
     RatioRel,
     Witness,
-    _rel_vs_fraction,
     have_ratio_witness,
     ratio_compare,
 )
@@ -84,6 +85,21 @@ def _enclose(x, y, p: int):
     a = x if isinstance(x, PosRat) else x.approx(p)
     b = y if isinstance(y, PosRat) else y.approx(p)
     return a.lo / b.hi, a.hi / b.lo
+
+
+def _rel_vs_fraction(x, y, n: int, m: int, rungs):
+    """Certified relation of the ratio x:y to the fraction n/m, with its rung.
+
+    Weighs m*x against n*y and builds no oracle.  Exact points (nat, rat,
+    real with ``exact`` set) compare by integer cross-multiplication, at
+    rung 0; otherwise ``certify`` reads the operands' own cached intervals
+    and answers None when the sides stay overlapped at the ladder cap.
+    """
+    px, py = _num_den(x), _num_den(y)
+    if px and py:
+        lhs, rhs = m * px[0] * py[1], n * py[0] * px[1]
+        return (Rel.GREATER if lhs > rhs else Rel.LESS if lhs < rhs else Rel.EQUAL), 0
+    return certify(x, y, rungs, m, n)
 
 
 def _exact_separator(lower: PosRat, upper: PosRat) -> Witness:
