@@ -19,7 +19,6 @@ import sys
 
 from . import hom, power, ratio
 from .embed import (
-    ApproxPolicy,
     check_homomorphism,
     embedding_from_json,
     embedding_to_json,
@@ -215,7 +214,7 @@ def _cmd_mul(args, p, out) -> int:
     model = model_by_id(args.model)
     a = parse_element(model, args.a)
     b = parse_element(model, args.b)
-    _emit_element(hom.product(a, b, ApproxPolicy(precision=p)), p, args.format, out)
+    _emit_element(hom.product(a, b), p, args.format, out)
     return EXIT_OK
 
 
@@ -223,7 +222,7 @@ def _cmd_quot(args, p, out) -> int:
     model = model_by_id(args.model)
     b = parse_element(model, args.b)
     a = parse_element(model, args.a)
-    _emit_element(hom.quotient(b, a, ApproxPolicy(precision=p)), p, args.format, out)
+    _emit_element(hom.quotient(b, a), p, args.format, out)
     return EXIT_OK
 
 

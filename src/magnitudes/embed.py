@@ -28,7 +28,6 @@ from .errors import (
 )
 from .models import (
     NAT,
-    RAT,
     REAL,
     Model,
     PosRat,
@@ -64,7 +63,7 @@ __all__ = [
 
 
 class ApproxPolicy(Record):
-    """Target precision of real-valued results."""
+    """A target precision, accepted and unread by ``hom.product`` and ``hom.quotient``."""
 
     __slots__ = ("precision",)
 
@@ -183,24 +182,26 @@ def anchor_embedding(a, a_prime) -> Anchor:
 
 
 def fourth_proportional(a, b, a_prime: PosRealValue, p: int) -> PosRealValue:
-    """b' in the real model with a : b = a' : b', refined to precision p.
+    """b' in the real model with a : b = a' : b', refined when it is read.
 
     a and b live in one exact model, where the ratio b : a is the fraction
     b/a in closed form; the result is a' scaled by it, an oracle honoring
     the width contract at every precision (uniqueness makes any two correct
-    constructions agree).
+    constructions agree).  p is checked and otherwise unread.
     """
     model = model_of(a)
     model.check(b)
     REAL.check(a_prime)
     check_precision(p)
-    result = real_scale(a_prime, PosRat(*model.ratio_pair(b, a)))
-    result.approx(p)
-    return result
+    return real_scale(a_prime, PosRat(*model.ratio_pair(b, a)))
 
 
-def evaluate(phi: EmbeddingRepr, b, policy: ApproxPolicy = DEFAULT_POLICY):
-    """Apply an embedding to a domain element."""
+def evaluate(phi: EmbeddingRepr, b):
+    """Apply an embedding to a domain element.
+
+    A real result is a node that refines when it is read, to the precision
+    its reader asks for; evaluation itself reads nothing.
+    """
     if isinstance(phi, UnitMultiple):
         NAT.check(b)
         return core.multiple(b, phi.image, phi.codomain)
@@ -208,17 +209,15 @@ def evaluate(phi: EmbeddingRepr, b, policy: ApproxPolicy = DEFAULT_POLICY):
         phi.model.check(b)
         return b
     if isinstance(phi, SumOf):
-        return phi.codomain.combine(
-            evaluate(phi.left, b, policy), evaluate(phi.right, b, policy)
-        )
+        return phi.codomain.combine(evaluate(phi.left, b), evaluate(phi.right, b))
     if isinstance(phi, ComposeOf):
-        return evaluate(phi.outer, evaluate(phi.inner, b, policy), policy)
+        return evaluate(phi.outer, evaluate(phi.inner, b))
     if isinstance(phi, Anchor):
-        return _evaluate_anchor(phi, b, policy)
+        return _evaluate_anchor(phi, b)
     raise TypeError(f"not an embedding representation: {phi!r}")
 
 
-def _evaluate_anchor(phi: Anchor, b, policy: ApproxPolicy):
+def _evaluate_anchor(phi: Anchor, b):
     domain, codomain = phi.domain, phi.codomain
     domain.check(b)
     if domain is REAL:
@@ -226,9 +225,8 @@ def _evaluate_anchor(phi: Anchor, b, policy: ApproxPolicy):
         return real_scale(real_mul(b, phi.image), phi.anchor.exact.reciprocal())
     if codomain is NAT:
         return (phi.image // phi.anchor) * b
-    if codomain is RAT:
-        return phi.image * PosRat(*domain.ratio_pair(b, phi.anchor))
-    return fourth_proportional(phi.anchor, b, phi.image, policy.precision)
+    # the image scaled by b : anchor, exact in a nat or rat domain
+    return codomain.scale(phi.image, PosRat(*domain.ratio_pair(b, phi.anchor)))
 
 
 def evaluate_naive(phi: UnitMultiple, n: int):
@@ -254,7 +252,6 @@ def check_homomorphism(
     phi: Union[EmbeddingRepr, Callable],
     samples: int = 100,
     seed: int = 0,
-    policy: ApproxPolicy = DEFAULT_POLICY,
     domain: Optional[Model] = None,
     codomain: Optional[Model] = None,
 ) -> HomCheckReport:
@@ -262,7 +259,7 @@ def check_homomorphism(
 
     Accepts either a reified embedding or a bare callable (then domain and
     codomain must be given).  Exact codomains demand equality; the real
-    codomain demands interval intersection at the policy precision.  Stops
+    codomain demands that the two sides' 30-bit intervals intersect.  Stops
     at the first counterexample.
     """
     import random
@@ -272,7 +269,7 @@ def check_homomorphism(
     if isinstance(phi, EmbeddingRepr):
         domain = phi.domain
         codomain = phi.codomain
-        fn = lambda x: evaluate(phi, x, policy)
+        fn = lambda x: evaluate(phi, x)
     else:
         if domain is None or codomain is None:
             raise ValueError("callable maps need explicit domain and codomain models")
@@ -288,8 +285,7 @@ def check_homomorphism(
         if exact:
             additive = codomain.order(lhs, rhs).is_equal
         else:
-            p = policy.precision
-            additive = lhs.approx(p).intersects(rhs.approx(p))
+            additive = lhs.approx(30).intersects(rhs.approx(30))
         if not additive:
             return HomCheckReport(
                 False, samples, {"kind": "additivity", "b": str(b), "c": str(c)}
@@ -304,12 +300,7 @@ def check_homomorphism(
     return HomCheckReport(True, samples, None)
 
 
-def embeddings_compare(
-    phi: EmbeddingRepr,
-    chi: EmbeddingRepr,
-    probe,
-    policy: ApproxPolicy = DEFAULT_POLICY,
-) -> Rel:
+def embeddings_compare(phi: EmbeddingRepr, chi: EmbeddingRepr, probe) -> Rel:
     """Order of two same-signature embeddings, decided at one probe.
 
     Any probe decides the global relation (two embeddings agreeing anywhere
@@ -319,8 +310,8 @@ def embeddings_compare(
     """
     if phi.domain is not chi.domain or phi.codomain is not chi.codomain:
         raise ModelMismatchError("embeddings of different signatures are not comparable")
-    x = evaluate(phi, probe, policy)
-    y = evaluate(chi, probe, policy)
+    x = evaluate(phi, probe)
+    y = evaluate(chi, probe)
     if phi.codomain.descriptor.exact_order:
         return phi.codomain.order(x, y).tag
     out, p = certify(x, y, ladder())

@@ -79,8 +79,8 @@ class HomElement(Record):
     def codomain(self) -> Model:
         return self.mapping.codomain
 
-    def __call__(self, b, policy: ApproxPolicy = DEFAULT_POLICY):
-        return evaluate(self.mapping, b, policy)
+    def __call__(self, b):
+        return evaluate(self.mapping, b)
 
 
 class EndoElement(HomElement):
@@ -131,9 +131,7 @@ def _canonical_probe(model: Model):
     return probe
 
 
-def hom_compare(
-    phi: HomElement, chi: HomElement, policy: ApproxPolicy = DEFAULT_POLICY
-) -> Ordering3:
+def hom_compare(phi: HomElement, chi: HomElement) -> Ordering3:
     """Trichotomy in the hom space, witnessed by the difference embedding.
 
     One probe evaluation decides (embeddings agreeing at one point agree
@@ -142,8 +140,8 @@ def hom_compare(
     """
     _require_same_signature(phi, chi)
     probe = _canonical_probe(phi.domain)
-    x = phi(probe, policy)
-    y = chi(probe, policy)
+    x = phi(probe)
+    y = chi(probe)
     codomain = phi.codomain
     if codomain.descriptor.exact_order:
         outcome = codomain.order(x, y)
@@ -181,25 +179,26 @@ def product(a, b, policy: ApproxPolicy = DEFAULT_POLICY):
     is exact fraction arithmetic and the executable definition the laws
     check.  On the real model that evaluation ends in the monomial node
     ``real_mul(a, b)``, so the node is built directly, as ``quotient``
-    builds ``real_div``.
+    builds ``real_div``.  policy is accepted and unread: a nat or rat
+    product is exact, and a real one refines when it is read.
     """
     model = model_of(a)
     model.check(b)
     if model is REAL:
         return real_mul(a, b)
-    return evaluate(psi(model, b).mapping, a, policy)
+    return evaluate(psi(model, b).mapping, a)
 
 
 def quotient(b, a, policy: ApproxPolicy = DEFAULT_POLICY):
-    """The unique d with product(d, a) = b.  Symmetric models only."""
+    """The unique d with product(d, a) = b.  Symmetric models only.
+
+    policy is accepted and unread: a rat quotient is exact, and a real one
+    is a node that refines when it is read.
+    """
     model = model_of(b)
     model.check(a)
     if not model.descriptor.symmetric:
         raise NotSymmetricError(
             f"model '{model.descriptor.model_id}' has no quotients"
         )
-    if model is RAT:
-        return b / a
-    result = real_div(b, a)
-    result.approx(policy.precision)
-    return result
+    return b / a if model is RAT else real_div(b, a)

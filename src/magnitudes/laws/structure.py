@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from .. import core, ratio
-from ..models import REAL, real_from_rat
+from ..models import REAL, certify, real_from_rat
 from . import _elems, _elems_mults, _expect, _law, _mul, _same, _same_tag
 
 
@@ -147,13 +147,11 @@ def _real_from_rat_additive(model, v, tol):
     _elems("a", "b"),
 )
 def _certificate_stability(model, v, tol):
-    from ..models import Overlap, real_compare
-
     x, y = real_from_rat(v["a"]), real_from_rat(v["b"])
     first = None
     for p in (4, 8, 16, 32):
-        out = real_compare(x, y, p)
-        if isinstance(out, Overlap):
+        out, _ = certify(x, y, (p,))
+        if out is None:
             continue
         if first is None:
             first = out

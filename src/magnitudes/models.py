@@ -441,13 +441,13 @@ class _Node(PosRealValue):
     gives ticks lo <= hi of 2^-w from its leaves' reads and its node inputs'
     intervals in ``ends``, and the bits its lower end falls short of a tick.
     The first w is p plus ceil(log2 3n) for a sum of n leaves, else plus
-    bit_length(p) + PRECISION_GUARD, or plus ``_guard``, the last w - p that
-    worked, if larger.  A short lower end or a root wider than 2^-p reruns
-    the pass at w + the excess + PRECISION_GUARD, eight passes at most.  No
-    refine nests another, so depth costs no interpreter frames.
+    bit_length(p) + PRECISION_GUARD: it depends on p and the node's kind
+    alone, never on earlier reads.  A short lower end or a root wider than
+    2^-p reruns the pass at w + the excess + PRECISION_GUARD, eight passes
+    at most.  No refine nests another, so depth costs no interpreter frames.
     """
 
-    __slots__ = ("_terms", "_leaves", "_nodes", "_guard")
+    __slots__ = ("_terms", "_leaves", "_nodes")
 
     def __init__(self, terms: tuple, exact: Optional[PosRat] = None):
         self._best = None
@@ -455,15 +455,15 @@ class _Node(PosRealValue):
         self.exact = exact
         self._terms = terms
         self._leaves = None
-        self._guard = 0
 
     def _refine(self, p: int) -> Interval:
         if self._leaves is None:  # under the node's lock, on its first refine
             self._setup()
         below = self._below() if self._nodes else ()
-        linear = self.__class__ is _Linear
-        guard = (3 * len(self._leaves) - 1).bit_length() if linear else p.bit_length() + PRECISION_GUARD
-        w = p + (guard if guard > self._guard else self._guard)
+        if self.__class__ is _Linear:
+            w = p + (3 * len(self._leaves) - 1).bit_length()
+        else:
+            w = p + p.bit_length() + PRECISION_GUARD
         for _ in range(8):
             ends = {}
             for node in below:
@@ -477,7 +477,6 @@ class _Node(PosRealValue):
                 if wide > short:
                     short = wide
                 if short <= 0:
-                    self._guard = w - p
                     return _interval(lo, hi, w)
             w += short + PRECISION_GUARD
         raise OracleFailureError(f"eight passes did not reach width 2^-{p} with positive lower ends")

@@ -185,30 +185,29 @@ def int_nth_root(k: int, n: int) -> int:
 
 
 def nth_root(x: MulReal, n: int, p: int) -> MulReal:
-    """r > 1 with r^n = x, refined to precision p: the power x^(1/n)."""
+    """r > 1 with r^n = x: the power x^(1/n), refined when read; p is checked and unread."""
     if isinstance(n, bool) or not isinstance(n, int) or n < 1:
         raise ValueError("root index must be an int >= 1")
     check_precision(p)
-    if n == 1:
-        x.value.approx(p)
-        return x
-    return pow(x, PosRat(1, n), p)
+    return x if n == 1 else pow(x, PosRat(1, n), p)
 
 
 def pow(x: MulReal, y, p: int = 30) -> MulReal:
-    """x^y for y a positive int, rational or real; result refined to precision p.
+    """x^y for y a positive int, rational or real, refined when it is read.
 
     An exact base whose numerator and denominator are perfect n-th powers,
     raised to an exact y = m/n, gives the exact point when m times the bit
     length of the larger root, a bound on the point's size, is within
     RESULT_BITS_CAP.  A larger one is left to the node below, which
-    encloses it to 2^-p without building it.  Otherwise one _Power
+    encloses it to any 2^-p without building it.  Otherwise one _Power
     node raises the integer-scaled endpoints of x's interval to the
     endpoints of y's: the lower ones rounding down at every step, the upper
     ones rounding up.  x > 1 makes x^y increasing in both x and y, so the
     enclosure is rigorous; a query too wide for its precision is retried at
     a deeper working precision.  A result whose integer part may need more
-    than RESULT_BITS_CAP bits raises OracleFailureError (see _Power).
+    than RESULT_BITS_CAP bits raises OracleFailureError at its first read
+    (see _Power).  p is checked and otherwise unread: the node refines to
+    whatever precision its reader asks for.
     """
     check_precision(p)
     if isinstance(y, int) and not isinstance(y, bool):
@@ -223,9 +222,7 @@ def pow(x: MulReal, y, p: int = 30) -> MulReal:
         if num**e.den == b.num and den**e.den == b.den and e.num * max(num, den).bit_length() <= RESULT_BITS_CAP:
             return MulReal(real_from_rat(PosRat(num, den) ** e.num))
 
-    value = _Power(((x.value, 1, 1), (y, 1, 1)))
-    value.approx(p)
-    return MulReal(value)
+    return MulReal(_Power(((x.value, 1, 1), (y, 1, 1))))
 
 
 # a power whose integer part may need more bits than this is refused

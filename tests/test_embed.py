@@ -25,9 +25,10 @@ from magnitudes.errors import (
     ParseError,
     UnsupportedCodomainError,
 )
+from magnitudes.hom import quotient
 from magnitudes.models import NAT, RAT, PosRat, real_from_rat
 
-from conftest import isqrt_real
+from conftest import isqrt_real, recorded
 
 rationals = st.builds(PosRat, st.integers(1, 1 << 12), st.integers(1, 1 << 12))
 
@@ -73,9 +74,17 @@ class TestAnchor:
 
     def test_rat_to_real(self, sqrt2):
         phi = anchor_embedding(PosRat(1, 1), sqrt2)
-        out = evaluate(phi, PosRat(2, 1), ApproxPolicy(precision=20))
+        out = evaluate(phi, PosRat(2, 1))
         eight = isqrt_real(8)
         assert out.approx(20).intersects(eight.approx(20))
+
+    def test_rat_to_real_reads_on_demand(self):
+        seen = []
+        out = evaluate(anchor_embedding(PosRat(1), recorded(2, seen)), PosRat(2))
+        assert seen == []
+        assert out.approx(100).intersects(isqrt_real(8).approx(100))
+        # one read, near the reader's 100 bits: no policy precision first
+        assert seen == [103]
 
     def test_nat_codomain_divisibility(self):
         phi = anchor_embedding(2, 6)
@@ -94,6 +103,17 @@ class TestAnchor:
 
 
 class TestFourthProportional:
+    def test_builds_read_no_leaf(self):
+        seen = []
+        a, b = recorded(2, seen), recorded(3, seen)
+        # (sqrt2 / sqrt3) * 3/2 / sqrt3 = sqrt2 / 2
+        inner = fourth_proportional(PosRat(2), PosRat(3), quotient(a, b, ApproxPolicy(300)), 300)
+        out = quotient(inner, b)
+        assert seen == []
+        iv = out.approx(40)
+        assert seen  # the first read does all the reads
+        assert iv.width_at_most(40) and iv.lo**2 < PosRat(1, 2) < iv.hi**2
+
     def test_doubling_instance(self, sqrt2):
         out = fourth_proportional(PosRat(1, 1), PosRat(2, 1), sqrt2, 20)
         assert out.approx(20).intersects(isqrt_real(8).approx(20))

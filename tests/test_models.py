@@ -765,6 +765,21 @@ class TestMonomialNodes:
         assert encloses_square(iv, 2 * Fraction(98, 100) ** 200)
         assert len(seen) == 1 and max(seen) <= 32
 
+    def test_read_precision_is_independent_of_earlier_reads(self):
+        # a read's working precision comes from p and the node's kind alone:
+        # a deep read first does not deepen a later shallow one
+        def product():
+            seen = []
+            return real_mul(recorded(2, seen), recorded(3, seen)), seen
+
+        first, first_seen = product()
+        first.approx(30)
+        second, second_seen = product()
+        second.approx(1000)
+        second_seen.clear()
+        second.approx(30)
+        assert second_seen == first_seen
+
     def test_large_exponent(self):
         # x^10000 is squared and multiplied on floats of about w bits; an
         # exact endpoint power would hold 10,000 times the bits of a read

@@ -94,9 +94,41 @@ class TestClosure:
         seen = []
         x = into_mul(recorded(2, seen))
         seen.clear()
-        mul_pow(x, PosRat(2, 7), 30)
-        # w = 30 + bit_length(30) + 8; no refinement of the result follows
+        r = mul_pow(x, PosRat(2, 7), 30)
+        assert seen == []  # building reads nothing
+        r.approx(30)
+        # w = 30 + bit_length(30) + 8, in one pass
         assert seen == [43]
+
+    def test_nested_builds_read_no_leaf(self):
+        mpmath = pytest.importorskip("mpmath")
+        seen = []
+        x = into_mul(recorded(2, seen))
+        seen.clear()
+        y = recorded(3, seen)
+        # ((sqrt2^sqrt3)^(2/3))^(1/5) = 2^(sqrt3/15)
+        r = nth_root(mul_pow(nth_root(mul_pow(x, y, 30), 1, 30), PosRat(2, 3), 300), 5, 1000)
+        assert seen == []
+        iv = r.approx(60)
+        assert seen  # the first read does all the reads
+        assert iv.width_at_most(60)
+        with mpmath.workprec(200):
+            want = mpmath.power(2, mpmath.sqrt(3) / 15)
+            assert mpmath.mpf(iv.lo.num) / iv.lo.den < want < mpmath.mpf(iv.hi.num) / iv.hi.den
+
+    def test_nested_roots_cost_linear_time(self):
+        # building 3,000 square roots reads no leaf; one read refines them all
+        seen = []
+        x = into_mul(recorded(2, seen))
+        seen.clear()
+        start = time.perf_counter()
+        for _ in range(3000):
+            x = mul_pow(x, PosRat(1, 2), 4)
+        assert seen == []
+        iv = x.approx(30)
+        assert time.perf_counter() - start < 2
+        # sqrt2^(2^-3000) is within 2^-3000 of one, so the 30-bit lower end is one
+        assert iv.width_at_most(30) and iv.lo == RAT_ONE < iv.hi
 
 
 class TestMulMultiple:
@@ -320,8 +352,9 @@ class TestPow:
         x = into_mul(real_mul(isqrt_real(1000), isqrt_real(1869)))
         y = real_scale(isqrt_real(2), PosRat(2468 * 10**9))
         start = time.perf_counter()
+        r = mul_pow(x, y, 4)  # building reads nothing; the first read refuses
         with pytest.raises(OracleFailureError, match="over the cap"):
-            mul_pow(x, y, 4)
+            r.approx(4)
         assert time.perf_counter() - start < 1
         # a base near one is charged 3(x - 1)/2 bits per unit of y, not a
         # whole bit: 1.0001^(2000001/2), about 144 bits, is still computed
