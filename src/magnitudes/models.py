@@ -64,18 +64,23 @@ class PosRat:
     __slots__ = ("num", "den")
 
     def __init__(self, num: int, den: int = 1):
+        """num/den in lowest terms.  Over a power-of-two den, as on every grid,
+        an odd num is kept as it is and an even one shifts right, with den, by
+        the lesser of its trailing zeros and log2(den); any other den divides
+        out the gcd."""
         # two exact ints >= 1 are the common case and skip the validators
         if num.__class__ is not int or den.__class__ is not int or num < 1 or den < 1:
             check_positive_int(num, "numerator")
             check_positive_int(den, "denominator")
         if den & (den - 1):
             g = gcd(num, den)
-        else:  # a power of two, as on every grid: the gcd is num's lowest set bit, or den
-            g = num & -num
-            if g > den:
-                g = den
-        self.num = num // g
-        self.den = den // g
+            num, den = num // g, den // g
+        elif den > 1 and not num & 1:
+            s, t = (num & -num).bit_length(), den.bit_length()
+            s = (s if s < t else t) - 1
+            num, den = num >> s, den >> s
+        self.num = num
+        self.den = den
 
     @classmethod
     def _reduced(cls, num: int, den: int) -> "PosRat":
@@ -176,8 +181,8 @@ class PosRat:
     def __hash__(self):
         return hash((self.num, self.den))
 
-    # A rational is its own degenerate interval [self, self], which lets
-    # certified comparisons read a point and an interval alike.
+    # A rational is its own degenerate interval [self, self].  Kept public;
+    # the ladders pin a point once as Interval(q, q) and never read these.
     @property
     def lo(self) -> "PosRat":
         return self
@@ -331,6 +336,9 @@ class PosRealValue:
         self.exact = exact
 
     def approx(self, p: int) -> Interval:
+        """An interval of width at most 2^-p holding the value: cached, or
+        refined and tested against the best so far by integer cross-products,
+        then intersected with it only if it sticks out."""
         # an exact int >= 0 is the common case and skips the type tests
         if p.__class__ is not int or p < 0:
             if isinstance(p, bool) or not isinstance(p, int):
@@ -371,10 +379,12 @@ class PosRealValue:
             ):
                 raise OracleFailureError(f"refinement wider than 2^-{p}")
             best = self._best
-            if best is not None and (lo < best.lo or best.hi < hi):
-                if not iv.intersects(best):
-                    raise OracleFailureError("inconsistent refinement oracle")
-                iv = iv.intersect(best)
+            if best is not None:  # lo < best.lo or best.hi < hi
+                blo, bhi = best.lo, best.hi
+                if lo.num * blo.den < blo.num * lo.den or bhi.num * hi.den < hi.num * bhi.den:
+                    if not iv.intersects(best):
+                        raise OracleFailureError("inconsistent refinement oracle")
+                    iv = iv.intersect(best)
             self._best = iv
             self._cache[p] = iv
             return iv
@@ -421,6 +431,12 @@ def _point(t):
     """A known point as a PosRat; any other real as given."""
     nd = _num_den(t)
     return t if nd is None else PosRat._reduced(*nd)
+
+
+def _pin(nd: Tuple[int, int]) -> Interval:
+    """The known point nd = _num_den(t) as Interval(q, q), for a ladder to read on every rung."""
+    q = PosRat._reduced(*nd)
+    return Interval(q, q)
 
 
 PRECISION_GUARD = 8  # guard bits of a pass's working precision
@@ -498,12 +514,14 @@ class _Node(PosRealValue):
 
 
 def _interval(lo: int, hi: int, w: int) -> Interval:
-    """Ticks 1 <= lo <= hi of 2^-w as an interval, unchecked: the gcd with 2^w is a low bit."""
+    """Ticks 1 <= lo <= hi of 2^-w as an interval, unchecked, each end t
+    reduced by shifts as PosRat(t, 2^w) reduces it."""
     iv = object.__new__(Interval)
     iv.lo, iv.hi = a, b = object.__new__(PosRat), object.__new__(PosRat)
-    d, g, h = 1 << w, lo & -lo, hi & -hi
-    a.num, a.den = (lo // g, d // g) if g < d else (lo >> w, 1)
-    b.num, b.den = (hi // h, d // h) if h < d else (hi >> w, 1)
+    s, t = (lo & -lo).bit_length() - 1, (hi & -hi).bit_length() - 1
+    s, t = s if s < w else w, t if t < w else w
+    a.num, a.den = lo >> s, 1 << (w - s)
+    b.num, b.den = hi >> t, 1 << (w - t)
     return iv
 
 
@@ -815,16 +833,19 @@ def certify(
 
     A verdict needs disjoint scaled intervals at one rung.  When no rung
     separates the sides the answer is (None, last rung).  Either side may be
-    an exact PosRat, compared as a point without building an oracle for it.
+    an exact PosRat, pinned once as the point Interval(q, q), so a rung
+    reads only the real sides and builds no oracle.
     At rung p a real side is read ceil(log2) of its multiplier bits deeper,
     so its scaled interval is no wider than 2^-p, as multiple(m, x).approx(p)
     would be; the multiple itself is never built.
     """
     ex, ey = (m - 1).bit_length(), (n - 1).bit_length()
+    x = Interval(x, x) if x.__class__ is PosRat else x
+    y = Interval(y, y) if y.__class__ is PosRat else y
     p = 0
     for p in rungs:
-        a = x if isinstance(x, PosRat) else x.approx(p + ex)
-        b = y if isinstance(y, PosRat) else y.approx(p + ey)
+        a = x if x.__class__ is Interval else x.approx(p + ex)
+        b = y if y.__class__ is Interval else y.approx(p + ey)
         if m * a.hi.num * b.lo.den < n * b.lo.num * a.hi.den:
             return Rel.LESS, p
         if n * b.hi.num * a.lo.den < m * a.lo.num * b.hi.den:

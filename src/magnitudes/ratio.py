@@ -29,7 +29,7 @@ from typing import Optional, Tuple
 from . import core
 from .core import Record, Rel
 from .mediants import _simplest
-from .models import PosRat, _num_den, _point, certify, ladder, model_by_id, model_of
+from .models import Interval, PosRat, _num_den, _pin, _point, certify, ladder, model_by_id, model_of
 
 __all__ = [
     "Ratio",
@@ -180,8 +180,9 @@ def ratio_compare(a, b, a2, b2, fuel: int = 64) -> RatioRel:
     pairs, which need not be in lowest terms: the walk reads them as
     values, and its answer always is in lowest terms.
 
-    Otherwise, at each rung p of ``ladder(max(16, 4*fuel))``, the terms'
-    intervals u, v, u2, v2 (exact terms being points) enclose x/y in
+    Otherwise each exact term is pinned once as the point Interval(q, q),
+    and at each rung p of ``ladder(max(16, 4*fuel))`` only the real terms
+    are read.  The terms' intervals u, v, u2, v2 enclose x/y in
     [u.lo/v.hi, u.hi/v.lo] and x2/y2 likewise, each end kept as an
     unreduced integer pair and the ends compared by cross-multiplication.
     At the first rung where hi2 = u2.hi/v2.lo < lo1 = u.lo/v.hi, the
@@ -195,9 +196,10 @@ def ratio_compare(a, b, a2, b2, fuel: int = 64) -> RatioRel:
         raise ValueError("fuel must be an integer >= 1")
     model_of(a).check(b)
     model_of(a2).check(b2)
-    if (p := _num_den(a)) and (q := _num_den(b)) and (p2 := _num_den(a2)) and (q2 := _num_den(b2)):
-        n1, m1 = p[0] * q[1], p[1] * q[0]
-        n2, m2 = p2[0] * q2[1], p2[1] * q2[0]
+    na, nb, na2, nb2 = _num_den(a), _num_den(b), _num_den(a2), _num_den(b2)
+    if na and nb and na2 and nb2:
+        n1, m1 = na[0] * nb[1], na[1] * nb[0]
+        n2, m2 = na2[0] * nb2[1], na2[1] * nb2[0]
         lhs, rhs = n1 * m2, n2 * m1
         if lhs == rhs:
             return _RATIO_EQUAL
@@ -207,13 +209,16 @@ def ratio_compare(a, b, a2, b2, fuel: int = 64) -> RatioRel:
         n, m = _simplest(n1, m1, n2, m2, True, False)
         return RatioRel.less(Witness(m, n))
 
-    x, y, x2, y2 = _point(a), _point(b), _point(a2), _point(b2)
+    x = a if na is None else _pin(na)
+    y = b if nb is None else _pin(nb)
+    x2 = a2 if na2 is None else _pin(na2)
+    y2 = b2 if nb2 is None else _pin(nb2)
     cap = max(16, 4 * fuel)
     for p in ladder(cap):
-        u = x if isinstance(x, PosRat) else x.approx(p)
-        v = y if isinstance(y, PosRat) else y.approx(p)
-        u2 = x2 if isinstance(x2, PosRat) else x2.approx(p)
-        v2 = y2 if isinstance(y2, PosRat) else y2.approx(p)
+        u = x if x.__class__ is Interval else x.approx(p)
+        v = y if y.__class__ is Interval else y.approx(p)
+        u2 = x2 if x2.__class__ is Interval else x2.approx(p)
+        v2 = y2 if y2.__class__ is Interval else y2.approx(p)
         # enclosure ends as unreduced pairs: ln1/ld1 <= x/y <= hn1/hd1, and
         # likewise for x2/y2; the rung that parts them is the certificate
         ln1, ld1 = u.lo.num * v.hi.den, u.lo.den * v.hi.num

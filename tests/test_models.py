@@ -6,11 +6,12 @@ from fractions import Fraction
 from types import SimpleNamespace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from magnitudes import core, models
 from magnitudes.core import Rel
+from magnitudes.embed import fourth_proportional
 from magnitudes.errors import (
     InexactModelError,
     ModelMismatchError,
@@ -27,6 +28,7 @@ from magnitudes.models import (
     PosRat,
     PosRealValue,
     _flatten,
+    _interval,
     _Linear,
     _Monomial,
     _Node,
@@ -106,6 +108,24 @@ class TestPosRat:
         q, f = PosRat(num, 1 << k), Fraction(num, 1 << k)
         assert (q.num, q.den) == (f.numerator, f.denominator)
 
+    @given(
+        st.one_of(st.integers(1, 1 << 64), st.integers(1 << 999, 1 << 1000)),
+        st.integers(0, 1100),
+        st.integers(0, 1100),
+    )
+    @example(1, 0, 0)  # k = 0
+    @example(6, 0, 0)  # even over 1
+    @example(3, 0, 5)  # odd, num < den
+    @example(3, 6, 5)  # even, num >= den, more trailing zeros than log2(den)
+    @example((1 << 1000) - 1, 0, 1000)  # 1,000-bit odd
+    @example(5, 1000, 1000)  # 1,000-bit even, every bit of den shifted out
+    def test_dyadic_shifts_match_gcd(self, odd, zeros, k):
+        # odd and even num (odd << zeros), on either side of den = 2^k
+        num = odd << zeros
+        g = math.gcd(num, 1 << k)
+        q = PosRat(num, 1 << k)
+        assert (q.num, q.den) == (num // g, (1 << k) // g)
+
     def test_decimal_truncates(self):
         assert PosRat(1, 3).decimal(4) == "0.3333"
         assert PosRat(3, 2).decimal(2) == "1.50"
@@ -120,6 +140,17 @@ class TestInterval:
     def test_width_zero_allowed(self):
         point = Interval(PosRat(1, 3), PosRat(1, 3))
         assert point.width_at_most(100)
+
+    @given(
+        st.integers(1, 1 << 1000), st.integers(0, 1100), st.integers(1, 1 << 1000), st.integers(0, 1100),
+        st.integers(0, 1100),
+    )
+    @example(8, 0, 24, 0, 3)  # both ends multiples of 2^w
+    @example(3, 0, 1, 50, 40)  # an odd end and one that is a multiple of 2^w
+    @example(1, 0, 1, 0, 0)  # w = 0
+    def test_grid_interval_matches_reduced_ends(self, a, s, b, t, w):
+        lo, hi = sorted((a << s, b << t))
+        assert _interval(lo, hi, w) == Interval(PosRat(lo, 1 << w), PosRat(hi, 1 << w))
 
     @given(rationals, rationals)
     def test_intersect(self, a, b):
@@ -603,15 +634,19 @@ def monomial_dags(draw):
 
 @st.composite
 def mixed_dags(draw):
-    """Random DAG of sums, scalings, products, quotients, powers and roots
-    over exact and sqrt leaves, operands drawn from all earlier nodes, so
-    every kind sits under every other.
+    """Random DAG of sums, differences, scalings, fourth proportionals,
+    products, quotients, powers and roots over exact and sqrt leaves,
+    operands drawn from all earlier nodes, so every kind sits under every
+    other.
 
     Returns (nodes, refs): refs[i] names node i's value as ("sqrt", k),
-    ("point", q), or (op, i, j) over earlier nodes, where j is a node index
-    or a rational (a scaling's factor, an exponent, a root's index); see
+    ("point", q), or (op, i, j) over earlier nodes, where j is a node index,
+    a rational (a scaling's factor, an exponent, a root's index) or, for a
+    fourth proportional, the pair (a, b) of its 16-bit rationals; see
     mixed_value.  A float log2 of each value, kept alongside, keeps every
-    value within 2^-64..2^64 and takes powers only of bases above 1.001.
+    value within 2^-64..2^64, takes a difference x - y only when y's is at
+    least 1 below x's (so x - y > x/2), and takes powers only of bases above
+    1.001.
     """
     nodes, refs, logs = [], [], []
     for _ in range(draw(st.integers(1, 3))):
@@ -627,9 +662,19 @@ def mixed_dags(draw):
     for _ in range(draw(st.integers(1, 25))):
         i, j = draw(st.integers(0, len(nodes) - 1)), draw(st.integers(0, len(nodes) - 1))
         x, y, lx, ly = nodes[i], nodes[j], logs[i], logs[j]
-        op = draw(st.sampled_from(("add", "scale", "mul", "div", "pow", "root")))
+        op = draw(st.sampled_from(("add", "sub", "scale", "fourth", "mul", "div", "pow", "root")))
         if op == "add":
             log, node = max(lx, ly) + math.log2(1 + 2 ** -abs(lx - ly)), real_add(x, y)
+        elif op == "sub":
+            if ly > lx - 1:  # the larger operand first, if either is 2x the other
+                i, j, x, y, lx, ly = j, i, y, x, ly, lx
+            if ly > lx - 1:
+                continue
+            log, node = lx + math.log2(1 - 2 ** (ly - lx)), real_subtract(x, y)
+        elif op == "fourth":
+            a, b = draw(rationals), draw(rationals)
+            j = (Fraction(a.num, a.den), Fraction(b.num, b.den))
+            log, node = lx + math.log2(j[1] / j[0]), fourth_proportional(a, b, x, 0)
         elif op == "scale":
             q = draw(rationals)
             j, log, node = Fraction(q.num, q.den), lx + math.log2(q.num / q.den), real_scale(x, q)
@@ -672,15 +717,20 @@ def mixed_value(refs: list, mp) -> list:
             values.append(a)
         else:
             x, b = values[a], rest[0]
-            y = b if isinstance(b, Fraction) else values[b]
-            if op == "root":
+            y = b if isinstance(b, (Fraction, tuple)) else values[b]
+            if op == "fourth":  # qa : qb = x : x*qb/qa
+                qa, qb = y
+                values.append(x * qb / qa if isinstance(x, Fraction) else x * real(qb) / real(qa))
+            elif op == "root":
                 values.append(mp.root(real(x), int(y)))
             elif op == "pow":
                 values.append(mp.power(real(x), real(y)))
             else:
                 if not (isinstance(x, Fraction) and isinstance(y, Fraction)):
                     x, y = real(x), real(y)
-                values.append(x + y if op == "add" else x / y if op == "div" else x * y)
+                values.append(
+                    x + y if op == "add" else x - y if op == "sub" else x / y if op == "div" else x * y
+                )
     return values
 
 

@@ -9,6 +9,9 @@ was read from the terms: an exact branch chosen by the models'
 a point, divided the terms' intervals into reduced ``PosRat`` enclosures
 (``_enclose``) and certified each witness a second time on a fresh ladder
 (``_rel_vs_fraction``, which reads two points at rung 0).
+``reference_enclosure_ratio_compare`` is the engine before exact terms were
+pinned once as point intervals: it read each exact term as a ``PosRat``,
+through its ``lo``/``hi`` properties, on every rung.
 All are kept as they were, apart from being free functions, so that the
 single-path versions can be checked against them.
 """
@@ -31,7 +34,7 @@ from magnitudes.models import (
     real_from_rat,
     real_scale,
 )
-from magnitudes.mediants import simplest_in
+from magnitudes.mediants import _simplest, simplest_in
 from magnitudes.ratio import (
     RatioRel,
     Witness,
@@ -148,6 +151,50 @@ def reference_ratio_compare(a, b, a2, b2, fuel: int = 64) -> RatioRel:
     return RatioRel.unknown(fuel, cap)
 
 
+def _enclosure_point(t):
+    """A known point as a PosRat; any other real as given."""
+    nd = _num_den(t)
+    return t if nd is None else PosRat._reduced(*nd)
+
+
+def reference_enclosure_ratio_compare(a, b, a2, b2, fuel: int = 64) -> RatioRel:
+    if isinstance(fuel, bool) or not isinstance(fuel, int) or fuel < 1:
+        raise ValueError("fuel must be an integer >= 1")
+    model_of(a).check(b)
+    model_of(a2).check(b2)
+    if (p := _num_den(a)) and (q := _num_den(b)) and (p2 := _num_den(a2)) and (q2 := _num_den(b2)):
+        n1, m1 = p[0] * q[1], p[1] * q[0]
+        n2, m2 = p2[0] * q2[1], p2[1] * q2[0]
+        lhs, rhs = n1 * m2, n2 * m1
+        if lhs == rhs:
+            return RatioRel.equal()
+        if lhs > rhs:
+            n, m = _simplest(n2, m2, n1, m1, True, False)
+            return RatioRel.greater(Witness(m, n))
+        n, m = _simplest(n1, m1, n2, m2, True, False)
+        return RatioRel.less(Witness(m, n))
+
+    x, y = _enclosure_point(a), _enclosure_point(b)
+    x2, y2 = _enclosure_point(a2), _enclosure_point(b2)
+    cap = max(16, 4 * fuel)
+    for p in ladder(cap):
+        u = x if isinstance(x, PosRat) else x.approx(p)
+        v = y if isinstance(y, PosRat) else y.approx(p)
+        u2 = x2 if isinstance(x2, PosRat) else x2.approx(p)
+        v2 = y2 if isinstance(y2, PosRat) else y2.approx(p)
+        ln1, ld1 = u.lo.num * v.hi.den, u.lo.den * v.hi.num
+        hn2, hd2 = u2.hi.num * v2.lo.den, u2.hi.den * v2.lo.num
+        if hn2 * ld1 < ln1 * hd2:
+            n, m = _simplest(hn2, hd2, ln1, ld1, True, False)
+            return RatioRel.greater(Witness(m, n), -(-p // 4))
+        hn1, hd1 = u.hi.num * v.lo.den, u.hi.den * v.lo.num
+        ln2, ld2 = u2.lo.num * v2.hi.den, u2.lo.den * v2.hi.num
+        if hn1 * ld2 < ln2 * hd1:
+            n, m = _simplest(hn1, hd1, ln2, ld2, True, False)
+            return RatioRel.less(Witness(m, n), -(-p // 4))
+    return RatioRel.unknown(fuel, cap)
+
+
 # ---------------------------------------------------------------------------
 # exact points: nat, rat and exact reals, mixed
 
@@ -243,6 +290,53 @@ class TestRealInputs:
 
 
 # ---------------------------------------------------------------------------
+# pinned exact terms: nat, rat, exact-real and sqrt terms, mixed
+
+
+def nudged(spec, g: int, up: bool):
+    """The spec's value times (1 + 2^-g), or divided by it."""
+    f = PosRat((1 << g) + 1, 1 << g)
+    f = f if up else f.reciprocal()
+    return spec * f if isinstance(spec, PosRat) else (spec[0], spec[1] * f)
+
+
+@st.composite
+def mixed_pairs(draw):
+    """Two (model, antecedent, consequent) specs: nat ints, rats, or reals
+    that are exact points or q*sqrt(k); the second pair is often the first
+    with its antecedent nudged by a factor 1 + 2^-g, so that the ladder
+    climbs before it parts the enclosures."""
+    pairs = []
+    for _ in range(2):
+        model = draw(st.sampled_from(("nat", "rat", "real", "real")))
+        spec = st.integers(1, 1 << 20) if model == "nat" else rationals if model == "rat" else real_specs
+        pairs.append((model, draw(spec), draw(spec)))
+    first = pairs[0]
+    if first[0] != "nat" and draw(st.booleans()):
+        g, up = draw(st.integers(1, 120)), draw(st.booleans())
+        pairs[1] = (first[0], nudged(first[1], g, up), first[2])
+    return pairs
+
+
+def terms(pairs) -> list:
+    """Fresh terms for the specs: ints, PosRats, or built reals."""
+    return [
+        spec if model != "real" else build(spec)
+        for model, *specs in pairs
+        for spec in specs
+    ]
+
+
+class TestPinnedTerms:
+    @settings(max_examples=200, deadline=None)
+    @given(mixed_pairs(), st.integers(1, 40))
+    def test_ratio_compare_matches_enclosure_reference(self, pairs, fuel):
+        got = ratio_compare(*terms(pairs), fuel=fuel)
+        want = reference_enclosure_ratio_compare(*terms(pairs), fuel=fuel)
+        assert (got.kind, got.witness, got.fuel_spent) == (want.kind, want.witness, want.fuel_spent)
+
+
+# ---------------------------------------------------------------------------
 # the real search builds no node and reads each side once per rung
 
 
@@ -281,6 +375,26 @@ class TestNoNodeBoundedReads:
         monkeypatch.setattr(PosRealValue, "__init__", counting(PosRealValue.__init__))
         assert have_ratio_witness(a, b) == (707106781187, 1)
         assert built == []
+
+    def test_ratio_compare_reads_each_real_term_once_per_rung(self):
+        rungs = list(ladder(256))  # the default fuel's ladder
+        for g in (1, 6, 30, 60, 200, None):
+            t = PosRat(7, 3) if g is None else nudged(PosRat(7, 3), g, True)
+            one = Recording(real_from_rat(PosRat(1)))
+            one.exact = PosRat(1)  # an exact point: pinned, never read
+            x, y = Recording(real_scale(isqrt_real(2), PosRat(7, 3))), Recording(isqrt_real(5))
+            x2, y2 = Recording(real_scale(isqrt_real(2), t)), Recording(isqrt_real(5))
+            for quad in ((x, y, x2, y2), (x2, one, x, one), (x, one, PosRat(10), PosRat(3))):
+                for r in (x, y, x2, y2, one):
+                    r.reads = []
+                got = ratio_compare(*quad)
+                read = [r.reads for r in quad if isinstance(r, Recording) and r.exact is None]
+                # every real term read at each rung up to the deciding one, once
+                assert read[0] and read[0] == rungs[: len(read[0])]
+                assert all(reads == read[0] for reads in read)
+                assert one.reads == []
+                if got.is_unknown:  # equal ratios: every rung read
+                    assert read[0] == rungs
 
     def test_reads_once_per_rung(self):
         rungs = list(ladder())
