@@ -17,6 +17,7 @@ node that is only ever read through its parent never allocates either.
 from __future__ import annotations
 
 import threading
+from functools import lru_cache
 from math import gcd
 from typing import Callable, Iterable, Optional, Tuple, Union
 
@@ -455,12 +456,15 @@ class _Node(PosRealValue):
     refine(p) is one forward pass over the nodes under the root, each after
     those it reads, at one working precision w: a kind's ``_ends(w, ends)``
     gives ticks lo <= hi of 2^-w from its leaves' reads and its node inputs'
-    intervals in ``ends``, and the bits its lower end falls short of a tick.
-    The first w is p plus ceil(log2 3n) for a sum of n leaves, else plus
-    bit_length(p) + PRECISION_GUARD: it depends on p and the node's kind
-    alone, never on earlier reads.  A short lower end or a root wider than
-    2^-p reruns the pass at w + the excess + PRECISION_GUARD, eight passes
-    at most.  No refine nests another, so depth costs no interpreter frames.
+    (lo, hi) ticks in ``ends``, and the bits its lower end falls short of a
+    tick; the root's ticks become the Interval a read returns.  The first w
+    is p plus ceil(log2 3n) for a sum of n leaves, else plus bit_length(p)
+    + PRECISION_GUARD: it depends on p and the node's kind alone, never on
+    earlier reads.  Over nodes of other kinds, whose widths add up, every
+    pass rounds w up to a whole 32-bit word.  A short lower end or a root
+    wider than 2^-p reruns the pass at w + the excess + PRECISION_GUARD,
+    eight passes at most.  No refine nests another, so depth costs no
+    interpreter frames.
     """
 
     __slots__ = ("_terms", "_leaves", "_nodes")
@@ -481,12 +485,14 @@ class _Node(PosRealValue):
         else:
             w = p + p.bit_length() + PRECISION_GUARD
         for _ in range(8):
+            if below:  # a root over nodes of other kinds passes on whole words
+                w += -w & 31
             ends = {}
             for node in below:
                 lo, hi, short = node._ends(w, ends)
                 if short > 0:
                     break
-                ends[node] = _interval(lo, hi, w)
+                ends[node] = lo, hi
             else:
                 lo, hi, short = self._ends(w, ends)
                 wide = (hi - lo).bit_length() - (w - p)
@@ -625,8 +631,8 @@ class _Linear(_Node):
     read at w plus its coefficient's bits, so its scaled interval is no
     wider than 2^-w, and its endpoints are floored and ceiled onto the grid
     as integers: 3n ticks of 2^-w at most, so width <= 2^-p.  A single
-    scaling (n = 1) reads its leaf at p + 2 + extra; a node input's interval
-    is on the grid already.  A negative coefficient takes an input's
+    scaling (n = 1) reads its leaf at p + 2 + extra; a node input's ticks
+    are on the grid already.  A negative coefficient takes an input's
     upper end into the lower sum and its lower end into the upper sum, so
     only a difference can have a lower sum that is not positive.
     """
@@ -641,11 +647,17 @@ class _Linear(_Node):
     def _ends(self, w: int, ends: dict) -> Tuple[int, int, int]:
         lo_ticks = hi_ticks = 0
         for src, u, v, extra in self._leaves:
-            iv = src if src.__class__ is PosRat else ends.get(src) or src.approx(w + extra)
+            if src.__class__ is not PosRat:
+                if src in ends:  # a node input's ticks, scaled and rounded outward
+                    lo, hi = ends[src] if u > 0 else ends[src][::-1]
+                    lo_ticks += lo * u // v
+                    hi_ticks -= -(hi * u) // v
+                    continue
+                src = src.approx(w + extra)
             if u > 0:
-                lo, hi = iv.lo, iv.hi
+                lo, hi = src.lo, src.hi
             else:
-                lo, hi = iv.hi, iv.lo
+                lo, hi = src.hi, src.lo
             # a power-of-two divisor, as every grid read has, floors by a shift
             n, d = lo.num * u << w, lo.den * v
             lo_ticks += n // d if d & (d - 1) else n >> d.bit_length() - 1
@@ -659,8 +671,9 @@ class _Linear(_Node):
         # the next grid, and a difference not yet positive doubles it
         num, den = 0, 1
         for src, u, v, extra in self._leaves:
-            iv = src if src.__class__ is PosRat else ends.get(src) or src.approx(w + extra)
-            a = iv.lo if u > 0 else iv.hi  # a read hits the cache
+            if src.__class__ is not PosRat:  # a read hits the cache
+                src = _interval(*ends[src], w) if src in ends else src.approx(w + extra)
+            a = src.lo if u > 0 else src.hi
             num, den = num * a.den * v + a.num * u * den, den * a.den * v
             g = gcd(num, den)
             num, den = num // g, den // g
@@ -700,39 +713,16 @@ def real_subtract(x: PosRealValue, y: PosRealValue) -> PosRealValue:
     return _Linear(((x, 1, 1), (y, -1, 1)), exact)
 
 
-def _shift(man: int, s: int, up: int) -> int:
-    """man / 2^s rounded down (up = 0) or up (up = 1), for man >= 1."""
-    return man << -s if s <= 0 else ((man - up) >> s) + up
-
-
-def _trim(man: int, exp: int, m: int, up: int) -> Tuple[int, int]:
-    """The binary float man * 2^exp rounded down or up to its leading m bits,
-    or, when it is at least 1, to the bits down to 2^-m."""
-    n = man.bit_length()
-    s = n - m - max(0, n + exp)
-    return (man, exp) if s <= 0 else (((man - up) >> s) + up, exp + s)
-
-
-def _times_power(acc: tuple, num: int, den: int, k: int, m: int, up: int) -> Tuple[int, int]:
-    """The binary float acc = (man, exp) times (num/den)^k, k >= 1, rounded
-    down (up = 0) or up (up = 1).
-
-    Square-and-multiply, trimming each step outward (see _trim), so the
-    floats stay near m bits whatever k is; an exact power would hold k
-    times the bits of num/den.
-    """
-    man, exp = acc
-    if den & (den - 1):  # not a power of two: divide, rounding outward
-        t = m + den.bit_length()
-        num, den = ((num << t) - up) // den + up, 1 << t
-    b, e = num, 1 - den.bit_length()
-    while True:
-        if k & 1:
-            man, exp = _trim(man * b, exp + e, m, up)
-        k >>= 1
-        if not k:
-            return man, exp
-        b, e = _trim(b * b, 2 * e, m, up)
+def _round(n: int, d: int, m: int, up: int) -> Tuple[int, int]:
+    """n/d > 0 rounded down (up = 0) or up (up = 1) to a binary fraction
+    num/2^s of its leading m bits, or, when it is at least 1, of its bits
+    down to 2^-m; a dyadic n/d already that fine comes back as it is."""
+    s = d.bit_length() - n.bit_length()
+    s = m + s if s > 0 else m
+    if d & (d - 1):
+        return ((n << s) - up) // d + up, 1 << s
+    t = d.bit_length() - 1
+    return (n, d) if t <= s else (((n - up) >> t - s) + up, 1 << s)
 
 
 def _fold(factors: tuple) -> Tuple[list, PosRat]:
@@ -752,12 +742,16 @@ class _Monomial(_Node):
 
     The product DAG is flattened (see _fold); exact leaves fold into _coef,
     and the others are kept with their exponents.  A pass at w reads them at
-    w and forms the lower product from each leaf's lower endpoint raised to
-    its exponent (for k < 0 the upper one, inverted), and the upper product
-    likewise; both are binary floats of w + PRECISION_GUARD bits, rounded
-    outward at every step, then rounded outward onto the grid 2^-w.
-    Positive factors are monotone in their endpoints, so the value stays
-    enclosed.
+    w, or as ticks of 2^-w, and forms in one walk the lower product of each
+    lower end raised to its exponent (for k < 0 the upper one, inverted)
+    and the upper product likewise, as integer fractions: numerators,
+    denominators and _coef multiply exactly, and for |k| > 1 by
+    square-and-multiply whose squares are rounded outward (see _round) to
+    m = w + PRECISION_GUARD bits.  Before it takes a factor, an accumulator
+    of more than m + 64 bits is rounded outward to m, so a product of two
+    leaves stays exact.  Each end is then rounded once onto the grid,
+    floored for lo, ceiled for hi.  Positive factors are monotone in their
+    endpoints, so the value stays enclosed.
     """
 
     __slots__ = ("_coef",)
@@ -767,26 +761,40 @@ class _Monomial(_Node):
         self._nodes = [x for x, _ in leaves if isinstance(x, _Node)] or ()
         self._leaves = leaves
 
-    def _product(self, reads: list, m: int, up: int) -> Tuple[int, int]:
-        coef = self._coef
-        acc = (1, 0) if coef is RAT_ONE else _times_power((1, 0), coef.num, coef.den, 1, m, up)
-        for iv, (_, k) in zip(reads, self._leaves):
-            q = iv.lo if (k > 0) != up else iv.hi
-            num, den = (q.num, q.den) if k > 0 else (q.den, q.num)
-            if (k == 1 or k == -1) and not den & (den - 1):
-                # a dyadic factor to the first power: _times_power's one step
-                acc = _trim(acc[0] * num, acc[1] + 1 - den.bit_length(), m, up)
-            else:
-                acc = _times_power(acc, num, den, abs(k), m, up)
-        return acc
-
     def _ends(self, w: int, ends: dict) -> Tuple[int, int, int]:
-        reads = [ends.get(x) or x.approx(w) for x, _ in self._leaves]
-        lm, le = self._product(reads, w + PRECISION_GUARD, 0)
-        hm, he = self._product(reads, w + PRECISION_GUARD, 1)
-        lo, hi = _shift(lm, -le - w, 0), _shift(hm, -he - w, 1)
-        # a lower end below the grid needs the grid 2^-(1 - le - bit_length(lm))
-        return lo, hi, 0 if lo >= 1 else 1 - le - lm.bit_length() - w
+        m = w + PRECISION_GUARD
+        ln = hn = self._coef.num
+        ld = hd = self._coef.den
+        for x, k in self._leaves:
+            if (ln | ld | hn | hd).bit_length() > m + 64:
+                ln, ld = _round(ln, ld, m, 0)
+                hn, hd = _round(hn, hd, m, 1)
+            if x in ends:
+                a, c = ends[x]
+                b = d = 1 << w
+            else:
+                iv = x.approx(w)
+                lo, hi = iv.lo, iv.hi
+                a, b, c, d = lo.num, lo.den, hi.num, hi.den
+            if k < 0:  # 1/x runs from 1/hi to 1/lo
+                a, b, c, d, k = d, c, b, a, -k
+            # an exact power would hold k times the bits of the read
+            while True:
+                if k & 1:
+                    ln, hn = ln * a, hn * c
+                    ld = ld * b if b & (b - 1) else ld << b.bit_length() - 1
+                    hd = hd * d if d & (d - 1) else hd << d.bit_length() - 1
+                k >>= 1
+                if not k:
+                    break
+                a, b = _round(a * a, b * b, m, 0)
+                c, d = _round(c * c, d * d, m, 1)
+        # a power-of-two denominator, as grid reads give, divides by a shift
+        lo = (ln << w) // ld if ld & (ld - 1) else ln << w >> ld.bit_length() - 1
+        hi = -((-hn << w) // hd) if hd & (hd - 1) else -(-hn << w >> hd.bit_length() - 1)
+        # a lower end below the grid, at least 2^(bits of ln - bits of ld - 1),
+        # needs the grid that many bits finer
+        return lo, hi, 0 if lo else ld.bit_length() - ln.bit_length() + 1 - w
 
 
 def _monomial(factors: tuple) -> PosRealValue:
@@ -807,11 +815,13 @@ def real_div(x: PosRealValue, y: PosRealValue) -> PosRealValue:
     return _monomial(((x, 1, 1), (y, -1, 1)))
 
 
+@lru_cache(maxsize=64)
 def ladder(cap: int = 256) -> Tuple[int, ...]:
     """The precision ladder: 4, 8, 16, ... doubling while below cap, then cap.
 
     Certified real comparisons escalate along it; 256 is the give-up point
-    when no caller-specific cap applies.
+    when no caller-specific cap applies.  A ratio comparison asks for one
+    per call, so the 64 used last are kept.
     """
     rungs = []
     p = 4

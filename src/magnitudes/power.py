@@ -13,14 +13,15 @@ multiple x^n (one monomial node each), a power and a root stay in it
 without a second certification walk.
 
 The computable route is integer arithmetic on x's interval endpoints
-scaled by 2^w: a rational exponent m/n with n up to w costs one integer
+as ticks of 2^-w: a rational exponent m/n with n up to w costs one integer
 n-th root per endpoint; a real exponent, or a larger denominator, is
 bracketed between dyadic exponents k/2^w and read off Briggs' table of
 successive square roots.  Each power is one node, a _Power, refined in
-the one forward pass that every node shares (see models._Node).  Uniqueness of
-the embedding is what the law suite leans on: any two correct evaluators
-(``mul_multiple``, a monomial node raising x's endpoints to n on binary
-floats, is the other one) must agree wherever their intervals are queried.
+the one forward pass that every node shares (see models._Node).  Uniqueness
+of the embedding is what the law suite leans on: any two correct evaluators
+(``mul_multiple``, a monomial node raising x's endpoint fractions to n by
+rounded square-and-multiply, is the other one) must agree wherever their
+intervals are queried.
 """
 
 from __future__ import annotations
@@ -43,6 +44,7 @@ from .models import (
     PosRat,
     PosRealValue,
     _Node,
+    _interval,
     _monomial,
     certify,
     ladder,
@@ -236,7 +238,8 @@ class _Power(_Node):
     times a bound on log2 x_hi, the smaller of the bit length of ceil(x_hi)
     and 3(x_hi - 1)/2 (ln x <= x - 1), so a base near one is not charged a
     whole bit per unit of y.  A b above RESULT_BITS_CAP raises
-    OracleFailureError rather than square integers of about b bits.
+    OracleFailureError rather than square integers of about b bits.  The
+    base is read as ticks of 2^-w; the exponent's denominator picks a route.
     """
 
     __slots__ = ()
@@ -247,15 +250,21 @@ class _Power(_Node):
         self._leaves = values
 
     def _ends(self, w: int, ends: dict):
-        xi, yi = [x if x.__class__ is PosRat else ends.get(x) or x.approx(w) for x in self._leaves]
-        x, y = xi.hi, yi.hi
-        n = -(-y.num // y.den)
-        bits = min(n * (-(-x.num // x.den)).bit_length(), -(-3 * n * (x.num - x.den) // (2 * x.den)))
+        x, y = self._leaves
+        if x in ends:
+            xl, xh = ends[x]
+        else:
+            xi = x if x.__class__ is PosRat else x.approx(w)
+            xl, xh = _ticks(xi.lo, w, 0), _ticks(xi.hi, w, 1)
+        y = _interval(*ends[y], w) if y in ends else y if y.__class__ is PosRat else y.approx(w)
+        yl, yh = y.lo, y.hi
+        n = -(-yh.num // yh.den)
+        bits = min(n * (-(-xh >> w)).bit_length(), -(-3 * n * (xh - (1 << w)) >> w + 1))
         if bits > RESULT_BITS_CAP:
             raise OracleFailureError(f"power may need {bits} bits, over the cap of {RESULT_BITS_CAP}")
         # x^y > 1 also keeps the floor chain's bound positive
-        lo = max(_scaled_pow(_ticks(xi.lo, w, 0), yi.lo, w, 0), 1 << w)
-        return lo, _scaled_pow(_ticks(xi.hi, w, 1), yi.hi, w, 1), 0
+        lo = max(_scaled_pow(xl, yl, w, 0), 1 << w)
+        return lo, _scaled_pow(xh, yh, w, 1), 0
 
 
 # Scaled-integer arithmetic: an int a stands for a/2^w.  ``up`` is 0 to

@@ -2,6 +2,7 @@ import math
 import random
 import sys
 import threading
+import time
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -52,7 +53,7 @@ from magnitudes.models import (
 from magnitudes.power import MulReal, _Power, mul_multiple, nth_root, pow
 from magnitudes.ratio import ratio_compare
 
-from conftest import isqrt_real, recorded
+from conftest import isqrt_real, opaque, recorded
 
 rationals = st.builds(PosRat, st.integers(1, 1 << 16), st.integers(1, 1 << 16))
 
@@ -772,6 +773,70 @@ def refine_from_threads(nodes, together=False):
     return seen
 
 
+def scaled_root(k: int, e: int) -> PosRealValue:
+    """sqrt(k) * 2^e as a leaf, read on the grid 2^-(p + max(0, -e) + 2), so
+    that a tiny value's lower end stays positive."""
+
+    def refine(p: int) -> Interval:
+        q = p + max(0, -e) + 2
+        s = math.isqrt(k << 2 * (q + e))
+        return Interval(PosRat(s, 1 << q), PosRat(s + 1, 1 << q))
+
+    return PosRealValue(refine)
+
+
+exponents = st.one_of(st.integers(1, 8), st.sampled_from((16, 63, 64, 255, 256, 1023, 1024))).flatmap(
+    lambda n: st.sampled_from((n, -n))
+)
+
+
+@st.composite
+def monomial_factors(draw):
+    """1-6 factors (k, e, n, node): (sqrt(k) * 2^e)^n, the scaling 2^e a
+    real_scale node over the leaf sqrt(k) when node is set and in the
+    leaf's own reads otherwise, with n in +-1..+-1024 and e in -200..200,
+    held to |n e| <= 256 so the product stays below 2^25000; and 0-2 exact
+    points (q, n, hide), 16-bit rationals to such powers, which fold into
+    the monomial's coefficient, or, with hide, are leaves whose reads are
+    the point, so that an end rounded the wrong way shows."""
+    factors = []
+    for _ in range(draw(st.integers(1, 6))):
+        n = draw(exponents)
+        e = draw(st.integers(-200, 200))
+        e = max(-256 // abs(n), min(256 // abs(n), e))
+        factors.append((draw(st.sampled_from(NON_SQUARES)), e, n, draw(st.booleans())))
+    points = draw(st.lists(st.tuples(rationals, exponents, st.booleans()), max_size=2))
+    return factors, points
+
+
+def monomial_value(factors, points, mp):
+    """The value monomial_factors names, in mp."""
+    v = mp.mpf(1)
+    for k, e, n, _ in factors:
+        v *= (mp.sqrt(k) * mp.ldexp(1, e)) ** n
+    for q, n, _ in points:
+        v *= (mp.mpf(q.num) / q.den) ** n
+    return v
+
+
+class TestRound:
+    @given(st.integers(1, 1 << 3000), st.integers(1, 1 << 3000), st.integers(2, 2000), st.booleans())
+    @example(5, 1 << 700, 100, True)  # a dyadic of few bits comes back as it is
+    @example(1, 3 << 2000, 64, False)
+    def test_rounds_outward_to_m_leading_bits(self, n, d, m, dyadic):
+        # down and up enclose n/d, on one grid 2^-s holding m bits of a value
+        # below 1 and every bit above 2^-m of one at least 1
+        if dyadic:
+            d = 1 << d.bit_length()
+        v = Fraction(n, d)
+        (a, s), (b, t) = models._round(n, d, m, 0), models._round(n, d, m, 1)
+        assert s == t and not s & (s - 1)
+        assert 1 <= a <= b and Fraction(a, s) <= v <= Fraction(b, t)
+        assert Fraction(b - a, s) * (1 << (m - 2)) <= max(v, 1)
+        if dyadic and d.bit_length() - 1 <= m + max(0, d.bit_length() - n.bit_length()):
+            assert (a, s) == (b, t) == (n, d)
+
+
 class TestMonomialNodes:
     def test_products_quotients_and_multiples_are_one_node(self):
         x, y = isqrt_real(2), isqrt_real(3)
@@ -826,8 +891,8 @@ class TestMonomialNodes:
         assert second_seen == first_seen
 
     def test_large_exponent(self):
-        # x^10000 is squared and multiplied on floats of about w bits; an
-        # exact endpoint power would hold 10,000 times the bits of a read
+        # x^10000 by square-and-multiply, its squares rounded to about w
+        # bits; an exact endpoint power would hold 10,000 times the bits of a read
         iv = mul_multiple(10000, MulReal(isqrt_real(3))).value.approx(30)
         assert iv.width_at_most(30)
         assert encloses_square(iv, Fraction(3) ** 10000)
@@ -855,6 +920,55 @@ class TestMonomialNodes:
             iv = node.approx(30)
             assert iv.width_at_most(30)
             assert encloses_square(iv, v2)
+
+    @settings(max_examples=80, deadline=None)
+    @given(monomial_factors(), st.integers(0, 300))
+    @example(([(3, 0, 1, False), (2, -200, -1, False)], []), 30)  # a quotient by a tiny divisor
+    @example(([(3, 0, 1, False), (2, -200, -1, True)], []), 300)
+    @example(([(5, 200, 1, False), (7, -200, 1, True), (2, 0, 1024, False)], [(PosRat(3, 7), -1024, False)]), 100)
+    @example(([(2, 0, 1, False)], [(PosRat(1, 3), 1, True), (PosRat(7, 5), -3, True)]), 30)
+    # points 2^-120 above and below 1, whose products lie just off the grid
+    # point that an accumulator rounded the wrong way would fall on
+    @example(([], [(PosRat((1 << 120) + 1, 1 << 120), 3, True)]), 30)
+    @example(([], [(PosRat((1 << 120) - 1, 1 << 120), 3, True)]), 30)
+    @example(([], [(PosRat((1 << 120) + 1, 1 << 120), 1, True)] * 2 + [(PosRat(3), 1, True)]), 30)
+    @example(([], [(PosRat((1 << 120) - 1, 1 << 120), 1, True)] * 2 + [(PosRat(3), 1, True)]), 30)
+    # at p = 30 a pass keeps 51 bits: squares 2^-60 above and 2^-75 below
+    # the grid point 1 + 2^-29 or 1 + 2^-24
+    @example(([], [(PosRat((1 << 30) + 1, 1 << 30), 2, True)]), 30)
+    @example(([], [(PosRat((1 << 51) + (1 << 26) - 1, 1 << 51), 2, True)]), 30)
+    def test_random_monomials_contain_and_meet_width(self, drawn, p):
+        # one node over 1-6 factors, each leaf raised to its exponent on its
+        # own, against mpmath at a precision that covers the value's size
+        mpmath = pytest.importorskip("mpmath")
+        factors, points = drawn
+        terms = []
+        for k, e, n, node in factors:
+            scale = PosRat(1 << e) if e >= 0 else PosRat(1, 1 << -e)
+            x = real_scale(isqrt_real(k), scale) if node else scaled_root(k, e)
+            terms.append((x, n, 1))
+        terms += [(opaque(real_from_rat(q)) if hide else real_from_rat(q), n, 1) for q, n, hide in points]
+        iv = models._monomial(tuple(terms)).approx(p)
+        assert iv.lo.num >= 1 and iv.width_at_most(p)
+        size = sum(abs(n) * (abs(e) + 4) for _, e, n, _ in factors) + sum(abs(n) * 17 for _, n, _ in points)
+        with mpmath.workprec(p + size + 64):
+            assert holds(iv, monomial_value(factors, points, mpmath.mp), mpmath.mp)
+
+    def test_product_chain_read_time(self):
+        # 1,000 leaves read at 1000 bits: two passes, the second near 1,800
+        # bits as the product is near 2^793, each rounding its accumulators
+        # once per leaf; a 2-CPU x86-64 host reads it in about 37 ms, and the
+        # bound leaves room for hosts up to three times slower
+        best = float("inf")
+        for _ in range(3):
+            acc = isqrt_real(2)
+            for _ in range(1000):
+                acc = real_mul(acc, isqrt_real(3))
+            start = time.perf_counter()
+            iv = acc.approx(1000)
+            best = min(best, time.perf_counter() - start)
+        assert iv.width_at_most(1000) and encloses_square(iv, 2 * Fraction(3) ** 1000)
+        assert best < 2 * 0.064
 
     @given(monomial_dags(), st.integers(0, 200))
     def test_random_dags_contain_and_meet_width(self, dag, p):
@@ -952,13 +1066,24 @@ class TestMixedNodes:
         seen = []
         iv = alternating_chain(1000, lambda k: recorded(k, seen)).approx(30)
         assert iv.width_at_most(30)
-        # two passes, each reading every leaf once
-        assert len(seen) == 2 * 1002 and max(seen) <= 46
+        # one pass, on a whole 32-bit word, reading every leaf once
+        assert len(seen) == 1002 and max(seen) <= 64
         with mpmath.workprec(200):
             x, c, r3 = mpmath.sqrt(2), mpmath.sqrt(5) / 3, mpmath.sqrt(3)
             for _ in range(1000):
                 x = x * c + r3
             assert holds(iv, x, mpmath.mp)
+
+    def test_difference_below_the_grid_over_a_node_input(self):
+        # sqrt(2)*sqrt(3) less a point 2^-83 below it: the first pass's lower
+        # sum floors to 0, and the exact sum over the product node's ticks
+        # sizes the finer grid
+        mpmath = pytest.importorskip("mpmath")
+        q = PosRat(2449489742783178098197284, 10**24)
+        iv = real_subtract(real_mul(isqrt_real(2), isqrt_real(3)), real_from_rat(q)).approx(30)
+        assert iv.width_at_most(30)
+        with mpmath.workprec(400):
+            assert holds(iv, mpmath.sqrt(6) - mpmath.mpf(q.num) / q.den, mpmath.mp)
 
     def test_nested_square_roots(self):
         # each level built by pow(x, 1/2, 4), which refines it once: 2^(2^-201)
@@ -1145,6 +1270,15 @@ class TestCertify:
         assert ladder(48) == (4, 8, 16, 32, 48)
         assert ladder(16) == (4, 8, 16)
         assert ladder(3) == (3,)
+
+    def test_ladder_memo_is_bounded(self):
+        # a ratio comparison asks for ladder(max(16, 4 * fuel)) on every call:
+        # the same cap gives the same tuple, and no fuels grow the memo
+        assert ladder(48) is ladder(48)
+        for cap in range(1000, 1300):
+            assert ladder(cap)[-1] == cap
+        assert ladder.cache_info().currsize <= 64
+        assert ladder(256) == (4, 8, 16, 32, 64, 128, 256)
 
     @pytest.mark.parametrize(
         "q, rel, rung",
