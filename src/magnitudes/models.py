@@ -671,8 +671,8 @@ class _Linear(_Node):
         # the next grid, and a difference not yet positive doubles it
         num, den = 0, 1
         for src, u, v, extra in self._leaves:
-            if src.__class__ is not PosRat:  # a read hits the cache
-                src = _interval(*ends[src], w) if src in ends else src.approx(w + extra)
+            if src.__class__ is not PosRat:  # a read hits the cache; a node input's end is a tick
+                src = PosRat(ends[src][u < 0], 1 << w) if src in ends else src.approx(w + extra)
             a = src.lo if u > 0 else src.hi
             num, den = num * a.den * v + a.num * u * den, den * a.den * v
             g = gcd(num, den)

@@ -44,7 +44,6 @@ from .models import (
     PosRat,
     PosRealValue,
     _Node,
-    _interval,
     _monomial,
     certify,
     ladder,
@@ -239,7 +238,7 @@ class _Power(_Node):
     and 3(x_hi - 1)/2 (ln x <= x - 1), so a base near one is not charged a
     whole bit per unit of y.  A b above RESULT_BITS_CAP raises
     OracleFailureError rather than square integers of about b bits.  The
-    base is read as ticks of 2^-w; the exponent's denominator picks a route.
+    base is read as ticks of 2^-w, the exponent as rationals.
     """
 
     __slots__ = ()
@@ -256,8 +255,11 @@ class _Power(_Node):
         else:
             xi = x if x.__class__ is PosRat else x.approx(w)
             xl, xh = _ticks(xi.lo, w, 0), _ticks(xi.hi, w, 1)
-        y = _interval(*ends[y], w) if y in ends else y if y.__class__ is PosRat else y.approx(w)
-        yl, yh = y.lo, y.hi
+        if y in ends:  # the exponent's rational ends pick _scaled_pow's route
+            yl, yh = (PosRat(t, 1 << w) for t in ends[y])
+        else:
+            yi = y if y.__class__ is PosRat else y.approx(w)
+            yl, yh = yi.lo, yi.hi
         n = -(-yh.num // yh.den)
         bits = min(n * (-(-xh >> w)).bit_length(), -(-3 * n * (xh - (1 << w)) >> w + 1))
         if bits > RESULT_BITS_CAP:
