@@ -81,40 +81,31 @@ def _build_parser() -> _Parser:
     p_cmp.add_argument("--model2", default=None, choices=["nat", "rat", "real"])
     p_cmp.add_argument("--fuel", type=int, default=64)
     add_common(p_cmp)
+    p_cmp.set_defaults(handler=_cmd_ratio)
 
-    p_multiple = sub.add_parser("multiple", help="n-fold sum of an element")
-    p_multiple.add_argument("n")
-    p_multiple.add_argument("a")
-    add_common(p_multiple)
-
-    p_fourth = sub.add_parser("fourth", help="fourth proportional to a, b, a'")
-    p_fourth.add_argument("a")
-    p_fourth.add_argument("b")
-    p_fourth.add_argument("aprime")
-    add_common(p_fourth)
-
-    p_mul = sub.add_parser("mul", help="product a * b")
-    p_mul.add_argument("a")
-    p_mul.add_argument("b")
-    add_common(p_mul)
-
-    p_quot = sub.add_parser("quot", help="quotient b / a")
-    p_quot.add_argument("b")
-    p_quot.add_argument("a")
-    add_common(p_quot)
-
-    p_pow = sub.add_parser("pow", help="x^y for x > 1")
-    p_pow.add_argument("x")
-    p_pow.add_argument("y")
-    add_common(p_pow, model_default="real")
+    # each element command's name, help, operands, computation and default model
+    for name, text, operands, compute, model in (
+        ("multiple", "n-fold sum of an element", ("n", "a"), _multiple, "rat"),
+        ("fourth", "fourth proportional to a, b, a'", ("a", "b", "aprime"), _fourth, "rat"),
+        ("mul", "product a * b", ("a", "b"), _mul, "rat"),
+        ("quot", "quotient b / a", ("b", "a"), _quot, "rat"),
+        ("pow", "x^y for x > 1", ("x", "y"), _pow, "real"),
+    ):
+        p_element = sub.add_parser(name, help=text)
+        for operand in operands:
+            p_element.add_argument(operand)
+        add_common(p_element, model_default=model)
+        p_element.set_defaults(handler=_cmd_element, compute=compute)
 
     p_embed = sub.add_parser("embed-check", help="verify a serialized embedding")
     p_embed.add_argument("tree", help="embedding as JSON")
     p_embed.add_argument("--samples", type=int, default=100)
     p_embed.add_argument("--seed", type=int, default=0)
     add_common(p_embed)
+    p_embed.set_defaults(handler=_cmd_embed_check)
 
     p_laws = sub.add_parser("laws", help="run a registered law set")
+    p_laws.set_defaults(handler=_cmd_laws)
     laws_sub = p_laws.add_subparsers(dest="laws_command", required=True)
     p_run = laws_sub.add_parser("run", help="run one law set")
     p_run.add_argument("law_set")
@@ -173,7 +164,7 @@ def _parse_ratio_args(args) -> tuple:
     return a, b, a2, b2
 
 
-def _cmd_ratio(args, out) -> int:
+def _cmd_ratio(args, p, out) -> int:
     a, b, a2, b2 = _parse_ratio_args(args)
     verdict = ratio.ratio_compare(a, b, a2, b2, fuel=args.fuel)
     if args.format == "json":
@@ -193,48 +184,40 @@ def _cmd_ratio(args, out) -> int:
     return EXIT_UNDECIDED if verdict.is_unknown else EXIT_OK
 
 
-def _cmd_multiple(args, p, out) -> int:
+def _multiple(args, p):
     model = model_by_id(args.model)
-    n = int(args.n)
-    a = parse_element(model, args.a)
-    _emit_element(multiple(n, a, model), p, args.format, out)
-    return EXIT_OK
+    return multiple(int(args.n), parse_element(model, args.a), model)
 
 
-def _cmd_fourth(args, p, out) -> int:
+def _fourth(args, p):
     model = model_by_id(args.model)
     a = parse_element(model, args.a)
     b = parse_element(model, args.b)
-    aprime = real_from_rat(PosRat.from_text(args.aprime))
-    _emit_element(fourth_proportional(a, b, aprime, p), p, args.format, out)
-    return EXIT_OK
+    return fourth_proportional(a, b, real_from_rat(PosRat.from_text(args.aprime)), p)
 
 
-def _cmd_mul(args, p, out) -> int:
+def _mul(args, p):
     model = model_by_id(args.model)
-    a = parse_element(model, args.a)
-    b = parse_element(model, args.b)
-    _emit_element(hom.product(a, b), p, args.format, out)
-    return EXIT_OK
+    return hom.product(parse_element(model, args.a), parse_element(model, args.b))
 
 
-def _cmd_quot(args, p, out) -> int:
+def _quot(args, p):
     model = model_by_id(args.model)
     b = parse_element(model, args.b)
-    a = parse_element(model, args.a)
-    _emit_element(hom.quotient(b, a), p, args.format, out)
-    return EXIT_OK
+    return hom.quotient(b, parse_element(model, args.a))
 
 
-def _cmd_pow(args, p, out) -> int:
+def _pow(args, p):
     base = power.into_mul(real_from_rat(PosRat.from_text(args.x)))
-    exponent = PosRat.from_text(args.y)
-    result = power.pow(base, exponent, p)
-    _emit_element(result.value, p, args.format, out)
+    return power.pow(base, PosRat.from_text(args.y), p).value
+
+
+def _cmd_element(args, p, out) -> int:
+    _emit_element(args.compute(args, p), p, args.format, out)
     return EXIT_OK
 
 
-def _cmd_embed_check(args, out) -> int:
+def _cmd_embed_check(args, p, out) -> int:
     try:
         tree = json.loads(args.tree)
     except json.JSONDecodeError as exc:
@@ -297,23 +280,7 @@ def main(argv=None, out=sys.stdout, err=sys.stderr) -> int:
         precision = raw_precision if raw_precision is not None else _default_precision()
         if precision < 0:
             raise _UsageError("precision must be >= 0")
-        if args.command == "ratio":
-            return _cmd_ratio(args, out)
-        if args.command == "multiple":
-            return _cmd_multiple(args, precision, out)
-        if args.command == "fourth":
-            return _cmd_fourth(args, precision, out)
-        if args.command == "mul":
-            return _cmd_mul(args, precision, out)
-        if args.command == "quot":
-            return _cmd_quot(args, precision, out)
-        if args.command == "pow":
-            return _cmd_pow(args, precision, out)
-        if args.command == "embed-check":
-            return _cmd_embed_check(args, out)
-        if args.command == "laws":
-            return _cmd_laws(args, precision, out)
-        raise _UsageError(f"unknown command {args.command!r}")
+        return args.handler(args, precision, out)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=err)
         return EXIT_USAGE

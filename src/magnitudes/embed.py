@@ -42,7 +42,6 @@ from .models import (
 
 __all__ = [
     "ApproxPolicy",
-    "DEFAULT_POLICY",
     "EmbeddingRepr",
     "UnitMultiple",
     "Anchor",
@@ -71,9 +70,6 @@ class ApproxPolicy(Record):
         if precision < 0:
             raise ValueError("target precision must be >= 0")
         object.__setattr__(self, "precision", precision)
-
-
-DEFAULT_POLICY = ApproxPolicy()
 
 
 class EmbeddingRepr(Record):
@@ -185,9 +181,10 @@ def fourth_proportional(a, b, a_prime: PosRealValue, p: int) -> PosRealValue:
     """b' in the real model with a : b = a' : b', refined when it is read.
 
     a and b live in one exact model, where the ratio b : a is the fraction
-    b/a in closed form; the result is a' scaled by it, an oracle honoring
-    the width contract at every precision (uniqueness makes any two correct
-    constructions agree).  p is checked and otherwise unread.
+    b/a in closed form; the result is a' scaled by it, the exact point when
+    a' is one and otherwise an oracle honoring the width contract at every
+    precision (uniqueness makes any two correct constructions agree).  p is
+    checked and otherwise unread.
     """
     model = model_of(a)
     model.check(b)

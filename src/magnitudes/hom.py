@@ -18,6 +18,8 @@ products and quotients refine as one node.
 
 from __future__ import annotations
 
+from typing import Optional
+
 from .core import Ordering3, Record, Rel
 from .errors import (
     ModelMismatchError,
@@ -27,7 +29,6 @@ from .errors import (
 )
 from .embed import (
     ApproxPolicy,
-    DEFAULT_POLICY,
     ComposeOf,
     EmbeddingRepr,
     IdentityRepr,
@@ -172,7 +173,7 @@ def psi(model: Model, a_prime) -> HomElement:
     return hom(anchor_embedding(unit, a_prime))
 
 
-def product(a, b, policy: ApproxPolicy = DEFAULT_POLICY):
+def product(a, b, policy: Optional[ApproxPolicy] = None):
     """a * b on a unit-bearing model: apply the embedding for b to a.
 
     On nat and rat the embedding psi(b) is built and evaluated at a, which
@@ -189,7 +190,7 @@ def product(a, b, policy: ApproxPolicy = DEFAULT_POLICY):
     return evaluate(psi(model, b).mapping, a)
 
 
-def quotient(b, a, policy: ApproxPolicy = DEFAULT_POLICY):
+def quotient(b, a, policy: Optional[ApproxPolicy] = None):
     """The unique d with product(d, a) = b.  Symmetric models only.
 
     policy is accepted and unread: a rat quotient is exact, and a real one

@@ -428,12 +428,6 @@ def _num_den(t):
     return None if q is None else (q.num, q.den)
 
 
-def _point(t):
-    """A known point as a PosRat; any other real as given."""
-    nd = _num_den(t)
-    return t if nd is None else PosRat._reduced(*nd)
-
-
 def _pin(nd: Tuple[int, int]) -> Interval:
     """The known point nd = _num_den(t) as Interval(q, q), for a ladder to read on every rung."""
     q = PosRat._reduced(*nd)
@@ -452,6 +446,8 @@ class _Node(PosRealValue):
     ``_leaves`` last, as an inner node is set up outside its lock.  A node
     never calls PosRealValue.__init__ (``_refine`` is a method); it makes
     its lock and cache on its first ``approx``, which an inner node never has.
+    An operator whose inputs are all exact points returns that point, so no
+    node is ever exact: ``exact`` is None on the class.
 
     refine(p) is one forward pass over the nodes under the root, each after
     those it reads, at one working precision w: a kind's ``_ends(w, ends)``
@@ -468,11 +464,11 @@ class _Node(PosRealValue):
     """
 
     __slots__ = ("_terms", "_leaves", "_nodes")
+    exact = None
 
-    def __init__(self, terms: tuple, exact: Optional[PosRat] = None):
+    def __init__(self, terms: tuple):
         self._best = None
         self._lock = None
-        self.exact = exact
         self._terms = terms
         self._leaves = None
 
@@ -536,12 +532,12 @@ def _flatten(terms: tuple, kind: type) -> list:
 
     kind is _Linear, whose weights are signed coefficients num/den in lowest
     terms, den > 0, or _Monomial, whose weights are integer exponents num/1.
-    A value of class kind that is not an exact point is an inner node, whose
-    terms are expanded; any other value is a leaf, a node of another kind or
-    a user's PosRealValue subclass included.  Plain terms, with no inner
-    node among them and no value twice, as a product or a scaling of leaves
-    has, are the leaves themselves, in lowest terms already, and take no
-    walk.  Otherwise weights multiply down the DAG (see _push_down).  A tree
+    A value of class kind is an inner node, whose terms are expanded (no
+    node is an exact point); any other value is a leaf, an exact point, a
+    node of another kind or a user's PosRealValue subclass included.  Plain
+    terms, with no inner node among them and no value twice, as a product
+    or a scaling of leaves has, are the leaves themselves, in lowest terms
+    already, and take no walk.  Otherwise weights multiply down the DAG (see _push_down).  A tree
     of inner nodes, as a chain is, takes one walk; only when that walk
     reaches an inner node twice are the parents counted and the weights
     pushed down again, in topological order over distinct nodes, so a
@@ -556,7 +552,7 @@ def _flatten(terms: tuple, kind: type) -> list:
     # plain terms are their own weights; anything else takes the walks
     weight: Optional[dict] = {}
     for node, num, den in terms:
-        if (node.__class__ is kind and node.exact is None) or node in weight:
+        if node.__class__ is kind or node in weight:
             weight = _push_down(terms, kind, None)
             break
         weight[node] = (num, den)
@@ -566,7 +562,7 @@ def _flatten(terms: tuple, kind: type) -> list:
         stack = [terms]
         while stack:
             for node, _, _ in stack.pop():
-                if node.__class__ is not kind or node.exact is not None:
+                if node.__class__ is not kind:
                     continue
                 if node in parents:
                     parents[node] += 1
@@ -600,7 +596,7 @@ def _push_down(terms: tuple, kind: type, parents: Optional[dict]) -> Optional[di
             num, den = c_num * k_num, c_den * k_den
             if parents is not None:
                 left = parents.get(child)
-            elif child.__class__ is not kind or child.exact is not None:
+            elif child.__class__ is not kind:
                 left = None
             elif child in expanded:
                 return None
@@ -681,36 +677,41 @@ class _Linear(_Node):
 
 
 def real_add(x: PosRealValue, y: PosRealValue) -> PosRealValue:
-    """Sum node x + y.
+    """x + y: the exact point when both are exact points, else a sum node.
 
     Nested sums, scalings and differences refine as one linear node over
     their leaves (see _Linear): integer endpoint sums on one dyadic grid,
     ceil(log2 3n) guard bits for n leaves, and no recursion through the chain.
     """
-    exact = x.exact + y.exact if (x.exact is not None and y.exact is not None) else None
-    return _Linear(((x, 1, 1), (y, 1, 1)), exact)
+    if x.exact is not None and y.exact is not None:
+        return real_from_rat(x.exact + y.exact)
+    return _Linear(((x, 1, 1), (y, 1, 1)))
 
 
 def real_scale(x: PosRealValue, q: PosRat) -> PosRealValue:
-    """x scaled by an exact rational factor q > 0, as a linear node.
+    """x scaled by an exact rational factor q > 0: the exact point when x is
+    one, else a linear node.
 
     Scaling by 1 is x itself, so no node is built.  Alone over a leaf x a
     scaling reads x at p + 2 + max(0, ceil(log2 q)).
     """
     if q == RAT_ONE:
         return x
-    exact = x.exact * q if x.exact is not None else None
-    return _Linear(((x, q.num, q.den),), exact)
+    if x.exact is not None:
+        return real_from_rat(x.exact * q)
+    return _Linear(((x, q.num, q.den),))
 
 
 def real_subtract(x: PosRealValue, y: PosRealValue) -> PosRealValue:
-    """Difference node x - y for y < x: the linear node x + (-1)*y (see _Linear).
+    """x - y for y < x: the exact point when both are exact points, else the
+    linear node x + (-1)*y (see _Linear).
 
     Exact points raise NotGreaterError unless y < x; otherwise a refine
     raises OracleFailureError when its grids cannot show x - y > 0.
     """
-    exact = x.exact - y.exact if (x.exact is not None and y.exact is not None) else None
-    return _Linear(((x, 1, 1), (y, -1, 1)), exact)
+    if x.exact is not None and y.exact is not None:
+        return real_from_rat(x.exact - y.exact)
+    return _Linear(((x, 1, 1), (y, -1, 1)))
 
 
 def _round(n: int, d: int, m: int, up: int) -> Tuple[int, int]:
@@ -787,8 +788,9 @@ class _Monomial(_Node):
                 k >>= 1
                 if not k:
                     break
-                a, b = _round(a * a, b * b, m, 0)
-                c, d = _round(c * c, d * d, m, 1)
+                # a power-of-two denominator, as grid reads give, squares by a shift
+                a, b = _round(a * a, b * b if b & (b - 1) else b << b.bit_length() - 1, m, 0)
+                c, d = _round(c * c, d * d if d & (d - 1) else d << d.bit_length() - 1, m, 1)
         # a power-of-two denominator, as grid reads give, divides by a shift
         lo = (ln << w) // ld if ld & (ld - 1) else ln << w >> ld.bit_length() - 1
         hi = -((-hn << w) // hd) if hd & (hd - 1) else -(-hn << w >> hd.bit_length() - 1)
@@ -833,8 +835,8 @@ def ladder(cap: int = 256) -> Tuple[int, ...]:
 
 
 def certify(
-    x: Union[PosRat, PosRealValue],
-    y: Union[PosRat, PosRealValue],
+    x: Union[int, PosRat, PosRealValue],
+    y: Union[int, PosRat, PosRealValue],
     rungs: Iterable[int],
     m: int = 1,
     n: int = 1,
@@ -843,15 +845,18 @@ def certify(
 
     A verdict needs disjoint scaled intervals at one rung.  When no rung
     separates the sides the answer is (None, last rung).  Either side may be
-    an exact PosRat, pinned once as the point Interval(q, q), so a rung
-    reads only the real sides and builds no oracle.
+    a nat or rat term, pinned once as the point Interval(q, q), so a rung
+    reads only the real sides and builds no oracle; an exact real is read
+    through its cached point like any other real.
     At rung p a real side is read ceil(log2) of its multiplier bits deeper,
     so its scaled interval is no wider than 2^-p, as multiple(m, x).approx(p)
     would be; the multiple itself is never built.
     """
     ex, ey = (m - 1).bit_length(), (n - 1).bit_length()
-    x = Interval(x, x) if x.__class__ is PosRat else x
-    y = Interval(y, y) if y.__class__ is PosRat else y
+    if not isinstance(x, PosRealValue):
+        x = Interval(x, x) if x.__class__ is PosRat else _pin(_num_den(x))
+    if not isinstance(y, PosRealValue):
+        y = Interval(y, y) if y.__class__ is PosRat else _pin(_num_den(y))
     p = 0
     for p in rungs:
         a = x if x.__class__ is Interval else x.approx(p + ex)
@@ -1042,7 +1047,7 @@ class RealModel(Model):
 
     def order(self, a, b) -> Ordering3:
         raise InexactModelError(
-            "real order is certified three-valued; use real_compare with a precision"
+            "real order is certified three-valued; use certify or ratio_compare"
         )
 
     def scale(self, a: PosRealValue, q: PosRat) -> PosRealValue:

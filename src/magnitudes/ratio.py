@@ -29,7 +29,7 @@ from typing import Optional, Tuple
 from . import core
 from .core import Record, Rel
 from .mediants import _simplest
-from .models import Interval, PosRat, _num_den, _pin, _point, certify, ladder, model_by_id, model_of
+from .models import Interval, PosRat, _num_den, _pin, certify, ladder, model_by_id, model_of
 
 __all__ = [
     "Ratio",
@@ -248,6 +248,6 @@ def verify_witness(w: Witness, a, b, a2, b2, fuel: int = 64) -> bool:
     model_of(a).check(b)
     model_of(a2).check(b2)
     rungs = ladder(max(16, 4 * fuel))
-    if certify(_point(a), _point(b), rungs, w.m, w.n)[0] is not Rel.GREATER:
+    if certify(a, b, rungs, w.m, w.n)[0] is not Rel.GREATER:
         return False
-    return certify(_point(a2), _point(b2), rungs, w.m, w.n)[0] is not Rel.GREATER
+    return certify(a2, b2, rungs, w.m, w.n)[0] is not Rel.GREATER

@@ -38,6 +38,11 @@ GOLDEN = [
     (("multiple", "--model", "rat", "5", "3/4"), EXIT_OK, "15/4\n"),
     (("multiple", "--model", "nat", "13", "7"), EXIT_OK, "91\n"),
     (("fourth", "--model", "rat", "2", "3", "1", "-p", "10"), EXIT_OK, "1.500 ± 2^-10\n"),
+    # 3/5 reached by a sum, a product and a fourth proportional of exact
+    # points is the exact point, and prints as one
+    (("multiple", "--model", "real", "3", "1/5"), EXIT_OK, "0.600000000 ± 2^-30\n"),
+    (("mul", "--model", "real", "3", "1/5"), EXIT_OK, "0.600000000 ± 2^-30\n"),
+    (("fourth", "--model", "rat", "5", "3", "1"), EXIT_OK, "0.600000000 ± 2^-30\n"),
 ]
 
 
@@ -153,6 +158,11 @@ class TestJsonMode:
         assert payload["precision"] == 20
         assert "/" in payload["lo"] and "/" in payload["hi"]
         assert payload["mid"].endswith("2^-20")
+
+    def test_fourth_of_exact_points_has_point_endpoints(self):
+        code, out, _ = run_cli("fourth", "--model", "rat", "3", "1", "1", "--format", "json")
+        payload = json.loads(out)["result"]
+        assert code == EXIT_OK and payload["lo"] == payload["hi"] == "1/3"
 
     def test_json_round_trip_idempotent(self):
         code, out, _ = run_cli("pow", "2", "1/2", "-p", "20", "--format", "json")

@@ -28,7 +28,7 @@ from magnitudes.power import into_mul, nth_root, pow
 
 from conftest import isqrt_real
 
-DIGEST = "a532f1a18c119e9a1b57210daf7dadad3af6bbefc3cb8af5a0360b748adb4046"
+DIGEST = "fff4382481f7d6e63adc8b6fc7e8178d997bd6d1ba3fce2498177ac68200c4fd"
 
 PRECISIONS = (30, 300, 1000)
 

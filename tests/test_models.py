@@ -19,6 +19,7 @@ from magnitudes.errors import (
     OracleFailureError,
     ParseError,
 )
+from magnitudes.hom import product, quotient
 from magnitudes.models import (
     NAT,
     RAT,
@@ -50,7 +51,7 @@ from magnitudes.models import (
     real_scale,
     real_subtract,
 )
-from magnitudes.power import MulReal, _Power, mul_multiple, nth_root, pow
+from magnitudes.power import MUL, MulReal, _Power, mul_multiple, nth_root, pow
 from magnitudes.ratio import ratio_compare
 
 from conftest import isqrt_real, opaque, recorded
@@ -1042,6 +1043,34 @@ class TestMonomialNodes:
         assert PosRealValue.__slots__ == ("_refine", "_cache", "_best", "_lock", "exact")
         assert not isinstance(x, _Node)
 
+    @pytest.mark.parametrize(
+        "build,q",
+        [
+            (real_add, PosRat(23, 10)),
+            (lambda x, y: real_scale(x, PosRat(7, 3)), PosRat(7, 2)),
+            (real_subtract, PosRat(7, 10)),
+            (real_mul, PosRat(6, 5)),
+            (real_div, PosRat(15, 8)),
+            (lambda x, y: MUL.multiple(3, MulReal(x)).value, PosRat(27, 8)),
+            (lambda x, y: core.multiple(3, x, REAL), PosRat(9, 2)),
+            (lambda x, y: fourth_proportional(PosRat(2), PosRat(3), y, 30), PosRat(6, 5)),
+            (product, PosRat(6, 5)),
+            (quotient, PosRat(15, 8)),
+        ],
+        ids=[
+            "real_add", "real_scale", "real_subtract", "real_mul", "real_div", "MUL.multiple",
+            "core.multiple", "fourth_proportional", "hom.product", "hom.quotient",
+        ],
+    )
+    def test_every_result_on_exact_inputs_is_its_point(self, build, q):
+        # the rationals embed in the reals: an operator on exact points
+        # returns the exact point, never a node that reads as a grid interval
+        x, y = real_from_rat(PosRat(3, 2)), real_from_rat(PosRat(4, 5))
+        z = build(x, y)
+        assert not isinstance(z, _Node) and z.exact == q
+        for p in (0, 30, 300):
+            assert z.approx(p) == Interval(q, q)
+
 
 def alternating_chain(depth: int, sqrt3=isqrt_real):
     """x <- x * (sqrt(5)/3) + sqrt(3) from x = sqrt(2), depth times: monomial
@@ -1107,6 +1136,8 @@ class TestMixedNodes:
                 iv = node.approx(p)
                 assert iv.width_at_most(p)
                 assert holds(iv, v, mpmath.mp)
+                # no node is an exact point: exact inputs give a point leaf
+                assert not (isinstance(node, _Node) and node.exact is not None)
                 if node.exact is not None and isinstance(v, Fraction):
                     assert Fraction(node.exact.num, node.exact.den) == v
 

@@ -5,9 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from magnitudes.core import Rel
 from magnitudes.errors import InexactModelError, ModelMismatchError
 from magnitudes.mediants import simplest_in
-from magnitudes.models import PosRat, PosRealValue, real_add, real_from_rat, real_scale
+from magnitudes.models import PosRat, PosRealValue, certify, ladder, real_add, real_from_rat, real_scale
 from magnitudes.ratio import (
     RatioRel,
     Witness,
@@ -201,6 +202,63 @@ class TestVerifyWitness:
             verify_witness(Witness(1, 2), 3, PosRat(1, 1), 1, 1)
         with pytest.raises(ModelMismatchError):
             verify_witness(Witness(1, 2), 3, 1, real_from_rat(PosRat(1, 1)), 1)
+
+
+# (x, y, m, n, verdict, rung): certify's answer on m*x against n*y over ladder()
+PINNED_CERTIFY = [
+    (PosRat(3), PosRat(2), 1, 1, Rel.GREATER, 4),
+    (PosRat(1, 3), PosRat(1, 2), 1, 1, Rel.LESS, 4),
+    (PosRat(2, 3), PosRat(1), 3, 2, None, 256),
+    (PosRat(5), PosRat(7, 2), 7, 10, None, 256),
+    (PosRat(10**30 + 1, 10**30), PosRat(1), 1, 1, Rel.GREATER, 4),
+    (PosRat(7), PosRat(50, 7), 1, 1, Rel.LESS, 4),
+]
+
+# (witness, a, b, a2, b2, verify_witness's answer)
+PINNED_WITNESSES = [
+    (Witness(3, 4), 3, 2, 4, 3, True),
+    (Witness(1, 1), 3, 2, 4, 3, False),
+    (Witness(3, 4), PosRat(3), PosRat(2), PosRat(4), PosRat(3), True),
+    (Witness(5, 7), PosRat(3, 2), PosRat(1), PosRat(4, 3), PosRat(1), True),
+    (Witness(5, 7), PosRat(3, 2), PosRat(1), PosRat(3, 2), PosRat(1), False),
+    (Witness(5, 7), 3, 2, PosRat(4, 3), PosRat(1), True),
+    (Witness(5, 7), 7, 5, 7, 5, False),
+]
+
+
+def exact_real(t):
+    return real_from_rat(PosRat(t) if isinstance(t, int) else t)
+
+
+class TestPinnedTerms:
+    # certify pins a nat or rat term as the point Interval(q, q) itself, and
+    # verify_witness hands it its terms as they are: no oracle is built or
+    # read for them, and an exact real, read through its cached point, gets
+    # the same verdicts
+
+    @pytest.fixture
+    def no_oracle(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("an oracle was built or read")
+
+        monkeypatch.setattr(PosRealValue, "__init__", refuse)
+        monkeypatch.setattr(PosRealValue, "approx", refuse)
+
+    def test_certify_reads_no_oracle_on_nat_and_rat(self, no_oracle):
+        for x, y, m, n, verdict, rung in PINNED_CERTIFY:
+            assert certify(x, y, ladder(), m, n) == (verdict, rung)
+
+    def test_verify_witness_reads_no_oracle_on_nat_and_rat(self, no_oracle):
+        for w, a, b, a2, b2, ok in PINNED_WITNESSES:
+            assert verify_witness(w, a, b, a2, b2) is ok
+
+    def test_exact_reals_give_the_same_verdicts(self):
+        for x, y, m, n, verdict, rung in PINNED_CERTIFY:
+            assert certify(exact_real(x), exact_real(y), ladder(), m, n) == (verdict, rung)
+            assert certify(exact_real(x), y, ladder(), m, n) == (verdict, rung)
+        for w, a, b, a2, b2, ok in PINNED_WITNESSES:
+            assert verify_witness(w, *map(exact_real, (a, b, a2, b2))) is ok
+            assert verify_witness(w, a, b, *map(exact_real, (a2, b2))) is ok
 
 
 class TestRatioCompareReal:
