@@ -185,13 +185,15 @@ def combine(a, b, model=None):
 
 
 def compare(a, b, model=None) -> Ordering3:
-    """Trichotomous comparison with difference witness (exact models only)."""
+    """Trichotomous comparison with difference witness, by the model's order:
+    exact on nat and rat, certified on real and never EQUAL (RealModel.order)."""
     model = _resolve(model, a, b)
     return model.order(a, b)
 
 
 def subtract(b, a, model=None):
-    """The unique d with combine(a, d) = b.  Requires a < b."""
+    """The unique d with combine(a, d) = b.  Requires a < b, certified on
+    reals, where sides that overlap raise UndecidedError (see ``compare``)."""
     model = _resolve(model, a, b)
     outcome = model.order(b, a)
     if not outcome.is_greater:

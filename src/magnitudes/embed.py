@@ -23,7 +23,6 @@ from .core import Record, Rel, check_precision
 from .errors import (
     ModelMismatchError,
     ParseError,
-    UndecidedError,
     UnsupportedCodomainError,
 )
 from .models import (
@@ -32,8 +31,6 @@ from .models import (
     Model,
     PosRat,
     PosRealValue,
-    certify,
-    ladder,
     model_by_id,
     model_of,
     real_mul,
@@ -302,19 +299,12 @@ def embeddings_compare(phi: EmbeddingRepr, chi: EmbeddingRepr, probe) -> Rel:
 
     Any probe decides the global relation (two embeddings agreeing anywhere
     agree everywhere); probe independence is a tested law, not an
-    assumption.  Real codomains may refuse with UndecidedError when the
-    certificates stay overlapped through the default ladder.
+    assumption.  The real model's order is certified and refuses while the
+    images still overlap (see ``RealModel.order``).
     """
     if phi.domain is not chi.domain or phi.codomain is not chi.codomain:
         raise ModelMismatchError("embeddings of different signatures are not comparable")
-    x = evaluate(phi, probe)
-    y = evaluate(chi, probe)
-    if phi.codomain.descriptor.exact_order:
-        return phi.codomain.order(x, y).tag
-    out, p = certify(x, y, ladder())
-    if out is None:
-        raise UndecidedError(f"embedding comparison overlapped through precision {p}")
-    return out
+    return phi.codomain.order(evaluate(phi, probe), evaluate(chi, probe)).tag
 
 
 # ---------------------------------------------------------------------------

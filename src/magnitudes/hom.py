@@ -20,13 +20,8 @@ from __future__ import annotations
 
 from typing import Optional
 
-from .core import Ordering3, Record, Rel
-from .errors import (
-    ModelMismatchError,
-    NoUnitError,
-    NotSymmetricError,
-    UndecidedError,
-)
+from .core import Ordering3, Record
+from .errors import ModelMismatchError, NoUnitError, NotSymmetricError
 from .embed import (
     ApproxPolicy,
     ComposeOf,
@@ -42,12 +37,9 @@ from .models import (
     RAT,
     REAL,
     Model,
-    certify,
-    ladder,
     model_of,
     real_div,
     real_mul,
-    real_subtract,
 )
 
 __all__ = [
@@ -136,26 +128,17 @@ def hom_compare(phi: HomElement, chi: HomElement) -> Ordering3:
     """Trichotomy in the hom space, witnessed by the difference embedding.
 
     One probe evaluation decides (embeddings agreeing at one point agree
-    everywhere).  On strict inequality the witness delta is itself a
-    HomElement with delta(b) = larger(b) - smaller(b) for every b.
+    everywhere), by the codomain's order, which on the real model is
+    certified and refuses rather than answer EQUAL.  On strict inequality
+    the witness delta is itself a HomElement with delta(b) = larger(b) -
+    smaller(b) for every b.
     """
     _require_same_signature(phi, chi)
     probe = _canonical_probe(phi.domain)
-    x = phi(probe)
-    y = chi(probe)
-    codomain = phi.codomain
-    if codomain.descriptor.exact_order:
-        outcome = codomain.order(x, y)
-        if outcome.is_equal:
-            return Ordering3.equal()
-        delta = psi(phi.domain, outcome.gap)
-        return Ordering3(outcome.tag, delta)
-    out, p = certify(x, y, ladder())
-    if out is None:
-        raise UndecidedError(f"hom comparison overlapped through precision {p}")
-    big, small = (x, y) if out is Rel.GREATER else (y, x)
-    gap = real_subtract(big, small)
-    return Ordering3(out, psi(phi.domain, gap))
+    outcome = phi.codomain.order(phi(probe), chi(probe))
+    if outcome.is_equal:
+        return outcome
+    return Ordering3(outcome.tag, psi(phi.domain, outcome.gap))
 
 
 def psi(model: Model, a_prime) -> HomElement:

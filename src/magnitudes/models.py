@@ -28,6 +28,7 @@ from .errors import (
     NotGreaterError,
     OracleFailureError,
     ParseError,
+    UndecidedError,
 )
 
 __all__ = [
@@ -940,14 +941,13 @@ class Model:
 
 
 class NatModel(Model):
-    def __init__(self):
-        self.descriptor = ModelDescriptor(
-            model_id="nat",
-            symmetric=False,
-            exact_order=True,
-            unit=1,
-            smallest=1,
-        )
+    descriptor = ModelDescriptor(
+        model_id="nat",
+        symmetric=False,
+        exact_order=True,
+        unit=1,
+        smallest=1,
+    )
 
     def owns(self, x) -> bool:
         return isinstance(x, int) and not isinstance(x, bool) and x >= 1
@@ -977,14 +977,13 @@ class NatModel(Model):
 
 
 class RatModel(Model):
-    def __init__(self):
-        self.descriptor = ModelDescriptor(
-            model_id="rat",
-            symmetric=True,
-            exact_order=True,
-            unit=RAT_ONE,
-            smallest=None,
-        )
+    descriptor = ModelDescriptor(
+        model_id="rat",
+        symmetric=True,
+        exact_order=True,
+        unit=RAT_ONE,
+        smallest=None,
+    )
 
     def owns(self, x) -> bool:
         return isinstance(x, PosRat)
@@ -1023,14 +1022,13 @@ class RatModel(Model):
 
 
 class RealModel(Model):
-    def __init__(self):
-        self.descriptor = ModelDescriptor(
-            model_id="real",
-            symmetric=True,
-            exact_order=False,
-            unit=real_from_rat(RAT_ONE),
-            smallest=None,
-        )
+    descriptor = ModelDescriptor(
+        model_id="real",
+        symmetric=True,
+        exact_order=False,
+        unit=real_from_rat(RAT_ONE),
+        smallest=None,
+    )
 
     def owns(self, x) -> bool:
         return isinstance(x, PosRealValue)
@@ -1045,10 +1043,17 @@ class RealModel(Model):
         # one scaling node, with the leaf reads of n-fold repeated real_add
         return real_scale(a, PosRat._reduced(n, 1))
 
-    def order(self, a, b) -> Ordering3:
-        raise InexactModelError(
-            "real order is certified three-valued; use certify or ratio_compare"
-        )
+    def order(self, a: PosRealValue, b: PosRealValue) -> Ordering3:
+        """Certified on ``ladder()``, with the difference node as the gap.
+        Equality of reals is undecidable, so EQUAL is never returned: sides
+        still overlapping at the top rung, equal ones included, raise
+        UndecidedError."""
+        out, p = certify(a, b, ladder())
+        if out is Rel.LESS:
+            return Ordering3.less_by(real_subtract(b, a))
+        if out is Rel.GREATER:
+            return Ordering3.greater_by(real_subtract(a, b))
+        raise UndecidedError(f"real comparison overlapped through precision {p}")
 
     def scale(self, a: PosRealValue, q: PosRat) -> PosRealValue:
         return real_scale(a, q)

@@ -101,14 +101,13 @@ def into_mul(x: PosRealValue) -> MulReal:
 class _MulRealModel(Model):
     """The multiplicative space as a model: combine is product."""
 
-    def __init__(self):
-        self.descriptor = ModelDescriptor(
-            model_id="mul-real",
-            symmetric=True,
-            exact_order=False,
-            unit=None,
-            smallest=None,
-        )
+    descriptor = ModelDescriptor(
+        model_id="mul-real",
+        symmetric=True,
+        exact_order=False,
+        unit=None,
+        smallest=None,
+    )
 
     def owns(self, x) -> bool:
         return isinstance(x, MulReal)
@@ -214,10 +213,12 @@ def pow(x: MulReal, y, p: int = 30) -> MulReal:
     if isinstance(y, int) and not isinstance(y, bool):
         y = PosRat(y, 1)
     if isinstance(y, PosRat):
-        y = real_from_rat(y)
-    if not isinstance(y, PosRealValue):
+        e = y
+    elif isinstance(y, PosRealValue):
+        e = y.exact
+    else:
         raise TypeError(f"unsupported exponent type {type(y).__name__}")
-    b, e = x.value.exact, y.exact
+    b = x.value.exact
     if b is not None and e is not None:
         num, den = int_nth_root(b.num, e.den), int_nth_root(b.den, e.den)
         if num**e.den == b.num and den**e.den == b.den and e.num * max(num, den).bit_length() <= RESULT_BITS_CAP:
@@ -244,7 +245,7 @@ class _Power(_Node):
     __slots__ = ()
 
     def _setup(self) -> None:
-        values = [x if x.exact is None else x.exact for x, _, _ in self._terms]
+        values = [x if x.__class__ is PosRat or x.exact is None else x.exact for x, _, _ in self._terms]
         self._nodes = [x for x in values if isinstance(x, _Node)] or ()
         self._leaves = values
 

@@ -141,6 +141,11 @@ class TestExitCodes:
         code, _, _ = run_cli("frobnicate")
         assert code == EXIT_USAGE
 
+    def test_ratio_literal_without_slash_is_usage(self):
+        code, out, err = run_cli("ratio", "cmp", "--model", "rat", "3", "4/3")
+        assert code == EXIT_USAGE and not out
+        assert "needs a slash" in err
+
 
 class TestJsonMode:
     def test_ratio_json(self):
@@ -163,6 +168,19 @@ class TestJsonMode:
         code, out, _ = run_cli("fourth", "--model", "rat", "3", "1", "1", "--format", "json")
         payload = json.loads(out)["result"]
         assert code == EXIT_OK and payload["lo"] == payload["hi"] == "1/3"
+
+    def test_exact_result_json(self):
+        code, out, _ = run_cli("multiple", "--model", "rat", "5", "3/4", "--format", "json")
+        assert (code, out) == (EXIT_OK, '{"result": "15/4"}\n')
+
+    def test_unknown_json_has_precision_cap(self, monkeypatch):
+        monkeypatch.setattr("magnitudes.ratio.ratio_compare", lambda *args, **kwargs: RatioRel.unknown(8, 32))
+        code, out, _ = run_cli(
+            "ratio", "cmp", "--model", "rat", "--model2", "real",
+            "1000/1", "1000/1", "--fuel", "8", "--format", "json",
+        )
+        assert code == EXIT_UNDECIDED
+        assert json.loads(out) == {"verdict": "unknown", "fuelSpent": 8, "precisionCap": 32}
 
     def test_json_round_trip_idempotent(self):
         code, out, _ = run_cli("pow", "2", "1/2", "-p", "20", "--format", "json")
@@ -234,6 +252,14 @@ class TestPrecisionEnv:
             monkeypatch=monkeypatch, env_precision="many",
         )
         assert code == EXIT_USAGE
+
+    def test_negative_env_is_usage(self, monkeypatch):
+        code, out, err = run_cli(
+            "mul", "--model", "rat", "1/2", "1/2",
+            monkeypatch=monkeypatch, env_precision="-1",
+        )
+        assert code == EXIT_USAGE and not out
+        assert "MAGNITUDES_PRECISION must be >= 0" in err
 
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")

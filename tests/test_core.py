@@ -11,6 +11,7 @@ from magnitudes.errors import (
     DiscreteModelError,
     ModelMismatchError,
     NotGreaterError,
+    UndecidedError,
 )
 from magnitudes.models import NAT, RAT, REAL, PosRat, real_from_rat, real_scale
 
@@ -84,6 +85,16 @@ class TestSubtract:
             core.subtract(PosRat(1, 2), PosRat(7, 3))
         with pytest.raises(NotGreaterError):
             core.subtract(4, 4)
+
+    def test_real_certifies_the_difference(self):
+        sqrt2, three_halves = isqrt_real(2), real_from_rat(PosRat(3, 2))
+        d = core.subtract(three_halves, sqrt2, REAL)
+        assert d.approx(40) == REAL.order(sqrt2, three_halves).gap.approx(40)
+        assert core.compare(sqrt2, three_halves, REAL).is_less
+        with pytest.raises(NotGreaterError):
+            core.subtract(sqrt2, three_halves, REAL)
+        with pytest.raises(UndecidedError):
+            core.subtract(sqrt2, sqrt2, REAL)
 
     @given(rationals, rationals)
     def test_recombines_and_shrinks(self, a, d):

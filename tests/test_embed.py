@@ -23,10 +23,11 @@ from magnitudes.errors import (
     InexactModelError,
     ModelMismatchError,
     ParseError,
+    UndecidedError,
     UnsupportedCodomainError,
 )
 from magnitudes.hom import quotient
-from magnitudes.models import NAT, RAT, PosRat, real_from_rat
+from magnitudes.models import NAT, RAT, REAL, PosRat, real_add, real_from_rat, real_scale
 
 from conftest import isqrt_real, recorded
 
@@ -178,6 +179,20 @@ class TestCheckHomomorphism:
         report = check_homomorphism(phi, samples=100, seed=1)
         assert report.passed
 
+    def test_real_codomain_scaling_passes(self):
+        report = check_homomorphism(
+            lambda b: real_scale(b, PosRat(3, 1)), samples=50, seed=0, domain=REAL, codomain=REAL
+        )
+        assert report.passed and report.counterexample is None
+
+    def test_real_codomain_shift_fails(self):
+        one = real_from_rat(PosRat(1, 1))
+        report = check_homomorphism(
+            lambda b: real_add(b, one), samples=50, seed=0, domain=REAL, codomain=REAL
+        )
+        assert not report.passed
+        assert report.counterexample["kind"] == "additivity"
+
     def test_callable_requires_models(self):
         with pytest.raises(ValueError):
             check_homomorphism(lambda x: x, samples=10)
@@ -201,6 +216,16 @@ class TestEmbeddingsCompare:
     def test_signature_mismatch(self):
         with pytest.raises(ModelMismatchError):
             embeddings_compare(nat_embedding(2), nat_embedding(PosRat(1, 2)), 1)
+
+    def test_real_codomain_certifies(self):
+        phi, chi = nat_embedding(isqrt_real(2)), nat_embedding(real_from_rat(PosRat(3, 2)))
+        assert embeddings_compare(phi, chi, 5) is Rel.LESS
+        assert embeddings_compare(chi, phi, 5) is Rel.GREATER
+
+    def test_real_codomain_equal_images_undecided(self):
+        image = isqrt_real(2)
+        with pytest.raises(UndecidedError, match="real comparison overlapped through precision 256"):
+            embeddings_compare(nat_embedding(image), nat_embedding(image), 3)
 
     @given(rationals, st.integers(1, 256), st.integers(1, 256))
     def test_multiple_commutes(self, image, n, a):

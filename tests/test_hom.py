@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from magnitudes.core import compare
 from magnitudes.embed import ApproxPolicy, evaluate
-from magnitudes.errors import ModelMismatchError, NotSymmetricError
+from magnitudes.errors import ModelMismatchError, NotSymmetricError, UndecidedError
 from magnitudes.hom import (
     EndoElement,
     hom_add,
@@ -124,6 +124,10 @@ class TestHomCompare:
         # sqrt2 - 1 = 0.41421...
         iv = gap_at_one.approx(16)
         assert iv.lo < PosRat(4143, 10000) and iv.hi > PosRat(4142, 10000)
+
+    def test_equal_reals_undecided(self, sqrt2):
+        with pytest.raises(UndecidedError, match="real comparison overlapped through precision 256"):
+            hom_compare(psi(REAL, sqrt2), psi(REAL, sqrt2))
 
     @pytest.mark.parametrize("e", [10, 100, 200, 240])
     def test_real_delta_contains_tiny_gap(self, e):

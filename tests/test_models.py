@@ -14,10 +14,10 @@ from magnitudes import core, models
 from magnitudes.core import Rel
 from magnitudes.embed import fourth_proportional
 from magnitudes.errors import (
-    InexactModelError,
     ModelMismatchError,
     OracleFailureError,
     ParseError,
+    UndecidedError,
 )
 from magnitudes.hom import product, quotient
 from magnitudes.models import (
@@ -198,6 +198,14 @@ class TestPosRealValue:
         x = real_from_rat(PosRat(1, 1))
         with pytest.raises(ValueError):
             x.approx(-1)
+
+    def test_deep_oracle_nesting_is_a_typed_error(self):
+        # each leaf's refine reads the next leaf, past the interpreter's depth
+        x = real_from_rat(PosRat(1, 1))
+        for _ in range(5000):
+            x = PosRealValue(x.approx)
+        with pytest.raises(OracleFailureError, match="oracle nesting too deep at precision 10"):
+            x.approx(10)
 
     def test_concurrent_queries_identical(self):
         x = isqrt_real(5)
@@ -532,6 +540,13 @@ class TestLinearNodes:
     def test_negative_difference_is_a_typed_error(self):
         with pytest.raises(OracleFailureError):
             real_subtract(isqrt_real(2), isqrt_real(3)).approx(10)
+
+    @pytest.mark.parametrize("p", [30, 300])
+    def test_zero_difference_of_two_oracles_stops_after_eight_passes(self, p):
+        # sqrt2 - sqrt8/2 is 0, which no lower end on any grid shows positive
+        d = real_subtract(isqrt_real(2), real_scale(isqrt_real(8), PosRat(1, 2)))
+        with pytest.raises(OracleFailureError, match=rf"eight passes did not reach width 2\^-{p}"):
+            d.approx(p)
 
     def test_value_below_the_grid_reruns_on_a_finer_grid(self):
         # two leaves at p = 10 use the 2^-13 grid, whose floor here is 0; the
@@ -1288,8 +1303,21 @@ class TestRealCompare:
             assert out is first
 
     def test_exact_order_refused(self, sqrt2):
-        with pytest.raises(InexactModelError):
+        # equal reals are never ordered: they overlap through the top rung
+        with pytest.raises(UndecidedError, match="real comparison overlapped through precision 256"):
             REAL.order(sqrt2, sqrt2)
+
+    def test_order_certifies_with_difference_gap(self, sqrt2):
+        three_halves = real_from_rat(PosRat(3, 2))
+        less, greater = REAL.order(sqrt2, three_halves), REAL.order(three_halves, sqrt2)
+        assert less.tag is Rel.LESS and greater.tag is Rel.GREATER
+        for out in (less, greater):
+            iv = out.gap.approx(40)
+            assert iv.width_at_most(40)
+            # lo <= 3/2 - sqrt2 <= hi, that is (3/2 - hi)^2 <= 2 <= (3/2 - lo)^2
+            below = Fraction(3, 2) - Fraction(iv.hi.num, iv.hi.den)
+            above = Fraction(3, 2) - Fraction(iv.lo.num, iv.lo.den)
+            assert below * below <= 2 <= above * above
 
 
 class TestCertify:
