@@ -281,16 +281,16 @@ def check_homomorphism(
         else:
             additive = lhs.approx(30).intersects(rhs.approx(30))
         if not additive:
-            return HomCheckReport(
-                False, samples, {"kind": "additivity", "b": str(b), "c": str(c)}
-            )
-        if exact and domain.descriptor.exact_order:
-            want = domain.order(b, c).tag
-            got = codomain.order(fn(b), fn(c)).tag
-            if want is not got:
-                return HomCheckReport(
-                    False, samples, {"kind": "order", "b": str(b), "c": str(c)}
-                )
+            kind = "additivity"
+        elif exact and domain.descriptor.exact_order and (
+            domain.order(b, c).tag is not codomain.order(fn(b), fn(c)).tag
+        ):
+            kind = "order"
+        else:
+            continue
+        # the canonical text form, which parse_element reads back
+        b, c = _element_to_text(b, domain), _element_to_text(c, domain)
+        return HomCheckReport(False, samples, {"kind": kind, "b": b, "c": c})
     return HomCheckReport(True, samples, None)
 
 

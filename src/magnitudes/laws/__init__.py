@@ -25,7 +25,7 @@ from typing import Callable, Optional
 from .. import core
 from ..core import Record, Rel
 from ..errors import MagnitudeError
-from ..models import Model, PosRat, model_by_id, randint
+from ..models import Model, PosRat, model_by_id
 
 __all__ = ["LawFailure", "LawSpec", "LawReport", "list_laws", "law_sets", "run_suite"]
 
@@ -166,9 +166,14 @@ def _elems(*names):
 
 
 def _elems_mults(elems, mults, bound=1 << 10):
+    """Elements, and multipliers uniform on 1..bound, a power of two."""
+    if bound < 1 or bound & (bound - 1):
+        raise ValueError(f"multiplier bound {bound} is not a power of two")
+    bits = bound.bit_length() - 1
+
     def gen(model, rng):
         out = {name: model.random_element(rng) for name in elems}
-        out.update({name: randint(rng, 1, bound) for name in mults})
+        out.update({name: rng.getrandbits(bits) + 1 for name in mults})
         return out
 
     return gen

@@ -4,12 +4,12 @@ from __future__ import annotations
 
 from .. import core, embed, mediants
 from ..core import Rel
-from ..models import NAT, PosRat, randint, real_from_rat, real_scale
+from ..models import NAT, PosRat, real_from_rat, real_scale
 from . import _elems, _elems_mults, _expect, _law, _mul, _same, _same_tag
 
 
 def _gen_unit_embedding(model, rng):
-    return {"image": model.random_element(rng), "n": randint(rng, 1, 1 << 10)}
+    return {"image": model.random_element(rng), "n": rng.getrandbits(10) + 1}
 
 
 @_law(

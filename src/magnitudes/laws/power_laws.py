@@ -10,10 +10,10 @@ from . import _expect, _law, _same, _same_tag
 
 def _gen_mul(model, rng):
     # bases above one; exponents with modest denominators
-    base = PosRat(randint(rng, 2, 64), 1) + PosRat(randint(rng, 1, 64), 64)
-    other = PosRat(randint(rng, 2, 64), 1) + PosRat(randint(rng, 1, 64), 64)
-    y = PosRat(randint(rng, 1, 8), randint(rng, 1, 8))
-    y2 = PosRat(randint(rng, 1, 8), randint(rng, 1, 8))
+    base = PosRat(randint(rng, 2, 64), 1) + PosRat(rng.getrandbits(6) + 1, 64)
+    other = PosRat(randint(rng, 2, 64), 1) + PosRat(rng.getrandbits(6) + 1, 64)
+    y = PosRat(rng.getrandbits(3) + 1, rng.getrandbits(3) + 1)
+    y2 = PosRat(rng.getrandbits(3) + 1, rng.getrandbits(3) + 1)
     n = randint(rng, 1, 10)
     return {"x1": base, "x2": other, "y": y, "y2": y2, "n": n}
 

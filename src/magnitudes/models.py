@@ -16,6 +16,7 @@ node that is only ever read through its parent never allocates either.
 
 from __future__ import annotations
 
+import operator
 import threading
 from functools import lru_cache
 from math import gcd
@@ -217,7 +218,8 @@ def randint(rng, lo: int, hi: int) -> int:
     ``random.Random.randint`` draws getrandbits(k), k the bit length of the
     width, until the draw is below the width; this does the same without
     its three layers of argument checks, so a seeded stream yields the same
-    values in the same order.
+    values in the same order.  A range of width 2^b is drawn cheaper, with
+    no rejection, as ``rng.getrandbits(b) + lo``; this serves the rest.
     """
     width = hi - lo + 1
     if width < 1:
@@ -956,8 +958,7 @@ class NatModel(Model):
         # an exact int >= 1 is the common case; anything else takes owns()
         return x if x.__class__ is int and x >= 1 else Model.check(self, x)
 
-    def combine(self, a: int, b: int) -> int:
-        return a + b
+    combine = operator.add
 
     def multiple(self, n: int, a: int) -> int:
         return n * a
@@ -973,7 +974,8 @@ class NatModel(Model):
         return Ordering3.equal()
 
     def random_element(self, rng) -> int:
-        return randint(rng, 1, 1 << 32)
+        """Uniform on 1..2^32, from one 32-bit word."""
+        return rng.getrandbits(32) + 1
 
 
 class RatModel(Model):
@@ -991,8 +993,7 @@ class RatModel(Model):
     def check(self, x):
         return x if x.__class__ is PosRat else Model.check(self, x)
 
-    def combine(self, a: PosRat, b: PosRat) -> PosRat:
-        return a + b
+    combine = staticmethod(PosRat.__add__)
 
     def multiple(self, n: int, a: PosRat) -> PosRat:
         # gcd(n/g, den/g) = 1 and gcd(num, den) = 1: already in lowest terms
@@ -1017,8 +1018,10 @@ class RatModel(Model):
         return a * q
 
     def random_element(self, rng) -> PosRat:
-        # spans magnitudes 2^-16 .. 2^16
-        return PosRat(randint(rng, 1, 1 << 16), randint(rng, 1, 1 << 16))
+        """num/den, each uniform on 1..2^16, from the high and low halves of
+        one 32-bit word; spans magnitudes 2^-16 .. 2^16."""
+        w = rng.getrandbits(32)
+        return PosRat((w >> 16) + 1, (w & 0xFFFF) + 1)
 
 
 class RealModel(Model):
@@ -1036,8 +1039,7 @@ class RealModel(Model):
     def check(self, x):
         return x if isinstance(x, PosRealValue) else Model.check(self, x)
 
-    def combine(self, a: PosRealValue, b: PosRealValue) -> PosRealValue:
-        return real_add(a, b)
+    combine = staticmethod(real_add)
 
     def multiple(self, n: int, a: PosRealValue) -> PosRealValue:
         # one scaling node, with the leaf reads of n-fold repeated real_add
@@ -1059,7 +1061,8 @@ class RealModel(Model):
         return real_scale(a, q)
 
     def random_element(self, rng) -> PosRealValue:
-        return real_from_rat(PosRat(randint(rng, 1, 1 << 16), randint(rng, 1, 1 << 16)))
+        """The exact point of ``RAT.random_element``: one 32-bit word."""
+        return real_from_rat(RAT.random_element(rng))
 
 
 NAT = NatModel()

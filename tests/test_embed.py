@@ -27,7 +27,16 @@ from magnitudes.errors import (
     UnsupportedCodomainError,
 )
 from magnitudes.hom import quotient
-from magnitudes.models import NAT, RAT, REAL, PosRat, real_add, real_from_rat, real_scale
+from magnitudes.models import (
+    NAT,
+    RAT,
+    REAL,
+    PosRat,
+    parse_element,
+    real_add,
+    real_from_rat,
+    real_scale,
+)
 
 from conftest import isqrt_real, recorded
 
@@ -192,6 +201,16 @@ class TestCheckHomomorphism:
         )
         assert not report.passed
         assert report.counterexample["kind"] == "additivity"
+
+    def test_real_counterexample_parses_back(self):
+        one = real_from_rat(PosRat(1, 1))
+        report = check_homomorphism(
+            lambda b: real_add(b, one), samples=50, seed=0, domain=REAL, codomain=REAL
+        )
+        for key in ("b", "c"):
+            text = report.counterexample[key]
+            assert "PosRealValue" not in text
+            assert parse_element(REAL, text).exact == parse_element(RAT, text)
 
     def test_callable_requires_models(self):
         with pytest.raises(ValueError):

@@ -114,6 +114,45 @@ class TestMutationDetection:
         assert "engine-witness-soundness" in failed
 
 
+def _doubled_subtract(b, a, model=None, _original=core.subtract):
+    d = _original(b, a, model)
+    return (model if model is not None else model_of(b)).combine(d, d)
+
+
+# (law set, mutant, patched module and attribute, a law that must fail)
+MUTANTS = {
+    "subtract-doubled": ("euclid_v", (core, "subtract"), _doubled_subtract, "V.17-separation"),
+    "subtract-minuend": ("core_axioms", (core, "subtract"), lambda b, a, model=None: b, None),
+    "verifier-accepts": (
+        "ratio_engine",
+        (ratio, "verify_witness"),
+        lambda *a, **k: True,
+        "engine-rejects-bogus-witness",
+    ),
+    "verifier-rejects": (
+        "ratio_engine",
+        (ratio, "verify_witness"),
+        lambda *a, **k: False,
+        "engine-witness-soundness",
+    ),
+}
+
+
+class TestMutationDetectionAcrossSeeds:
+    """The mutants of TestMutationDetection are caught at every seed 1-5."""
+
+    @pytest.mark.parametrize("seed", range(1, 6))
+    @pytest.mark.parametrize("mutant", sorted(MUTANTS))
+    def test_mutant_caught(self, monkeypatch, mutant, seed):
+        law_set, (module, name), fake, must_fail = MUTANTS[mutant]
+        monkeypatch.setattr(module, name, fake)
+        reports = laws.run_suite("rat", law_set, trials=50, seed=seed)
+        failed = {r.law_id: r for r in reports if not r.passed}
+        assert failed if must_fail is None else must_fail in failed
+        for report in failed.values():
+            assert report.failures[0]["observed"]
+
+
 class TestShrinking:
     def test_counterexamples_are_locally_minimal(self, monkeypatch):
         def minuend(b, a, model=None):

@@ -1512,3 +1512,73 @@ class TestRandint:
     def test_empty_range(self):
         with pytest.raises(ValueError):
             randint(random.Random(0), 5, 4)
+
+
+class _Words:
+    """A stand-in rng whose getrandbits(32) returns the given words in turn."""
+
+    def __init__(self, *words):
+        self.words = list(words)
+
+    def getrandbits(self, k):
+        assert k == 32
+        return self.words.pop(0)
+
+
+def _element_key(x):
+    return x.exact if isinstance(x, PosRealValue) else x
+
+
+class TestRandomElement:
+    MODELS = [NAT, RAT, REAL]
+
+    @pytest.mark.parametrize("model", MODELS, ids=lambda m: m.descriptor.model_id)
+    def test_in_documented_range(self, model):
+        rng = random.Random(11)
+        for _ in range(500):
+            x = model.random_element(rng)
+            assert model.owns(x)
+            if model is NAT:
+                assert 1 <= x <= 1 << 32
+            else:
+                q = _element_key(x)
+                assert 1 <= q.num <= 1 << 16 and 1 <= q.den <= 1 << 16
+
+    def test_words_map_to_range_ends(self):
+        top, low = 0xFFFF << 16, 0xFFFF
+        assert [NAT.random_element(_Words(w)) for w in (0, (1 << 32) - 1)] == [1, 1 << 32]
+        rats = [RAT.random_element(_Words(w)) for w in (0, top, low, top | low)]
+        assert rats == [PosRat(1, 1), PosRat(1 << 16, 1), PosRat(1, 1 << 16), PosRat(1, 1)]
+        assert REAL.random_element(_Words(0x1234_0041)).exact == PosRat(0x1235, 0x42)
+
+    @pytest.mark.parametrize("model", MODELS, ids=lambda m: m.descriptor.model_id)
+    def test_one_element_consumes_one_word(self, model):
+        for seed in range(20):
+            ours, twin = random.Random(seed), random.Random(seed)
+            model.random_element(ours)
+            twin.getrandbits(32)
+            assert ours.getstate() == twin.getstate()
+
+    @pytest.mark.parametrize("model", MODELS, ids=lambda m: m.descriptor.model_id)
+    def test_same_seed_same_elements(self, model):
+        def draw(seed):
+            rng = random.Random(seed)
+            return [_element_key(model.random_element(rng)) for _ in range(50)]
+
+        assert draw(7) == draw(7)
+        assert draw(7) != draw(8)
+
+    @pytest.mark.parametrize("bound", [0, 3, 100, 1000, (1 << 10) + 1])
+    def test_multiplier_bound_not_a_power_of_two_refused(self, bound):
+        from magnitudes import laws
+
+        with pytest.raises(ValueError, match="not a power of two"):
+            laws._elems_mults(("a",), ("n",), bound=bound)
+
+    @pytest.mark.parametrize("bound", [1, 2, 8, 1 << 10])
+    def test_multipliers_uniform_on_one_to_bound(self, bound):
+        from magnitudes import laws
+
+        gen, rng = laws._elems_mults(("a",), ("m", "n"), bound=bound), random.Random(5)
+        seen = {v[k] for v in (gen(NAT, rng) for _ in range(40 * bound)) for k in "mn"}
+        assert seen == set(range(1, bound + 1))
