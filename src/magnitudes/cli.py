@@ -33,6 +33,7 @@ from .models import (
     model_by_id,
     parse_element,
     real_from_rat,
+    text_to_int,
 )
 
 EXIT_OK = 0
@@ -135,10 +136,11 @@ def _emit_element(x, p: int, fmt: str, out) -> None:
         else:
             print(payload["mid"], file=out)
     else:
+        text = format_element(x)
         if fmt == "json":
-            print(json.dumps({"result": str(x)}, sort_keys=True), file=out)
+            print(json.dumps({"result": text}, sort_keys=True), file=out)
         else:
-            print(str(x), file=out)
+            print(text, file=out)
 
 
 def _parse_ratio_args(args) -> tuple:
@@ -186,7 +188,7 @@ def _cmd_ratio(args, p, out) -> int:
 
 def _multiple(args, p):
     model = model_by_id(args.model)
-    return multiple(int(args.n), parse_element(model, args.a), model)
+    return multiple(text_to_int(args.n), parse_element(model, args.a), model)
 
 
 def _fourth(args, p):
@@ -296,10 +298,6 @@ def main(argv=None, out=sys.stdout, err=sys.stderr) -> int:
 
 
 def entrypoint() -> None:
-    # the console script reads and prints integers of any length; Python
-    # 3.11+ caps int/str conversion at 4,300 digits unless this lifts it
-    if hasattr(sys, "set_int_max_str_digits"):
-        sys.set_int_max_str_digits(0)
     sys.exit(main(sys.argv[1:]))
 
 

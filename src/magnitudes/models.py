@@ -55,7 +55,33 @@ __all__ = [
     "model_by_id",
     "parse_element",
     "format_element",
+    "int_to_text",
+    "text_to_int",
 ]
+
+
+# CPython 3.11+ refuses int/str conversions of more digits than
+# sys.get_int_max_str_digits() (4,300 by default, never below 640).  Numbers
+# shorter than that floor take str and int; longer ones go through Decimal,
+# whose conversions to and from int and text have no digit limit, and which
+# is imported only then, as importing the package loads no decimal module.
+def int_to_text(n: int) -> str:
+    """str(n) for an int n >= 0 of any number of digits."""
+    if n.bit_length() < 2000:
+        return str(n)
+    from decimal import Decimal
+
+    return str(Decimal(n))
+
+
+def text_to_int(text: str) -> int:
+    """int(text) for a numeral of any number of digits."""
+    if len(text) < 640 or not text.strip().isdecimal():
+        return int(text)
+    from decimal import Decimal
+
+    return int(Decimal(text))
+
 
 class PosRat:
     """Strictly positive rational, always in lowest terms.
@@ -104,7 +130,7 @@ class PosRat:
             raise ParseError(f"malformed rational {text!r}")
         if not (num.strip().isdecimal() and den.strip().isdecimal()):
             raise ParseError(f"malformed rational {text!r}")
-        n, d = int(num), int(den)
+        n, d = text_to_int(num), text_to_int(den)
         if n < 1 or d < 1:
             raise ParseError(f"rational must be strictly positive: {text!r}")
         return cls(n, d)
@@ -195,7 +221,7 @@ class PosRat:
     # -- rendering / misc ----------------------------------------------
 
     def __str__(self) -> str:
-        return f"{self.num}/{self.den}"
+        return f"{int_to_text(self.num)}/{int_to_text(self.den)}"
 
     def __repr__(self) -> str:
         return f"PosRat({self.num}, {self.den})"
@@ -204,9 +230,9 @@ class PosRat:
         """Decimal rendering truncated toward zero at ``digits`` places."""
         whole, rem = divmod(self.num, self.den)
         if digits <= 0:
-            return str(whole)
+            return int_to_text(whole)
         frac = rem * 10**digits // self.den
-        return f"{whole}.{frac:0{digits}d}"
+        return f"{int_to_text(whole)}.{int_to_text(frac).zfill(digits)}"
 
 
 RAT_ONE = PosRat._reduced(1, 1)
@@ -236,7 +262,7 @@ def nat_make(text: str) -> int:
     s = text.strip()
     if not s.isdecimal():
         raise ParseError(f"not a decimal natural: {text!r}")
-    value = int(s)
+    value = text_to_int(s)
     if value < 1:
         raise ParseError("naturals start at 1; there is no zero magnitude")
     return value
@@ -443,10 +469,13 @@ PRECISION_GUARD = 8  # guard bits of a pass's working precision
 class _Node(PosRealValue):
     """A value an operator computed: a slotted subclass per node kind.
 
-    ``_terms`` holds the node's inputs as (value, num, den) triples, the
-    kind giving num/den its meaning.  ``_setup`` finds ``_leaves``, what the
-    node reads, and ``_nodes``, the nodes of other kinds among them, setting
-    ``_leaves`` last, as an inner node is set up outside its lock.  A node
+    ``_terms`` holds the node's inputs, each a bare value when its weight is
+    1 and (value, num, den) otherwise, the kind giving num/den its meaning:
+    a sum, a product or a power holds its two values, and costs itself and
+    one tuple.  ``_setup`` finds ``_leaves``, what the node reads, in the
+    same form (see _flatten), and ``_nodes``, the nodes of other kinds among
+    them, setting ``_leaves`` last, as an inner node is set up outside its
+    lock.  A node
     never calls PosRealValue.__init__ (``_refine`` is a method); it makes
     its lock and cache on its first ``approx``, which an inner node never has.
     An operator whose inputs are all exact points returns that point, so no
@@ -530,41 +559,53 @@ def _interval(lo: int, hi: int, w: int) -> Interval:
     return iv
 
 
-def _flatten(terms: tuple, kind: type) -> list:
-    """Leaves of the DAG of one node kind under a node, with total weights.
+# the weight of a term that is a bare value
+_ONE = (1, 1)
 
-    kind is _Linear, whose weights are signed coefficients num/den in lowest
-    terms, den > 0, or _Monomial, whose weights are integer exponents num/1.
-    A value of class kind is an inner node, whose terms are expanded (no
-    node is an exact point); any other value is a leaf, an exact point, a
-    node of another kind or a user's PosRealValue subclass included.  Plain
-    terms, with no inner node among them and no value twice, as a product
-    or a scaling of leaves has, are the leaves themselves, in lowest terms
-    already, and take no walk.  Otherwise weights multiply down the DAG (see _push_down).  A tree
-    of inner nodes, as a chain is, takes one walk; only when that walk
-    reaches an inner node twice are the parents counted and the weights
-    pushed down again, in topological order over distinct nodes, so a
-    shared subnode is expanded once however many paths reach it (k doublings
-    c = c + c make k nodes but 2^k paths).  The walks keep their own stacks,
-    so a chain's depth costs memory, not interpreter frames.  A leaf whose
-    weights cancel to 0 is dropped.  Each leaf comes back as (source, num,
-    den, extra), in the order the last walk first reaches it: source is the
-    leaf, or its exact point; num/den is its weight; extra = max(0,
-    ceil(log2 |num|/den)).
+
+def _flatten(terms: tuple, kind: type) -> Tuple[list, tuple]:
+    """Leaves of the DAG of one node kind under a node, with total weights,
+    and the nodes of other kinds among them.
+
+    terms are a node's (see _Node).  kind is _Linear, whose weights are
+    signed coefficients num/den in lowest terms, den > 0, or _Monomial,
+    whose weights are integer exponents num/1.  A value of class kind is an
+    inner node, whose terms are expanded (no node is an exact point); any
+    other value is a leaf, an exact point, a node of another kind or a
+    user's PosRealValue subclass included.  Plain terms, with no inner node
+    among them and no value twice, as a product or a scaling of leaves has,
+    are the leaves themselves, in lowest terms already, and take no walk.
+    Otherwise weights multiply down the DAG (see _push_down).  A tree of
+    inner nodes, as a chain is, takes one walk; only when that walk reaches
+    an inner node twice are the parents counted and the weights pushed down
+    again, in topological order over distinct nodes, so a shared subnode is
+    expanded once however many paths reach it (k doublings c = c + c make k
+    nodes but 2^k paths).  The walks keep their own stacks, so a chain's
+    depth costs memory, not interpreter frames.  A leaf whose weights cancel
+    to 0 is dropped.  The leaves come back in the order the last walk first
+    reaches them, each as its source, the leaf or its exact point, when its
+    weight is 1, else as (source, num, den, extra): num/den is its weight
+    and extra = max(0, ceil(log2 |num|/den)).
     """
     # plain terms are their own weights; anything else takes the walks
     weight: Optional[dict] = {}
-    for node, num, den in terms:
+    for node in terms:
+        w = _ONE
+        if node.__class__ is tuple:
+            node, num, den = node
+            w = num, den
         if node.__class__ is kind or node in weight:
             weight = _push_down(terms, kind, None)
             break
-        weight[node] = (num, den)
+        weight[node] = w
     if weight is None:
         # count each inner node's parents, so it is expanded after all of them
         parents: dict = {}
         stack = [terms]
         while stack:
-            for node, _, _ in stack.pop():
+            for node in stack.pop():
+                if node.__class__ is tuple:
+                    node = node[0]
                 if node.__class__ is not kind:
                     continue
                 if node in parents:
@@ -573,16 +614,20 @@ def _flatten(terms: tuple, kind: type) -> list:
                     parents[node] = 1
                     stack.append(node._terms)
         weight = _push_down(terms, kind, parents)
-    # ceil(log2 a/b) for a > b is the bit length of floor((a - 1)/b)
-    return [
-        (node if node.exact is None else node.exact, num, den, ((abs(num) - 1) // den).bit_length())
-        for node, (num, den) in weight.items()
-        if num
-    ]
+    leaves, nodes = [], []
+    for node, (num, den) in weight.items():
+        if num:
+            src = node if node.exact is None else node.exact
+            if isinstance(src, _Node):
+                nodes.append(src)
+            # ceil(log2 a/b) for a > b is the bit length of floor((a - 1)/b)
+            leaves.append(src if num == 1 == den else (src, num, den, ((abs(num) - 1) // den).bit_length()))
+    return leaves, nodes or ()
 
 
 def _push_down(terms: tuple, kind: type, parents: Optional[dict]) -> Optional[dict]:
-    """The weights of the leaves under terms (see _flatten), in the order reached.
+    """The weights (num, den) of the leaves under terms (see _flatten), in
+    the order reached.
 
     With parents, the count of each inner node's parents, an inner node's
     weight gathers in pending until its last parent has been expanded, and
@@ -595,8 +640,12 @@ def _push_down(terms: tuple, kind: type, parents: Optional[dict]) -> Optional[di
     ready = [(terms, 1, 1)]
     while ready:
         node_terms, c_num, c_den = ready.pop()
-        for child, k_num, k_den in node_terms:
-            num, den = c_num * k_num, c_den * k_den
+        for child in node_terms:
+            if child.__class__ is tuple:
+                child, num, den = child
+                num, den = c_num * num, c_den * den
+            else:
+                num, den = c_num, c_den
             if parents is not None:
                 left = parents.get(child)
             elif child.__class__ is not kind:
@@ -623,7 +672,8 @@ def _push_down(terms: tuple, kind: type, parents: Optional[dict]) -> Optional[di
 
 
 class _Linear(_Node):
-    """One node for the sum of c*x over terms (x, num, den), c = num/den signed.
+    """One node for the sum of c*x over its terms, x for c = 1 or (x, num,
+    den) for c = num/den signed.
 
     The DAG under the node is flattened (see _flatten).  With n leaves, a
     root's first pass is on the grid w = p + ceil(log2 3n).  Each leaf is
@@ -639,13 +689,27 @@ class _Linear(_Node):
     __slots__ = ()
 
     def _setup(self) -> None:
-        leaves = _flatten(self._terms, _Linear)
-        self._nodes = [src for src, _, _, _ in leaves if isinstance(src, _Node)] or ()
+        leaves, self._nodes = _flatten(self._terms, _Linear)
         self._leaves = leaves
 
     def _ends(self, w: int, ends: dict) -> Tuple[int, int, int]:
         lo_ticks = hi_ticks = 0
-        for src, u, v, extra in self._leaves:
+        for src in self._leaves:
+            if src.__class__ is not tuple:  # weight 1: the ends themselves
+                if src.__class__ is not PosRat:
+                    if src in ends:
+                        lo, hi = ends[src]
+                        lo_ticks += lo
+                        hi_ticks += hi
+                        continue
+                    src = src.approx(w)
+                lo, hi = src.lo, src.hi
+                d = lo.den
+                lo_ticks += (lo.num << w) // d if d & (d - 1) else lo.num << w >> d.bit_length() - 1
+                d = hi.den
+                hi_ticks -= (-hi.num << w) // d if d & (d - 1) else -hi.num << w >> d.bit_length() - 1
+                continue
+            src, u, v, extra = src
             if src.__class__ is not PosRat:
                 if src in ends:  # a node input's ticks, scaled and rounded outward
                     lo, hi = ends[src] if u > 0 else ends[src][::-1]
@@ -669,7 +733,10 @@ class _Linear(_Node):
         # the grid floor reached zero: the exact lower sum, if positive, sizes
         # the next grid, and a difference not yet positive doubles it
         num, den = 0, 1
-        for src, u, v, extra in self._leaves:
+        for src in self._leaves:
+            u, v, extra = 1, 1, 0
+            if src.__class__ is tuple:
+                src, u, v, extra = src
             if src.__class__ is not PosRat:  # a read hits the cache; a node input's end is a tick
                 src = PosRat(ends[src][u < 0], 1 << w) if src in ends else src.approx(w + extra)
             a = src.lo if u > 0 else src.hi
@@ -682,13 +749,15 @@ class _Linear(_Node):
 def real_add(x: PosRealValue, y: PosRealValue) -> PosRealValue:
     """x + y: the exact point when both are exact points, else a sum node.
 
-    Nested sums, scalings and differences refine as one linear node over
-    their leaves (see _Linear): integer endpoint sums on one dyadic grid,
-    ceil(log2 3n) guard bits for n leaves, and no recursion through the chain.
+    The node's terms are (x, y), with no weights stored, so a link of a
+    chain of sums costs the node and one tuple.  Nested sums, scalings and
+    differences refine as one linear node over their leaves (see _Linear):
+    integer endpoint sums on one dyadic grid, ceil(log2 3n) guard bits for n
+    leaves, and no recursion through the chain.
     """
     if x.exact is not None and y.exact is not None:
         return real_from_rat(x.exact + y.exact)
-    return _Linear(((x, 1, 1), (y, 1, 1)))
+    return _Linear((x, y))
 
 
 def real_scale(x: PosRealValue, q: PosRat) -> PosRealValue:
@@ -714,7 +783,7 @@ def real_subtract(x: PosRealValue, y: PosRealValue) -> PosRealValue:
     """
     if x.exact is not None and y.exact is not None:
         return real_from_rat(x.exact - y.exact)
-    return _Linear(((x, 1, 1), (y, -1, 1)))
+    return _Linear((x, (y, -1, 1)))
 
 
 def _round(n: int, d: int, m: int, up: int) -> Tuple[int, int]:
@@ -729,20 +798,25 @@ def _round(n: int, d: int, m: int, up: int) -> Tuple[int, int]:
     return (n, d) if t <= s else (((n - up) >> t - s) + up, 1 << s)
 
 
-def _fold(factors: tuple) -> Tuple[list, PosRat]:
-    """The leaves of a product DAG (see _flatten) as (leaf, exponent) pairs,
-    and the coefficient its exact leaves multiply out to."""
-    leaves, coef = [], RAT_ONE
-    for src, k, _, _ in _flatten(factors, _Monomial):
+def _fold(factors: tuple) -> Tuple[list, list, PosRat]:
+    """The leaves of a product DAG and the nodes among them (see _flatten),
+    less its exact leaves, and the coefficient those multiply out to."""
+    leaves, nodes = _flatten(factors, _Monomial)
+    coef, kept = RAT_ONE, []
+    for leaf in leaves:
+        src, k = leaf, 1
+        if src.__class__ is tuple:
+            src, k, _, _ = leaf
         if src.__class__ is PosRat:
             coef *= src**k if k > 0 else src.reciprocal() ** -k
         else:
-            leaves.append((src, k))
-    return leaves, coef
+            kept.append(leaf)
+    return kept, nodes, coef
 
 
 class _Monomial(_Node):
-    """One node for the product of x^k over terms (x, k, 1), k a nonzero int.
+    """One node for the product of x^k over its terms, x for k = 1 or (x,
+    k, 1) for another nonzero int k.
 
     The product DAG is flattened (see _fold); exact leaves fold into _coef,
     and the others are kept with their exponents.  A pass at w reads them at
@@ -753,23 +827,25 @@ class _Monomial(_Node):
     square-and-multiply whose squares are rounded outward (see _round) to
     m = w + PRECISION_GUARD bits.  Before it takes a factor, an accumulator
     of more than m + 64 bits is rounded outward to m, so a product of two
-    leaves stays exact.  Each end is then rounded once onto the grid,
-    floored for lo, ceiled for hi.  Positive factors are monotone in their
-    endpoints, so the value stays enclosed.
+    leaves stays exact.  Each end is then rounded once onto the grid (see
+    _grid), floored for lo, ceiled for hi.  Positive factors are monotone in
+    their endpoints, so the value stays enclosed.
     """
 
     __slots__ = ("_coef",)
 
     def _setup(self) -> None:
-        leaves, self._coef = _fold(self._terms)
-        self._nodes = [x for x, _ in leaves if isinstance(x, _Node)] or ()
+        leaves, self._nodes, self._coef = _fold(self._terms)
         self._leaves = leaves
 
     def _ends(self, w: int, ends: dict) -> Tuple[int, int, int]:
         m = w + PRECISION_GUARD
         ln = hn = self._coef.num
         ld = hd = self._coef.den
-        for x, k in self._leaves:
+        for x in self._leaves:
+            k = 1
+            if x.__class__ is tuple:
+                x, k, _, _ = x
             if (ln | ld | hn | hd).bit_length() > m + 64:
                 ln, ld = _round(ln, ld, m, 0)
                 hn, hd = _round(hn, hd, m, 1)
@@ -794,30 +870,44 @@ class _Monomial(_Node):
                 # a power-of-two denominator, as grid reads give, squares by a shift
                 a, b = _round(a * a, b * b if b & (b - 1) else b << b.bit_length() - 1, m, 0)
                 c, d = _round(c * c, d * d if d & (d - 1) else d << d.bit_length() - 1, m, 1)
-        # a power-of-two denominator, as grid reads give, divides by a shift
-        lo = (ln << w) // ld if ld & (ld - 1) else ln << w >> ld.bit_length() - 1
-        hi = -((-hn << w) // hd) if hd & (hd - 1) else -(-hn << w >> hd.bit_length() - 1)
+        lo, hi = _grid(ln, ld, w, 0), _grid(hn, hd, w, 1)
         # a lower end below the grid, at least 2^(bits of ln - bits of ld - 1),
         # needs the grid that many bits finer
         return lo, hi, 0 if lo else ld.bit_length() - ln.bit_length() + 1 - w
 
 
+def _grid(n: int, d: int, w: int, up: int) -> int:
+    """n/d > 0 as ticks of 2^-w, floored (up = 0) or ceiled (up = 1).  The
+    power of two 2^s in d is shifted out of n*2^w with the same rounding
+    before the one division by the odd rest o of d: floor(a/(o*2^s)) =
+    floor(floor(a/2^s)/o), and likewise for ceilings."""
+    s = (d & -d).bit_length() - 1
+    if s <= w:
+        n <<= w - s
+    else:  # a ceiling is minus the floor of minus
+        n = -(-n >> s - w) if up else n >> s - w
+    o = d >> s
+    if o == 1:
+        return n
+    return -(-n // o) if up else n // o
+
+
 def _monomial(factors: tuple) -> PosRealValue:
     """The node of real_mul, real_div and MUL.multiple; exact factors give a point."""
-    for x, _, _ in factors:
-        if x.exact is None:
+    for x in factors:
+        if (x[0] if x.__class__ is tuple else x).exact is None:
             return _Monomial(factors)
-    return real_from_rat(_fold(factors)[1])
+    return real_from_rat(_fold(factors)[2])
 
 
 def real_mul(x: PosRealValue, y: PosRealValue) -> PosRealValue:
-    """Product node x * y: the monomial x^1 y^1 (see _Monomial)."""
-    return _monomial(((x, 1, 1), (y, 1, 1)))
+    """Product node x * y: the monomial over terms (x, y) (see _Monomial)."""
+    return _monomial((x, y))
 
 
 def real_div(x: PosRealValue, y: PosRealValue) -> PosRealValue:
     """Quotient node x / y: the monomial x^1 y^-1, so real_div(x, x) is exactly 1."""
-    return _monomial(((x, 1, 1), (y, -1, 1)))
+    return _monomial((x, (y, -1, 1)))
 
 
 @lru_cache(maxsize=64)
@@ -1115,7 +1205,7 @@ def format_element(x, precision: int = 30) -> str:
     """Canonical text form; reals render as 'mid ± 2^-p'."""
     model = model_of(x)
     if model is NAT:
-        return str(x)
+        return int_to_text(x)
     if model is RAT:
         return str(x)
     iv = x.approx(precision)

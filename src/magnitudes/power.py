@@ -224,7 +224,7 @@ def pow(x: MulReal, y, p: int = 30) -> MulReal:
         if num**e.den == b.num and den**e.den == b.den and e.num * max(num, den).bit_length() <= RESULT_BITS_CAP:
             return MulReal(real_from_rat(PosRat(num, den) ** e.num))
 
-    return MulReal(_Power(((x.value, 1, 1), (y, 1, 1))))
+    return MulReal(_Power((x.value, y)))
 
 
 # a power whose integer part may need more bits than this is refused
@@ -232,7 +232,7 @@ RESULT_BITS_CAP = 1 << 20
 
 
 class _Power(_Node):
-    """x^y as one node over its terms (x, 1, 1) and (y, 1, 1) (see pow).
+    """x^y as one node over its terms (x, y) (see pow).
 
     Before any arithmetic, the result is bounded: x^y < 2^b for b = ceil(y_hi)
     times a bound on log2 x_hi, the smaller of the bit length of ceil(x_hi)
@@ -245,7 +245,7 @@ class _Power(_Node):
     __slots__ = ()
 
     def _setup(self) -> None:
-        values = [x if x.__class__ is PosRat or x.exact is None else x.exact for x, _, _ in self._terms]
+        values = [x if x.__class__ is PosRat or x.exact is None else x.exact for x in self._terms]
         self._nodes = [x for x in values if isinstance(x, _Node)] or ()
         self._leaves = values
 

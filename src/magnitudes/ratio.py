@@ -29,7 +29,7 @@ from typing import Optional, Tuple
 from . import core
 from .core import Record, Rel
 from .mediants import _simplest
-from .models import Interval, PosRat, _num_den, _pin, certify, ladder, model_by_id, model_of
+from .models import Interval, PosRat, _num_den, _pin, certify, int_to_text, ladder, model_by_id, model_of
 
 __all__ = [
     "Ratio",
@@ -74,10 +74,10 @@ class Witness(Record):
         object.__setattr__(self, "n", n)
 
     def __str__(self) -> str:
-        return f"m={self.m} n={self.n}"
+        return f"m={int_to_text(self.m)} n={int_to_text(self.n)}"
 
     def as_json(self) -> dict:
-        return {"m": str(self.m), "n": str(self.n)}
+        return {"m": int_to_text(self.m), "n": int_to_text(self.n)}
 
 
 class RatioRel(Record):

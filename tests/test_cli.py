@@ -303,7 +303,8 @@ class TestParserReuse:
 
 
 class TestConsoleIntegers:
-    # the console entry point lifts Python's 4,300-digit int/str limit
+    # integers of any length are read and printed, past Python's default
+    # 4,300-digit int/str limit, by the console script and by main() alike
     def test_exact_product_of_4000_digit_naturals(self):
         nines = "9" * 4000
         code, out, _ = run_cold(["mul", nines, nines, "--model", "nat"])
@@ -314,3 +315,18 @@ class TestConsoleIntegers:
         code, out, _ = run_cold(["pow", "3", "100000", "-p", "30"])
         assert code == EXIT_OK
         assert len(out.split(".")[0]) == 47713  # 3^100000 has 47,713 digits
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["pow", "2", "1/2", "-p", "20000"],
+            ["pow", "2", "1/2", "-p", "20000", "--format", "json"],
+            ["multiple", "--model", "nat", "7" * 5000, "2"],
+            ["multiple", "--model", "nat", "7" * 5000, "2", "--format", "json"],
+        ],
+    )
+    def test_in_process_main_prints_what_the_console_prints(self, argv):
+        code, out, err = run_cli(*argv)
+        assert (code, err) == (EXIT_OK, "")
+        assert (code, out) == run_cold(argv)[:2]
+        assert len(out) > 5000

@@ -1,3 +1,4 @@
+import gc
 import math
 import random
 import sys
@@ -37,6 +38,7 @@ from magnitudes.models import (
     _push_down,
     certify,
     format_element,
+    int_to_text,
     ladder,
     model_of,
     nat_make,
@@ -50,6 +52,7 @@ from magnitudes.models import (
     real_mul,
     real_scale,
     real_subtract,
+    text_to_int,
 )
 from magnitudes.power import MUL, MulReal, _Power, mul_multiple, nth_root, pow
 from magnitudes.ratio import ratio_compare
@@ -69,6 +72,29 @@ class TestNatMake:
     def test_rejects(self, bad):
         with pytest.raises(ParseError):
             nat_make(bad)
+
+
+class TestDigitLimit:
+    # Python 3.11+ refuses int/str conversions past 4,300 digits by default,
+    # and a process may lower that limit to 640
+    @pytest.mark.parametrize("limit", [None, 640])
+    def test_numerals_of_any_length(self, limit):
+        text = "1" + "0" * 4998 + "7"
+        n = 10**4999 + 7
+        old = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
+        if limit is not None and old is not None:
+            sys.set_int_max_str_digits(limit)
+        try:
+            assert nat_make(text) == n and int_to_text(n) == text
+            assert format_element(n) == text
+            assert PosRat.from_text(f"{text}/3") == PosRat(n, 3)
+            assert str(PosRat(n, 3)) == f"{text}/3"
+            assert PosRat(n, 1).decimal(700) == f"{text}.{'0' * 700}"
+            assert PosRat(1, 3).decimal(700) == "0." + "3" * 700
+            assert text_to_int(f" {text} ") == n
+        finally:
+            if old is not None:
+                sys.set_int_max_str_digits(old)
 
 
 class TestPosRat:
@@ -464,6 +490,26 @@ class TestLinearNodes:
         assert root._lock is not None and len(root._cache) == 1
         assert all(node._lock is None and not hasattr(node, "_cache") for node in inner)
 
+    def test_chain_allocates_one_tuple_per_link_and_none_per_unit_leaf(self):
+        # a link is its node and the tuple of its two input values; the
+        # root's leaves, each of weight 1, are those values themselves
+        leaves = [isqrt_real(NON_SQUARES[i % len(NON_SQUARES)]) for i in range(1000)]
+        gc.collect()
+        gc.disable()
+        try:
+            before = len(gc.get_objects())
+            acc = leaves[0]
+            for leaf in leaves[1:]:
+                acc = real_add(acc, leaf)
+            built = len(gc.get_objects())
+            acc._setup()
+            set_up = len(gc.get_objects())
+        finally:
+            gc.enable()
+        assert built - before <= 2 * 999
+        assert set_up - built <= 10
+        assert sorted(map(id, acc._leaves)) == sorted(map(id, leaves)) and acc._nodes == ()
+
     def test_deep_scale_chain(self):
         acc = isqrt_real(2)
         for i in range(3000):
@@ -853,12 +899,27 @@ class TestRound:
             assert (a, s) == (b, t) == (n, d)
 
 
+class TestGrid:
+    @given(st.integers(1, 1 << 3000), st.integers(1, 1 << 2000), st.integers(0, 2000), st.integers(0, 2000))
+    @example(3 << 1000, 1, 1000, 30)  # a power of two, shifted right
+    @example(5, 1, 1000, 30)  # a grid tick is wider than the value
+    @example(7, 3, 30, 30)  # s = w
+    @example(7, 3, 0, 30)  # an odd denominator
+    def test_floor_and_ceiling_against_fractions(self, n, o, s, w):
+        # n/d for d = o*2^s: the shift of 2^s before the one division by o
+        # lands on the floor and the ceiling of n/d in ticks of 2^-w
+        d = o << s
+        v = Fraction(n << w, d)
+        assert models._grid(n, d, w, 0) == math.floor(v)
+        assert models._grid(n, d, w, 1) == math.ceil(v)
+
+
 class TestMonomialNodes:
     def test_products_quotients_and_multiples_are_one_node(self):
         x, y = isqrt_real(2), isqrt_real(3)
         for node, terms in (
-            (real_mul(x, y), ((x, 1, 1), (y, 1, 1))),
-            (real_div(x, y), ((x, 1, 1), (y, -1, 1))),
+            (real_mul(x, y), (x, y)),
+            (real_div(x, y), (x, (y, -1, 1))),
             (mul_multiple(5, MulReal(x)).value, ((x, 5, 1),)),
         ):
             assert node.__class__ is _Monomial and node._terms == terms
@@ -1025,7 +1086,7 @@ class TestMonomialNodes:
         leaves = [isqrt_real(k) for k in NON_SQUARES[:13]]
         sums = [real_add(x, y) for x, y in zip(leaves, leaves[1:])]
         nodes = [real_mul(x, y) for x, y in zip(leaves, leaves[2:])] + sums
-        nodes += [_Power(((s, 1, 1), (x, 1, 1))) for s, x in zip(sums, leaves)]
+        nodes += [_Power((s, x)) for s, x in zip(sums, leaves)]
         assert all(node._lock is None for node in nodes)
         made = []
 
@@ -1157,13 +1218,19 @@ class TestMixedNodes:
                     assert Fraction(node.exact.num, node.exact.den) == v
 
 
+def weighted(term) -> tuple:
+    """A node's term as (value, num, den), a bare value having weight 1."""
+    return term[:3] if term.__class__ is tuple else (term, 1, 1)
+
+
 def reference_flatten(terms: tuple, kind: type) -> list:
     """_flatten as it was when every sum node was a closure, with a generator
     per node: the reference for the leaves, weights, extra bits and leaf
     order that _flatten must keep.  A node of class kind is inner; any other
-    value, a node of another kind included, is a leaf."""
+    value, a node of another kind included, is a leaf.  A leaf of weight 1
+    comes back as its bare source, any other as (source, num, den, extra)."""
     parents: dict = {}
-    stack = [term[0] for term in terms]
+    stack = [weighted(term)[0] for term in terms]
     while stack:
         node = stack.pop()
         if not isinstance(node, kind) or node.exact is not None:
@@ -1173,12 +1240,12 @@ def reference_flatten(terms: tuple, kind: type) -> list:
             parents[node] += 1
         else:
             parents[node] = 1
-            stack.extend(term[0] for term in children)
+            stack.extend(weighted(term)[0] for term in children)
     weight: dict = {}
     ready = [(terms, 1, 1)]
     while ready:
         node_terms, c_num, c_den = ready.pop()
-        for child, k_num, k_den in node_terms:
+        for child, k_num, k_den in map(weighted, node_terms):
             num, den = c_num * k_num, c_den * k_den
             prev = weight.get(child)
             if prev is not None:
@@ -1191,11 +1258,20 @@ def reference_flatten(terms: tuple, kind: type) -> list:
                 parents[child] -= 1
                 if not parents[child]:
                     ready.append((child._terms, num, den))
-    return [
-        (node if node.exact is None else node.exact, num, den, ((abs(num) - 1) // den).bit_length())
-        for node, (num, den) in weight.items()
-        if num and node not in parents
-    ]
+    leaves = []
+    for node, (num, den) in weight.items():
+        if num and node not in parents:
+            src = node if node.exact is None else node.exact
+            leaves.append(src if (num, den) == (1, 1) else (src, num, den, ((abs(num) - 1) // den).bit_length()))
+    return leaves
+
+
+def flat(terms: tuple, kind: type) -> list:
+    """_flatten's leaves, after checking the nodes it returns beside them:
+    the leaves' sources that are nodes, in leaf order."""
+    leaves, nodes = _flatten(terms, kind)
+    assert list(nodes) == [x for x, _, _ in map(weighted, leaves) if isinstance(x, _Node)]
+    return leaves
 
 
 class TestFlatten:
@@ -1206,13 +1282,13 @@ class TestFlatten:
     def test_linear_dags_match_reference(self, dag):
         for node in dag[0]:
             if node.__class__ is _Linear:
-                assert _flatten(node._terms, _Linear) == reference_flatten(node._terms, _Linear)
+                assert flat(node._terms, _Linear) == reference_flatten(node._terms, _Linear)
 
     @given(monomial_dags())
     def test_monomial_dags_match_reference(self, dag):
         for node in dag[0]:
             if node.__class__ is _Monomial:
-                assert _flatten(node._terms, _Monomial) == reference_flatten(node._terms, _Monomial)
+                assert flat(node._terms, _Monomial) == reference_flatten(node._terms, _Monomial)
 
     @given(mixed_dags())
     def test_mixed_dags_match_reference(self, dag):
@@ -1221,7 +1297,7 @@ class TestFlatten:
         for node in dag[0]:
             if node.__class__ in (_Linear, _Monomial):
                 kind = node.__class__
-                assert _flatten(node._terms, kind) == reference_flatten(node._terms, kind)
+                assert flat(node._terms, kind) == reference_flatten(node._terms, kind)
 
     def test_other_kind_is_a_leaf(self):
         x, y, z = isqrt_real(2), isqrt_real(3), isqrt_real(5)
@@ -1230,9 +1306,9 @@ class TestFlatten:
         t = real_add(real_scale(m, PosRat(1, 3)), s)
         # the product is one leaf of the sums, and the sums are leaves of the
         # products, which expand the product m under them
-        assert _flatten(t._terms, _Linear) == [(x, 1, 1, 0), (y, 1, 1, 0), (m, 1, 3, 0)]
-        assert _flatten(real_div(t, m)._terms, _Monomial) == [(t, 1, 1, 0), (s, -1, 1, 0), (z, -1, 1, 0)]
-        assert _flatten(real_mul(m, t)._terms, _Monomial) == [(t, 1, 1, 0), (s, 1, 1, 0), (z, 1, 1, 0)]
+        assert flat(t._terms, _Linear) == [x, y, (m, 1, 3, 0)]
+        assert flat(real_div(t, m)._terms, _Monomial) == [t, (s, -1, 1, 0), (z, -1, 1, 0)]
+        assert flat(real_mul(m, t)._terms, _Monomial) == [t, s, z]
 
     def test_plain_terms_are_the_leaves(self):
         # no inner node of the kind among the terms and no value twice: the
@@ -1240,15 +1316,15 @@ class TestFlatten:
         x, y = isqrt_real(2), isqrt_real(3)
         s, third = real_add(x, y), real_from_rat(PosRat(1, 3))
         cases = [
-            (real_mul(x, y), [(x, 1, 1, 0), (y, 1, 1, 0)]),
-            (real_div(s, third), [(s, 1, 1, 0), (PosRat(1, 3), -1, 1, 0)]),
+            (real_mul(x, y), [x, y]),
+            (real_div(s, third), [s, (PosRat(1, 3), -1, 1, 0)]),
             (real_scale(x, PosRat(22, 7)), [(x, 22, 7, 2)]),
             # a repeated value takes the walk, which sums its weights
             (real_mul(x, x), [(x, 2, 1, 1)]),
         ]
         for node, want in cases:
             kind = node.__class__
-            assert _flatten(node._terms, kind) == want == reference_flatten(node._terms, kind)
+            assert flat(node._terms, kind) == want == reference_flatten(node._terms, kind)
 
     def test_deep_add_chain_matches_reference(self):
         # 1000 sums over fresh leaves and ten leaves that recur
@@ -1256,7 +1332,7 @@ class TestFlatten:
         acc = isqrt_real(2)
         for i in range(1000):
             acc = real_add(acc, shared[i % 10] if i % 3 else isqrt_real(NON_SQUARES[i % len(NON_SQUARES)]))
-        leaves = _flatten(acc._terms, _Linear)
+        leaves = flat(acc._terms, _Linear)
         assert leaves == reference_flatten(acc._terms, _Linear)
         assert len(leaves) == 1 + 10 + 334
 
@@ -1273,7 +1349,7 @@ class TestFlatten:
         root = real_add(bottom, real_scale(acc, PosRat(5, 7)))
         assert _push_down(acc._terms, _Linear, None) is not None
         assert _push_down(root._terms, _Linear, None) is None
-        leaves = _flatten(root._terms, _Linear)
+        leaves = flat(root._terms, _Linear)
         assert leaves == reference_flatten(root._terms, _Linear)
         assert len(leaves) == 10 + 167
 
