@@ -199,6 +199,56 @@ class TestShrinkBelow:
         assert core.compare(core.multiple(n, b), a).is_less
 
 
+Q = PosRat(1, 2)
+REAL_POINT = real_from_rat(PosRat(3, 2))
+
+# Each refused call and the exception type it raises.  The element checks
+# come before the multiplier's, so a call wrong in both reports the element.
+REFUSALS = [
+    ("compare(True, 1)", lambda: core.compare(True, 1), ModelMismatchError),
+    ("compare(0, 1)", lambda: core.compare(0, 1), ModelMismatchError),
+    ("compare(2, q)", lambda: core.compare(2, Q), ModelMismatchError),
+    ("compare(q, 2)", lambda: core.compare(Q, 2), ModelMismatchError),
+    ("compare(2, 3, RAT)", lambda: core.compare(2, 3, RAT), ModelMismatchError),
+    ("compare(q, q, NAT)", lambda: core.compare(Q, Q, NAT), ModelMismatchError),
+    ("compare(1.5, 2)", lambda: core.compare(1.5, 2), ModelMismatchError),
+    ("compare(2, 1.5)", lambda: core.compare(2, 1.5), ModelMismatchError),
+    ("combine(q, real)", lambda: core.combine(Q, REAL_POINT), ModelMismatchError),
+    ("combine(real, q)", lambda: core.combine(REAL_POINT, Q), ModelMismatchError),
+    ("combine(2, True)", lambda: core.combine(2, True), ModelMismatchError),
+    ("subtract(q, 2)", lambda: core.subtract(Q, 2), ModelMismatchError),
+    ("subtract(2, q, RAT)", lambda: core.subtract(2, Q, RAT), ModelMismatchError),
+    ("multiple(2, 0)", lambda: core.multiple(2, 0), ModelMismatchError),
+    ("multiple(2, True)", lambda: core.multiple(2, True), ModelMismatchError),
+    ("multiple(2, q, NAT)", lambda: core.multiple(2, Q, NAT), ModelMismatchError),
+    ("multiple(2, 2, REAL)", lambda: core.multiple(2, 2, REAL), ModelMismatchError),
+    ("multiple(0, 0)", lambda: core.multiple(0, 0), ModelMismatchError),
+    ("multiple(True, 0)", lambda: core.multiple(True, 0), ModelMismatchError),
+    ("multiple(0, q)", lambda: core.multiple(0, Q), ValueError),
+    ("multiple(-3, 2)", lambda: core.multiple(-3, 2), ValueError),
+    ("multiple(True, q)", lambda: core.multiple(True, Q), TypeError),
+    ("multiple(2.0, q)", lambda: core.multiple(2.0, Q), TypeError),
+    ("multiple(q, q)", lambda: core.multiple(Q, Q), TypeError),
+    ("multiple_naive(2, q, NAT)", lambda: core.multiple_naive(2, Q, NAT), ModelMismatchError),
+    ("multiple_naive(0, q)", lambda: core.multiple_naive(0, Q), ValueError),
+    ("multiple_naive(True, 2)", lambda: core.multiple_naive(True, 2), TypeError),
+    ("find_multiple_exceeding(q, 2)", lambda: core.find_multiple_exceeding(Q, 2), ModelMismatchError),
+    ("find_multiple_exceeding(2, 3, RAT)", lambda: core.find_multiple_exceeding(2, 3, RAT), ModelMismatchError),
+    ("shrink_below(q, 0)", lambda: core.shrink_below(Q, 0), ValueError),
+    ("shrink_below(q, True)", lambda: core.shrink_below(Q, True), TypeError),
+    ("shrink_below(2, 1, RAT)", lambda: core.shrink_below(2, 1, RAT), ModelMismatchError),
+    ("shrink_below(0, 0)", lambda: core.shrink_below(0, 0), ModelMismatchError),
+    ("shrink_below(2, 1)", lambda: core.shrink_below(2, 1), DiscreteModelError),
+]
+
+
+@pytest.mark.parametrize("call, kind", [(c, k) for _, c, k in REFUSALS], ids=[i for i, _, _ in REFUSALS])
+def test_refusals_keep_their_exception_types(call, kind):
+    with pytest.raises(Exception) as caught:
+        call()
+    assert type(caught.value) is kind
+
+
 class TestOrdering3:
     def test_swapped(self):
         assert Ordering3.less_by(PosRat(1, 2)).swapped().tag is Rel.GREATER

@@ -178,6 +178,61 @@ class TestRatioCompareExact:
         assert got.is_equal
 
 
+Q = PosRat(1, 2)
+REAL_POINT = real_from_rat(PosRat(3, 2))
+
+# Each refused ratio_compare and the exception type it raises: fuel is read
+# before the terms, and each pair's consequent against its antecedent's model.
+RATIO_REFUSALS = [
+    ("(0, 2, 1, 2)", (0, 2, 1, 2), {}, ModelMismatchError),
+    ("(2, 0, 1, 2)", (2, 0, 1, 2), {}, ModelMismatchError),
+    ("(True, 2, 1, 2)", (True, 2, 1, 2), {}, ModelMismatchError),
+    ("(2, True, 1, 2)", (2, True, 1, 2), {}, ModelMismatchError),
+    ("(2, q, 1, 2)", (2, Q, 1, 2), {}, ModelMismatchError),
+    ("(q, 2, 1, 2)", (Q, 2, 1, 2), {}, ModelMismatchError),
+    ("(1, 2, q, 2)", (1, 2, Q, 2), {}, ModelMismatchError),
+    ("(q, q, real, 2)", (Q, Q, REAL_POINT, 2), {}, ModelMismatchError),
+    ("(q, q, 2, real)", (Q, Q, 2, REAL_POINT), {}, ModelMismatchError),
+    ("(real, q, 1, 2)", (REAL_POINT, Q, 1, 2), {}, ModelMismatchError),
+    ("(1.5, 2, 1, 2)", (1.5, 2, 1, 2), {}, ModelMismatchError),
+    ("(1, 2, 1, 2.0)", (1, 2, 1, 2.0), {}, ModelMismatchError),
+    ("fuel=0", (1, 2, 1, 2), {"fuel": 0}, ValueError),
+    ("fuel=True", (1, 2, 1, 2), {"fuel": True}, ValueError),
+    ("fuel=2.0", (1, 2, 1, 2), {"fuel": 2.0}, ValueError),
+    ("fuel=0 before the terms", (0, 2, 1, 2), {"fuel": 0}, ValueError),
+]
+
+
+@pytest.mark.parametrize(
+    "args, kwargs, kind", [r[1:] for r in RATIO_REFUSALS], ids=[r[0] for r in RATIO_REFUSALS]
+)
+def test_ratio_compare_refusals_keep_their_exception_types(args, kwargs, kind):
+    with pytest.raises(Exception) as caught:
+        ratio_compare(*args, **kwargs)
+    assert type(caught.value) is kind
+
+
+class TestSubclassTerms:
+    # terms of a subclass of int or PosRat are elements of nat and rat
+
+    class Nat(int):
+        pass
+
+    class Rat(PosRat):
+        __slots__ = ()
+
+    def test_same_verdicts_as_the_base_classes(self):
+        Nat, Rat, one = self.Nat, self.Rat, PosRat(1, 1)
+        cases = [
+            ((Nat(3), 2, 4, 3), (3, 2, 4, 3)),
+            ((2, Nat(3), 4, 6), (2, 3, 4, 6)),
+            ((Rat(3, 2), one, PosRat(4, 3), one), (PosRat(3, 2), one, PosRat(4, 3), one)),
+            ((PosRat(1, 3), Q, Rat(2, 3), Rat(1, 1)), (PosRat(1, 3), Q, PosRat(2, 3), one)),
+        ]
+        for sub, base in cases:
+            assert ratio_compare(*sub) == ratio_compare(*base)
+
+
 class TestVerifyWitness:
     def test_spec_examples(self):
         a, b = PosRat(3, 1), PosRat(2, 1)
