@@ -7,9 +7,11 @@ negatives; comparison is therefore inseparable from subtraction, and the
 three-way result carries the difference d as a witness.
 
 Everything here is generic over a model object (see :mod:`magnitudes.models`)
-supplying the primitive combine/order operations.  The model argument is
-optional on every function; when omitted it is inferred from the element
-types.
+supplying the primitive combine/order operations.  Each entry point checks
+every element it is given, once, by ``model.check`` (ModelMismatchError),
+then any multiplier by ``check_positive_int`` (TypeError, or ValueError
+below 1).  The model argument is optional; passing it skips only its
+inference from the first element (``models.model_of``).
 """
 
 from __future__ import annotations
@@ -152,14 +154,11 @@ class ModelDescriptor(Record):
         return self.smallest is not None
 
 
-def _resolve(model, *elements):
-    if model is None:
-        from . import models as _models
+def _infer(x):
+    """The shipped model owning x (imported here: models imports this module)."""
+    from .models import model_of
 
-        model = _models.model_of(elements[0])
-    for x in elements:
-        model.check(x)
-    return model
+    return model_of(x)
 
 
 def check_positive_int(value, what: str) -> int:
@@ -180,21 +179,30 @@ def check_precision(p) -> int:
 
 def combine(a, b, model=None):
     """Sum of two elements of one model."""
-    model = _resolve(model, a, b)
+    if model is None:
+        model = _infer(a)
+    model.check(a)
+    model.check(b)
     return model.combine(a, b)
 
 
 def compare(a, b, model=None) -> Ordering3:
     """Trichotomous comparison with difference witness, by the model's order:
     exact on nat and rat, certified on real and never EQUAL (RealModel.order)."""
-    model = _resolve(model, a, b)
+    if model is None:
+        model = _infer(a)
+    model.check(a)
+    model.check(b)
     return model.order(a, b)
 
 
 def subtract(b, a, model=None):
     """The unique d with combine(a, d) = b.  Requires a < b, certified on
     reals, where sides that overlap raise UndecidedError (see ``compare``)."""
-    model = _resolve(model, a, b)
+    if model is None:
+        model = _infer(a)
+    model.check(a)
+    model.check(b)
     outcome = model.order(b, a)
     if not outcome.is_greater:
         raise NotGreaterError("subtraction needs a < b; magnitudes have no zero")
@@ -207,8 +215,11 @@ def multiple(n: int, a, model=None):
     nat multiplies, rat multiplies and cancels one gcd, real builds one
     scaling node, and the multiplicative space one monomial node x^n.
     """
-    model = _resolve(model, a)
-    n = check_positive_int(n, "multiplier")
+    if model is None:
+        model = _infer(a)
+    model.check(a)
+    if n.__class__ is not int or n < 1:
+        check_positive_int(n, "multiplier")
     return model.multiple(n, a)
 
 
@@ -217,7 +228,9 @@ def multiple_naive(n: int, a, model=None):
 
     Guarded to n <= 2**16 because it is linear.
     """
-    model = _resolve(model, a)
+    if model is None:
+        model = _infer(a)
+    model.check(a)
     n = check_positive_int(n, "multiplier")
     if n > NAIVE_GUARD:
         raise ValueError(f"naive multiple guarded to n <= {NAIVE_GUARD}")
@@ -236,7 +249,10 @@ def find_multiple_exceeding(a, b, model=None) -> int:
     from b/a enclosed on the ladder, one read per side per rung; the
     multiplicative space, whose multiples are powers, doubles then bisects.
     """
-    model = _resolve(model, a, b)
+    if model is None:
+        model = _infer(a)
+    model.check(a)
+    model.check(b)
     return model.least_multiple_exceeding(a, b)
 
 
@@ -245,7 +261,9 @@ def shrink_below(a, n: int, model=None):
 
     Returns a scaled by 1/(n+1), so n of them fall short of a by a/(n+1).
     """
-    model = _resolve(model, a)
+    if model is None:
+        model = _infer(a)
+    model.check(a)
     n = check_positive_int(n, "multiplier")
     if model.descriptor.discrete:
         raise DiscreteModelError(

@@ -22,10 +22,10 @@ import json
 import random
 from typing import Callable, Optional
 
-from .. import core
 from ..core import Record, Rel
+from ..embed import _element_to_text
 from ..errors import MagnitudeError
-from ..models import Model, PosRat, model_by_id
+from ..models import Model, PosRat, PosRealValue, model_by_id, real_from_rat
 
 __all__ = ["LawFailure", "LawSpec", "LawReport", "list_laws", "law_sets", "run_suite"]
 
@@ -180,7 +180,10 @@ def _elems_mults(elems, mults, bound=1 << 10):
 
 
 def _mul(model, n, a):
-    return core.multiple(n, a, model)
+    """n*a by the model's ``multiple``, unchecked: every caller passes an a the
+    model drew or computed, and an int n >= 1 (a drawn multiplier, a sum,
+    product or positive difference of them, or a multiple search's count)."""
+    return model.multiple(n, a)
 
 
 # ---------------------------------------------------------------------------
@@ -207,6 +210,8 @@ def _shrink_candidates(value):
             PosRat(value.num, 1),
         }
         return sorted((c for c in cands if c != value), key=lambda q: (q.den, q.num))
+    if isinstance(value, PosRealValue) and value.exact is not None:  # its rational's, as points
+        return [real_from_rat(q) for q in _shrink_candidates(value.exact)]
     return []
 
 
@@ -243,8 +248,10 @@ def _shrink(spec: LawSpec, model: Model, inputs: dict, tolerance, kind: type) ->
     return inputs
 
 
-def _render_inputs(inputs: dict) -> dict:
-    return {key: str(val) for key, val in sorted(inputs.items())}
+def _render_inputs(inputs: dict, model: Model) -> dict:
+    """The model's elements in their text form (laws draw exact reals only),
+    anything else, such as a multiplier, by ``str``."""
+    return {key: _element_to_text(v, model) if model.owns(v) else str(v) for key, v in sorted(inputs.items())}
 
 
 def run_suite(
@@ -287,7 +294,7 @@ def run_suite(
                     observed, expected = f"{type(failure).__name__}: {failure}", "no domain error"
                 report.failures.append(
                     {
-                        "inputs": _render_inputs(shrunk),
+                        "inputs": _render_inputs(shrunk, model),
                         "observed": observed,
                         "expected": expected,
                     }

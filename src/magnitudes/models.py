@@ -1109,9 +1109,11 @@ class RatModel(Model):
 
     def random_element(self, rng) -> PosRat:
         """num/den, each uniform on 1..2^16, from the high and low halves of
-        one 32-bit word; spans magnitudes 2^-16 .. 2^16."""
+        one 32-bit word; spans magnitudes 2^-16 .. 2^16.  Reduced by one gcd."""
         w = rng.getrandbits(32)
-        return PosRat((w >> 16) + 1, (w & 0xFFFF) + 1)
+        num, den = (w >> 16) + 1, (w & 0xFFFF) + 1
+        g = gcd(num, den)
+        return PosRat._reduced(num // g, den // g)
 
 
 class RealModel(Model):

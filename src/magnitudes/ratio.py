@@ -153,7 +153,6 @@ def have_ratio_witness(a, b) -> Tuple[int, int]:
     form of "the pair has a ratio".
     """
     model = model_of(a)
-    model.check(b)
     return (
         core.find_multiple_exceeding(a, b, model),
         core.find_multiple_exceeding(b, a, model),
@@ -169,6 +168,17 @@ def ratio_value_exact(r: Ratio) -> PosRat:
     return PosRat(*model_by_id(r.model_id).ratio_pair(r.antecedent, r.consequent))
 
 
+def _point_ratio(a, b) -> Optional[Tuple[int, int]]:
+    """a : b as integers when a, b are both ints >= 1 or both PosRat, else None."""
+    c = a.__class__
+    if c is b.__class__:
+        if c is PosRat:
+            return a.num * b.den, a.den * b.num
+        if c is int and a >= 1 and b >= 1:
+            return a, b
+    return None
+
+
 def ratio_compare(a, b, a2, b2, fuel: int = 64) -> RatioRel:
     """Compare the ratio a:b with a2:b2 across (possibly different) models.
 
@@ -178,7 +188,9 @@ def ratio_compare(a, b, a2, b2, fuel: int = 64) -> RatioRel:
     (m, n) is the simplest n/m with lower <= n/m < upper, read by the
     continued-fraction walk (``mediants._simplest``) straight off those
     pairs, which need not be in lowest terms: the walk reads them as
-    values, and its answer always is in lowest terms.
+    values, and its answer always is in lowest terms.  Two ints >= 1 or
+    two PosRat are read as a pair by class; any other pair is checked by
+    ``model_of(a).check(b)`` (ModelMismatchError) and read by ``_num_den``.
 
     Otherwise each exact term is pinned once as the point Interval(q, q),
     and at each rung p of ``ladder(max(16, 4*fuel))`` only the real terms
@@ -192,14 +204,18 @@ def ratio_compare(a, b, a2, b2, fuel: int = 64) -> RatioRel:
     same with the pairs' roles swapped.  Enclosures that never part give
     Unknown.
     """
-    if isinstance(fuel, bool) or not isinstance(fuel, int) or fuel < 1:
-        raise ValueError("fuel must be an integer >= 1")
-    model_of(a).check(b)
-    model_of(a2).check(b2)
-    na, nb, na2, nb2 = _num_den(a), _num_den(b), _num_den(a2), _num_den(b2)
-    if na and nb and na2 and nb2:
-        n1, m1 = na[0] * nb[1], na[1] * nb[0]
-        n2, m2 = na2[0] * nb2[1], na2[1] * nb2[0]
+    if fuel.__class__ is not int or fuel < 1:
+        if isinstance(fuel, bool) or not isinstance(fuel, int) or fuel < 1:
+            raise ValueError("fuel must be an integer >= 1")
+    r1, r2 = _point_ratio(a, b), _point_ratio(a2, b2)
+    if r1 is None or r2 is None:
+        model_of(a).check(b)
+        model_of(a2).check(b2)
+        na, nb, na2, nb2 = _num_den(a), _num_den(b), _num_den(a2), _num_den(b2)
+        if na and nb and na2 and nb2:
+            r1, r2 = (na[0] * nb[1], na[1] * nb[0]), (na2[0] * nb2[1], na2[1] * nb2[0])
+    if r1 and r2:
+        (n1, m1), (n2, m2) = r1, r2
         lhs, rhs = n1 * m2, n2 * m1
         if lhs == rhs:
             return _RATIO_EQUAL

@@ -7,7 +7,7 @@ import pytest
 
 from magnitudes import cli, core, laws, ratio
 from magnitudes.errors import NotAboveOneError, NotGreaterError, UndecidedError
-from magnitudes.models import model_of
+from magnitudes.models import REAL, PosRat, model_of
 
 
 class TestRegistry:
@@ -208,6 +208,41 @@ class TestRunnerRobustness:
         _throwaway_law(monkeypatch, check)
         (report,) = laws.run_suite("nat", "throwaway_set", trials=1)
         assert report.failures == [{"inputs": {"n": "100"}, "observed": "100", "expected": "n < 100"}]
+
+
+class TestRealCounterexamples:
+    """A failing law on real reports and shrinks its exact points as it does on rat."""
+
+    @staticmethod
+    def _register(monkeypatch, check):
+        gen = laws._elems("a", "b")
+        spec = laws.LawSpec("throwaway", "test-only law", "throwaway_set", ("rat", "real"), gen, check)
+        monkeypatch.setattr(laws, "_REGISTRY", [spec] + laws._REGISTRY)
+
+    def test_always_failing_law_reports_ones(self, monkeypatch):
+        self._register(monkeypatch, lambda model, v, tol: laws._fail("always", "never"))
+        for model in ("rat", "real"):
+            (report,) = laws.run_suite(model, "throwaway_set", trials=1, seed=4)
+            want = {"inputs": {"a": "1/1", "b": "1/1"}, "observed": "always", "expected": "never"}
+            assert report.failures == [want]
+
+    def test_real_inputs_shrink_to_a_local_minimum(self, monkeypatch):
+        def above_one(x):
+            q = x.exact if model_of(x) is REAL else x
+            return q > PosRat(1, 1)
+
+        def check(model, v, tol):
+            if above_one(v["a"]):
+                laws._fail(v["a"], "a <= 1")
+
+        self._register(monkeypatch, check)
+        for seed in range(1, 6):
+            (report,) = laws.run_suite("real", "throwaway_set", trials=20, seed=seed)
+            if report.passed:
+                continue
+            shrunk = PosRat.from_text(report.failures[0]["inputs"]["a"])
+            assert shrunk > PosRat(1, 1) and report.failures[0]["inputs"]["b"] == "1/1"
+            assert not any(c > PosRat(1, 1) for c in laws._shrink_candidates(shrunk))
 
 
 # Law-report digests recorded by the benchmark: one (set, model) pair per

@@ -62,6 +62,11 @@ class TestHaveRatioWitness:
         assert have_ratio_witness(PosRat(3, 1), PosRat(3, 1)) == (2, 2)
         assert have_ratio_witness(1, 4) == (5, 1)
 
+    def test_terms_of_two_models_refused(self):
+        for a, b in ((2, PosRat(1, 2)), (PosRat(1, 2), 2), (0, 2), (2, True)):
+            with pytest.raises(ModelMismatchError):
+                have_ratio_witness(a, b)
+
     @given(rationals, rationals)
     def test_witnesses_certify(self, a, b):
         m, n = have_ratio_witness(a, b)
