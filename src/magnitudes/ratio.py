@@ -169,14 +169,29 @@ def ratio_value_exact(r: Ratio) -> PosRat:
 
 
 def _point_ratio(a, b) -> Optional[Tuple[int, int]]:
-    """a : b as integers when a, b are both ints >= 1 or both PosRat, else None."""
+    """a : b as the integers a.num*b.den : a.den*b.num when both terms are
+    exact points, else None (a real pair); ModelMismatchError unless b is an
+    element of a's model.  Two ints >= 1 or two PosRat are read by class,
+    any other pair through ``model_of`` and ``_num_den``."""
     c = a.__class__
     if c is b.__class__:
         if c is PosRat:
             return a.num * b.den, a.den * b.num
         if c is int and a >= 1 and b >= 1:
             return a, b
-    return None
+    model_of(a).check(b)
+    na, nb = _num_den(a), _num_den(b)
+    return (na[0] * nb[1], na[1] * nb[0]) if na and nb else None
+
+
+def _ladder_terms(a, b, r):
+    """The pair as the ladder reads it: a point ratio r = n : m as the points
+    n and m, whose enclosure ends are r's integers; a real pair as its terms,
+    an exact one pinned."""
+    if r:
+        return _pin((r[0], 1)), _pin((r[1], 1))
+    qa, qb = a.exact, b.exact
+    return (a if qa is None else Interval(qa, qa)), (b if qb is None else Interval(qb, qb))
 
 
 def ratio_compare(a, b, a2, b2, fuel: int = 64) -> RatioRel:
@@ -192,11 +207,12 @@ def ratio_compare(a, b, a2, b2, fuel: int = 64) -> RatioRel:
     two PosRat are read as a pair by class; any other pair is checked by
     ``model_of(a).check(b)`` (ModelMismatchError) and read by ``_num_den``.
 
-    Otherwise each exact term is pinned once as the point Interval(q, q),
-    and at each rung p of ``ladder(max(16, 4*fuel))`` only the real terms
-    are read.  The terms' intervals u, v, u2, v2 enclose x/y in
-    [u.lo/v.hi, u.hi/v.lo] and x2/y2 likewise, each end kept as an
-    unreduced integer pair and the ends compared by cross-multiplication.
+    Otherwise an exact pair is pinned once as the points n1 and m1, whose
+    enclosure ends are those integers, and an exact term of a real pair as
+    the point Interval(q, q); at each rung p of ``ladder(max(16, 4*fuel))``
+    only the real terms are read.  The terms' intervals u, v, u2, v2
+    enclose x/y in [u.lo/v.hi, u.hi/v.lo] and x2/y2 likewise, each end kept
+    as an unreduced integer pair and the ends compared by cross-multiplication.
     At the first rung where hi2 = u2.hi/v2.lo < lo1 = u.lo/v.hi, the
     simplest n/m with hi2 <= n/m < lo1 is the Greater witness: m*x > n*y
     and m*x2 <= n*y2 follow from the intervals already read, so nothing is
@@ -208,12 +224,6 @@ def ratio_compare(a, b, a2, b2, fuel: int = 64) -> RatioRel:
         if isinstance(fuel, bool) or not isinstance(fuel, int) or fuel < 1:
             raise ValueError("fuel must be an integer >= 1")
     r1, r2 = _point_ratio(a, b), _point_ratio(a2, b2)
-    if r1 is None or r2 is None:
-        model_of(a).check(b)
-        model_of(a2).check(b2)
-        na, nb, na2, nb2 = _num_den(a), _num_den(b), _num_den(a2), _num_den(b2)
-        if na and nb and na2 and nb2:
-            r1, r2 = (na[0] * nb[1], na[1] * nb[0]), (na2[0] * nb2[1], na2[1] * nb2[0])
     if r1 and r2:
         (n1, m1), (n2, m2) = r1, r2
         lhs, rhs = n1 * m2, n2 * m1
@@ -225,10 +235,7 @@ def ratio_compare(a, b, a2, b2, fuel: int = 64) -> RatioRel:
         n, m = _simplest(n1, m1, n2, m2, True, False)
         return RatioRel.less(Witness(m, n))
 
-    x = a if na is None else _pin(na)
-    y = b if nb is None else _pin(nb)
-    x2 = a2 if na2 is None else _pin(na2)
-    y2 = b2 if nb2 is None else _pin(nb2)
+    (x, y), (x2, y2) = _ladder_terms(a, b, r1), _ladder_terms(a2, b2, r2)
     cap = max(16, 4 * fuel)
     for p in ladder(cap):
         u = x if x.__class__ is Interval else x.approx(p)

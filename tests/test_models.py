@@ -1627,6 +1627,13 @@ class TestRandomElement:
         assert rats == [PosRat(1, 1), PosRat(1 << 16, 1), PosRat(1, 1 << 16), PosRat(1, 1)]
         assert REAL.random_element(_Words(0x1234_0041)).exact == PosRat(0x1235, 0x42)
 
+    @given(st.integers(0, (1 << 32) - 1), st.integers(0, 16))
+    def test_rat_matches_the_validating_constructor(self, w, s):
+        # low half 2^s - 1 draws the power-of-two denominators PosRat reduces by shifts
+        for word in (w, (w & ~0xFFFF) | ((1 << s) - 1)):
+            got, want = RAT.random_element(_Words(word)), PosRat((word >> 16) + 1, (word & 0xFFFF) + 1)
+            assert (got.__class__, got.num, got.den) == (PosRat, want.num, want.den)
+
     @pytest.mark.parametrize("model", MODELS, ids=lambda m: m.descriptor.model_id)
     def test_one_element_consumes_one_word(self, model):
         for seed in range(20):
