@@ -1175,6 +1175,8 @@ def model_of(x) -> Model:
     """Infer the shipped model owning a value."""
     if x.__class__ is PosRat:  # the common case skips the tests below
         return RAT
+    if isinstance(x, PosRealValue):  # no class is also an int or PosRat: the layouts conflict
+        return REAL
     if isinstance(x, bool):
         raise ModelMismatchError("booleans are not magnitude elements")
     if isinstance(x, int):
@@ -1183,8 +1185,6 @@ def model_of(x) -> Model:
         return NAT
     if isinstance(x, PosRat):
         return RAT
-    if isinstance(x, PosRealValue):
-        return REAL
     raise ModelMismatchError(f"no shipped model owns {type(x).__name__} values")
 
 
