@@ -11,7 +11,7 @@ supplying the primitive combine/order operations.  Each entry point checks
 every element it is given, once, by ``model.check`` (ModelMismatchError),
 then any multiplier by ``check_positive_int`` (TypeError, or ValueError
 below 1).  The model argument is optional; passing it skips only its
-inference from the first element (``models.model_of``).
+inference, by ``models.model_of``, from the element checked first.
 """
 
 from __future__ import annotations
@@ -154,13 +154,6 @@ class ModelDescriptor(Record):
         return self.smallest is not None
 
 
-def _infer(x):
-    """The shipped model owning x (imported here: models imports this module)."""
-    from .models import model_of
-
-    return model_of(x)
-
-
 def check_positive_int(value, what: str) -> int:
     if value.__class__ is int and value >= 1:  # the common case
         return value
@@ -180,7 +173,7 @@ def check_precision(p) -> int:
 def combine(a, b, model=None):
     """Sum of two elements of one model."""
     if model is None:
-        model = _infer(a)
+        model = _models.model_of(a)
     model.check(a)
     model.check(b)
     return model.combine(a, b)
@@ -190,7 +183,7 @@ def compare(a, b, model=None) -> Ordering3:
     """Trichotomous comparison with difference witness, by the model's order:
     exact on nat and rat, certified on real and never EQUAL (RealModel.order)."""
     if model is None:
-        model = _infer(a)
+        model = _models.model_of(a)
     model.check(a)
     model.check(b)
     return model.order(a, b)
@@ -200,7 +193,7 @@ def subtract(b, a, model=None):
     """The unique d with combine(a, d) = b.  Requires a < b, certified on
     reals, where sides that overlap raise UndecidedError (see ``compare``)."""
     if model is None:
-        model = _infer(a)
+        model = _models.model_of(a)
     model.check(a)
     model.check(b)
     outcome = model.order(b, a)
@@ -216,7 +209,7 @@ def multiple(n: int, a, model=None):
     scaling node, and the multiplicative space one monomial node x^n.
     """
     if model is None:
-        model = _infer(a)
+        model = _models.model_of(a)
     model.check(a)
     if n.__class__ is not int or n < 1:
         check_positive_int(n, "multiplier")
@@ -229,7 +222,7 @@ def multiple_naive(n: int, a, model=None):
     Guarded to n <= 2**16 because it is linear.
     """
     if model is None:
-        model = _infer(a)
+        model = _models.model_of(a)
     model.check(a)
     n = check_positive_int(n, "multiplier")
     if n > NAIVE_GUARD:
@@ -250,7 +243,7 @@ def find_multiple_exceeding(a, b, model=None) -> int:
     multiplicative space, whose multiples are powers, doubles then bisects.
     """
     if model is None:
-        model = _infer(a)
+        model = _models.model_of(a)
     model.check(a)
     model.check(b)
     return model.least_multiple_exceeding(a, b)
@@ -262,13 +255,15 @@ def shrink_below(a, n: int, model=None):
     Returns a scaled by 1/(n+1), so n of them fall short of a by a/(n+1).
     """
     if model is None:
-        model = _infer(a)
+        model = _models.model_of(a)
     model.check(a)
     n = check_positive_int(n, "multiplier")
     if model.descriptor.discrete:
         raise DiscreteModelError(
             f"model '{model.descriptor.model_id}' has a smallest element; nothing shrinks below it"
         )
-    from .models import PosRat
+    return model.scale(a, _models.PosRat(1, n + 1))
 
-    return model.scale(a, PosRat(1, n + 1))
+
+# models imports this module, so it comes last; the entry points read it when called
+from . import models as _models  # noqa: E402

@@ -1109,11 +1109,15 @@ class RatModel(Model):
 
     def random_element(self, rng) -> PosRat:
         """num/den, each uniform on 1..2^16, from the high and low halves of
-        one 32-bit word; spans magnitudes 2^-16 .. 2^16.  Reduced by one gcd."""
+        one 32-bit word; spans magnitudes 2^-16 .. 2^16.  Filled in place
+        over one gcd, as both halves are ints >= 1."""
         w = rng.getrandbits(32)
         num, den = (w >> 16) + 1, (w & 0xFFFF) + 1
         g = gcd(num, den)
-        return PosRat._reduced(num // g, den // g)
+        out = object.__new__(PosRat)
+        out.num = num // g
+        out.den = den // g
+        return out
 
 
 class RealModel(Model):

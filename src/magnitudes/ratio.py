@@ -169,10 +169,9 @@ def ratio_value_exact(r: Ratio) -> PosRat:
 
 
 def _point_ratio(a, b) -> Optional[Tuple[int, int]]:
-    """a : b as the integers a.num*b.den : a.den*b.num when both terms are
-    exact points, else None (a real pair); ModelMismatchError unless b is an
-    element of a's model.  Two ints >= 1 or two PosRat are read by class,
-    any other pair through ``model_of`` and ``_num_den``."""
+    """a : b as integers a.num*b.den : a.den*b.num when both are exact points,
+    else None (a real pair); ModelMismatchError unless b is of a's model.  Two
+    ints >= 1 or two PosRat are read by class, others by model_of and _num_den."""
     c = a.__class__
     if c is b.__class__:
         if c is PosRat:
@@ -185,9 +184,8 @@ def _point_ratio(a, b) -> Optional[Tuple[int, int]]:
 
 
 def _ladder_terms(a, b, r):
-    """The pair as the ladder reads it: a point ratio r = n : m as the points
-    n and m, whose enclosure ends are r's integers; a real pair as its terms,
-    an exact one pinned."""
+    """The pair as the ladder reads it: a point ratio r = n : m as the points n
+    and m, whose enclosure ends are r's integers, else each term, pinned if exact."""
     if r:
         return _pin((r[0], 1)), _pin((r[1], 1))
     qa, qb = a.exact, b.exact
