@@ -273,13 +273,38 @@ def rat_make(num: int, den: int) -> PosRat:
     return PosRat(num, den)
 
 
+# From this many bits of denominator up, two dyadic ends are ordered and
+# tested by aligning them with shifts (see _less and _wider): two products
+# of such numbers cost more than the shifts above about 128-200 bits, and
+# less below.
+SHIFT_CHECK_BITS = 192
+_SHIFT_CHECK_DEN = 1 << SHIFT_CHECK_BITS
+
+
+def _less(a: PosRat, b: PosRat) -> bool:
+    """a < b, dyadic ends aligned by a shift rather than multiplied."""
+    ad, bd = a.den, b.den
+    if ad & (ad - 1) or bd & (bd - 1):
+        return a.num * bd < b.num * ad
+    s, t = ad.bit_length(), bd.bit_length()
+    return (a.num << t - s) < b.num if s <= t else a.num < (b.num << s - t)
+
+
 class Interval:
-    """Closed interval with exact positive rational endpoints."""
+    """Closed interval with exact positive rational endpoints.
+
+    The constructor raises ValueError when lo > hi.  It orders the ends by
+    cross-multiplication below 2^SHIFT_CHECK_BITS of hi's denominator, and
+    from there up by _less, which aligns dyadic ends, as every read on a
+    binary grid has, by a shift: so an oracle's read of any precision costs
+    its order check in linear time.
+    """
 
     __slots__ = ("lo", "hi")
 
     def __init__(self, lo: PosRat, hi: PosRat):
-        if lo.num * hi.den > hi.num * lo.den:
+        hd = hi.den
+        if (lo.num * hd > hi.num * lo.den) if hd < _SHIFT_CHECK_DEN else _less(hi, lo):
             raise ValueError("interval endpoints out of order")
         self.lo = lo
         self.hi = hi
@@ -328,13 +353,11 @@ class Overlap(Record):
         object.__setattr__(self, "precision", precision)
 
 
-# held only while a node's first approx makes its lock and cache
-_FIRST_REFINE = threading.Lock()
+# the allocation of the unchecked constructors, one lookup cheaper
+_new = object.__new__
 
-# From this precision up, approx checks the width of an interval with dyadic
-# ends by aligning them with shifts: two products of p-bit numbers cost more
-# than the shifts above about 128-200 bits, and less below.
-SHIFT_CHECK_BITS = 192
+# held only while a node's first read publishes its lock and cache
+_FIRST_REFINE = threading.Lock()
 
 
 class PosRealValue:
@@ -367,8 +390,13 @@ class PosRealValue:
 
     def approx(self, p: int) -> Interval:
         """An interval of width at most 2^-p holding the value: cached, or
-        refined and tested against the best so far by integer cross-products,
-        then intersected with it only if it sticks out."""
+        refined and checked.  A refinement is checked for its width and
+        tested against the best interval so far, which it is intersected
+        with only if it sticks out, raising OracleFailureError when it is too
+        wide or disjoint from the best.  Below SHIFT_CHECK_BITS of precision
+        both tests cross-multiply the ends; from there up they align dyadic
+        ends by shifts (see _wider and _less).  A node's first read takes
+        _Node._first_read, which needs neither test."""
         # an exact int >= 0 is the common case and skips the type tests
         if p.__class__ is not int or p < 0:
             if isinstance(p, bool) or not isinstance(p, int):
@@ -378,17 +406,8 @@ class PosRealValue:
         # acquire and release rather than a with block, whose protocol costs
         # about as much as the rest of a cache hit
         lock = self._lock
-        if lock is None:
-            # a node's first refine makes its lock and cache, the cache
-            # first, so that a thread which finds the lock also finds the cache
-            _FIRST_REFINE.acquire()
-            try:
-                lock = self._lock
-                if lock is None:
-                    self._cache = {}
-                    lock = self._lock = threading.Lock()
-            finally:
-                _FIRST_REFINE.release()
+        if lock is None:  # only a node that was never read has no lock
+            return self._first_read(p)
         lock.acquire()
         try:
             cached = self._cache.get(p)
@@ -411,7 +430,11 @@ class PosRealValue:
             best = self._best
             if best is not None:  # lo < best.lo or best.hi < hi
                 blo, bhi = best.lo, best.hi
-                if lo.num * blo.den < blo.num * lo.den or bhi.num * hi.den < hi.num * bhi.den:
+                if (
+                    lo.num * blo.den < blo.num * lo.den or bhi.num * hi.den < hi.num * bhi.den
+                    if p < SHIFT_CHECK_BITS
+                    else _less(lo, blo) or _less(bhi, hi)
+                ):
                     if not iv.intersects(best):
                         raise OracleFailureError("inconsistent refinement oracle")
                     iv = iv.intersect(best)
@@ -457,10 +480,12 @@ def _num_den(t):
     return None if q is None else (q.num, q.den)
 
 
-def _pin(nd: Tuple[int, int]) -> Interval:
-    """The known point nd = _num_den(t) as Interval(q, q), for a ladder to read on every rung."""
-    q = PosRat._reduced(*nd)
-    return Interval(q, q)
+def _point(q: PosRat) -> Interval:
+    """q as the interval [q, q], for a ladder to read on every rung; unchecked,
+    as it is ordered by construction."""
+    iv = _new(Interval)
+    iv.lo = iv.hi = q
+    return iv
 
 
 PRECISION_GUARD = 8  # guard bits of a pass's working precision
@@ -504,10 +529,44 @@ class _Node(PosRealValue):
         self._terms = terms
         self._leaves = None
 
+    def _first_read(self, p: int) -> Interval:
+        """approx(p) on the node's first read, which makes its lock and cache.
+
+        The lock is taken before it is published, the cache first, so a
+        thread that finds the lock finds the cache, and waits for this read.
+        A pass meets the width it was asked for by construction, and no read
+        came before this one to disagree with, so the interval is cached as
+        it is.  If another thread published first, this read is an approx.
+        """
+        _FIRST_REFINE.acquire()
+        try:
+            if self._lock is not None:
+                lock = None
+            else:
+                lock = threading.Lock()
+                lock.acquire()  # a fresh lock: this never waits
+                self._cache = {}
+                self._lock = lock
+        finally:
+            _FIRST_REFINE.release()
+        if lock is None:
+            return self.approx(p)
+        try:
+            try:
+                iv = self._refine(p)
+            except RecursionError:
+                raise OracleFailureError(f"oracle nesting too deep at precision {p}") from None
+            self._best = self._cache[p] = iv
+            return iv
+        finally:
+            lock.release()
+
     def _refine(self, p: int) -> Interval:
         if self._leaves is None:  # under the node's lock, on its first refine
             self._setup()
         below = self._below() if self._nodes else ()
+        # each pass writes a node's ticks before any node that reads them
+        ends = {} if below else ()
         if self.__class__ is _Linear:
             w = p + (3 * len(self._leaves) - 1).bit_length()
         else:
@@ -515,7 +574,6 @@ class _Node(PosRealValue):
         for _ in range(8):
             if below:  # a root over nodes of other kinds passes on whole words
                 w += -w & 31
-            ends = {}
             for node in below:
                 lo, hi, short = node._ends(w, ends)
                 if short > 0:
@@ -549,21 +607,27 @@ class _Node(PosRealValue):
 
 def _interval(lo: int, hi: int, w: int) -> Interval:
     """Ticks 1 <= lo <= hi of 2^-w as an interval, unchecked, each end t
-    reduced by shifts as PosRat(t, 2^w) reduces it."""
-    iv = object.__new__(Interval)
-    iv.lo, iv.hi = a, b = object.__new__(PosRat), object.__new__(PosRat)
-    s, t = (lo & -lo).bit_length() - 1, (hi & -hi).bit_length() - 1
-    s, t = s if s < w else w, t if t < w else w
-    a.num, a.den = lo >> s, 1 << (w - s)
-    b.num, b.den = hi >> t, 1 << (w - t)
+    reduced by shifts as PosRat(t, 2^w) reduces it: an odd t is in lowest
+    terms, and an even one shifts right by the lesser of its trailing zeros
+    and w."""
+    iv = _new(Interval)
+    iv.lo, iv.hi = a, b = _new(PosRat), _new(PosRat)
+    if lo & 1:
+        a.num, a.den = lo, 1 << w
+    else:
+        s = (lo & -lo).bit_length() - 1
+        s = s if s < w else w
+        a.num, a.den = lo >> s, 1 << (w - s)
+    if hi & 1:
+        b.num, b.den = hi, 1 << w
+    else:
+        t = (hi & -hi).bit_length() - 1
+        t = t if t < w else w
+        b.num, b.den = hi >> t, 1 << (w - t)
     return iv
 
 
-# the weight of a term that is a bare value
-_ONE = (1, 1)
-
-
-def _flatten(terms: tuple, kind: type) -> Tuple[list, tuple]:
+def _flatten(terms: tuple, kind: type, points: Optional[list] = None) -> Tuple[list, tuple]:
     """Leaves of the DAG of one node kind under a node, with total weights,
     and the nodes of other kinds among them.
 
@@ -585,19 +649,34 @@ def _flatten(terms: tuple, kind: type) -> Tuple[list, tuple]:
     to 0 is dropped.  The leaves come back in the order the last walk first
     reaches them, each as its source, the leaf or its exact point, when its
     weight is 1, else as (source, num, den, extra): num/den is its weight
-    and extra = max(0, ceil(log2 |num|/den)).
+    and extra = max(0, ceil(log2 |num|/den)).  Given a list points, an
+    exact point goes there instead, as (point, num), and not among the leaves.
     """
-    # plain terms are their own weights; anything else takes the walks
+    # plain terms are their own weights, read in one pass, with weight as
+    # the set of values seen; anything else takes the walks
     weight: Optional[dict] = {}
+    leaves, nodes = [], []
     for node in terms:
-        w = _ONE
+        num = den = 1
         if node.__class__ is tuple:
             node, num, den = node
-            w = num, den
         if node.__class__ is kind or node in weight:
             weight = _push_down(terms, kind, None)
             break
-        weight[node] = w
+        weight[node] = None
+        if num:
+            q = node.exact
+            if q is None:
+                if isinstance(node, _Node):
+                    nodes.append(node)
+                q = node
+            elif points is not None:
+                points.append((q, num))
+                continue
+            # ceil(log2 a/b) for a > b is the bit length of floor((a - 1)/b)
+            leaves.append(q if num == 1 == den else (q, num, den, ((abs(num) - 1) // den).bit_length()))
+    else:
+        return leaves, nodes or ()
     if weight is None:
         # count each inner node's parents, so it is expanded after all of them
         parents: dict = {}
@@ -615,13 +694,19 @@ def _flatten(terms: tuple, kind: type) -> Tuple[list, tuple]:
                     stack.append(node._terms)
         weight = _push_down(terms, kind, parents)
     leaves, nodes = [], []
+    if points:  # what the pass over the terms found
+        points.clear()
     for node, (num, den) in weight.items():
         if num:
-            src = node if node.exact is None else node.exact
-            if isinstance(src, _Node):
-                nodes.append(src)
-            # ceil(log2 a/b) for a > b is the bit length of floor((a - 1)/b)
-            leaves.append(src if num == 1 == den else (src, num, den, ((abs(num) - 1) // den).bit_length()))
+            q = node.exact
+            if q is None:
+                if isinstance(node, _Node):
+                    nodes.append(node)
+                q = node
+            elif points is not None:
+                points.append((q, num))
+                continue
+            leaves.append(q if num == 1 == den else (q, num, den, ((abs(num) - 1) // den).bit_length()))
     return leaves, nodes or ()
 
 
@@ -693,6 +778,13 @@ class _Linear(_Node):
         self._leaves = leaves
 
     def _ends(self, w: int, ends: dict) -> Tuple[int, int, int]:
+        """Ticks lo <= hi of 2^-w around the sum, and the bits the lower end
+        falls short of a tick (see _Node).  Each leaf's ends, times its
+        coefficient num/den, are floored into lo and ceiled into hi.  A
+        power-of-two denominator 2^s, as every read on a grid has, is
+        shifted out of end*num*2^w first, as _grid does, and den alone
+        divides, so a scaled read costs about its leaf read at any
+        precision; any other denominator divides once, times den."""
         lo_ticks = hi_ticks = 0
         for src in self._leaves:
             if src.__class__ is not tuple:  # weight 1: the ends themselves
@@ -721,11 +813,20 @@ class _Linear(_Node):
                 lo, hi = src.lo, src.hi
             else:
                 lo, hi = src.hi, src.lo
-            # a power-of-two divisor, as every grid read has, floors by a shift
-            n, d = lo.num * u << w, lo.den * v
-            lo_ticks += n // d if d & (d - 1) else n >> d.bit_length() - 1
-            n, d = -(hi.num * u) << w, hi.den * v
-            hi_ticks -= n // d if d & (d - 1) else n >> d.bit_length() - 1
+            # a read's power of two 2^s, as on every grid, is shifted out of
+            # the end times 2^w before the one division, by v (see _grid)
+            n, d = lo.num * u, lo.den
+            if d & (d - 1):
+                lo_ticks += (n << w) // (d * v)
+            else:
+                s = d.bit_length() - 1
+                lo_ticks += (n << w - s if s <= w else n >> s - w) // v
+            n, d = -(hi.num * u), hi.den
+            if d & (d - 1):
+                hi_ticks -= (n << w) // (d * v)
+            else:
+                s = d.bit_length() - 1
+                hi_ticks -= (n << w - s if s <= w else n >> s - w) // v
         if hi_ticks < 1:
             raise OracleFailureError("difference is not positive")
         if lo_ticks >= 1:
@@ -801,17 +902,12 @@ def _round(n: int, d: int, m: int, up: int) -> Tuple[int, int]:
 def _fold(factors: tuple) -> Tuple[list, list, PosRat]:
     """The leaves of a product DAG and the nodes among them (see _flatten),
     less its exact leaves, and the coefficient those multiply out to."""
-    leaves, nodes = _flatten(factors, _Monomial)
-    coef, kept = RAT_ONE, []
-    for leaf in leaves:
-        src, k = leaf, 1
-        if src.__class__ is tuple:
-            src, k, _, _ = leaf
-        if src.__class__ is PosRat:
-            coef *= src**k if k > 0 else src.reciprocal() ** -k
-        else:
-            kept.append(leaf)
-    return kept, nodes, coef
+    points: list = []
+    leaves, nodes = _flatten(factors, _Monomial, points)
+    coef = RAT_ONE
+    for q, k in points:
+        coef *= q**k if k > 0 else q.reciprocal() ** -k
+    return leaves, nodes, coef
 
 
 class _Monomial(_Node):
@@ -823,13 +919,14 @@ class _Monomial(_Node):
     w, or as ticks of 2^-w, and forms in one walk the lower product of each
     lower end raised to its exponent (for k < 0 the upper one, inverted)
     and the upper product likewise, as integer fractions: numerators,
-    denominators and _coef multiply exactly, and for |k| > 1 by
-    square-and-multiply whose squares are rounded outward (see _round) to
-    m = w + PRECISION_GUARD bits.  Before it takes a factor, an accumulator
-    of more than m + 64 bits is rounded outward to m, so a product of two
-    leaves stays exact.  Each end is then rounded once onto the grid (see
-    _grid), floored for lo, ceiled for hi.  Positive factors are monotone in
-    their endpoints, so the value stays enclosed.
+    denominators and _coef multiply exactly, a power-of-two denominator by
+    a shift, once for k = +-1 and for |k| > 1 by square-and-multiply whose
+    squares are rounded outward (see _round) to m = w + PRECISION_GUARD
+    bits.  Before it takes a factor, an accumulator of more than m + 64 bits
+    is rounded outward to m, so a product of two leaves stays exact.  Each
+    end is then rounded once onto the grid (see _grid), floored for lo,
+    ceiled for hi.  Positive factors are monotone in their endpoints, so
+    the value stays enclosed.
     """
 
     __slots__ = ("_coef",)
@@ -840,13 +937,14 @@ class _Monomial(_Node):
 
     def _ends(self, w: int, ends: dict) -> Tuple[int, int, int]:
         m = w + PRECISION_GUARD
+        cap = m + 64
         ln = hn = self._coef.num
         ld = hd = self._coef.den
         for x in self._leaves:
             k = 1
             if x.__class__ is tuple:
                 x, k, _, _ = x
-            if (ln | ld | hn | hd).bit_length() > m + 64:
+            if (ln | ld | hn | hd).bit_length() > cap:
                 ln, ld = _round(ln, ld, m, 0)
                 hn, hd = _round(hn, hd, m, 1)
             if x in ends:
@@ -858,18 +956,21 @@ class _Monomial(_Node):
                 a, b, c, d = lo.num, lo.den, hi.num, hi.den
             if k < 0:  # 1/x runs from 1/hi to 1/lo
                 a, b, c, d, k = d, c, b, a, -k
-            # an exact power would hold k times the bits of the read
-            while True:
+            # an exact power would hold k times the bits of the read; the
+            # loop takes the bits of k below its top one, and k = 1 none
+            while k > 1:
                 if k & 1:
                     ln, hn = ln * a, hn * c
                     ld = ld * b if b & (b - 1) else ld << b.bit_length() - 1
                     hd = hd * d if d & (d - 1) else hd << d.bit_length() - 1
                 k >>= 1
-                if not k:
-                    break
                 # a power-of-two denominator, as grid reads give, squares by a shift
                 a, b = _round(a * a, b * b if b & (b - 1) else b << b.bit_length() - 1, m, 0)
                 c, d = _round(c * c, d * d if d & (d - 1) else d << d.bit_length() - 1, m, 1)
+            # and multiplies by a shift
+            ln, hn = ln * a, hn * c
+            ld = ld * b if b & (b - 1) else ld << b.bit_length() - 1
+            hd = hd * d if d & (d - 1) else hd << d.bit_length() - 1
         lo, hi = _grid(ln, ld, w, 0), _grid(hn, hd, w, 1)
         # a lower end below the grid, at least 2^(bits of ln - bits of ld - 1),
         # needs the grid that many bits finer
@@ -880,7 +981,10 @@ def _grid(n: int, d: int, w: int, up: int) -> int:
     """n/d > 0 as ticks of 2^-w, floored (up = 0) or ceiled (up = 1).  The
     power of two 2^s in d is shifted out of n*2^w with the same rounding
     before the one division by the odd rest o of d: floor(a/(o*2^s)) =
-    floor(floor(a/2^s)/o), and likewise for ceilings."""
+    floor(floor(a/2^s)/o), and likewise for ceilings.  So a dyadic d, as a
+    read on a binary grid has, costs shifts and no division, and a read of
+    any precision rounds in linear time.  Monomial ends and a power's base
+    round onto the grid through it; _Linear._ends inlines the same steps."""
     s = (d & -d).bit_length() - 1
     if s <= w:
         n <<= w - s
@@ -947,9 +1051,9 @@ def certify(
     """
     ex, ey = (m - 1).bit_length(), (n - 1).bit_length()
     if not isinstance(x, PosRealValue):
-        x = Interval(x, x) if x.__class__ is PosRat else _pin(_num_den(x))
+        x = _point(x if x.__class__ is PosRat else PosRat._reduced(*_num_den(x)))
     if not isinstance(y, PosRealValue):
-        y = Interval(y, y) if y.__class__ is PosRat else _pin(_num_den(y))
+        y = _point(y if y.__class__ is PosRat else PosRat._reduced(*_num_den(y)))
     p = 0
     for p in rungs:
         a = x if x.__class__ is Interval else x.approx(p + ex)

@@ -44,6 +44,7 @@ from .models import (
     PosRat,
     PosRealValue,
     _Node,
+    _grid,
     _monomial,
     certify,
     ladder,
@@ -239,7 +240,9 @@ class _Power(_Node):
     and 3(x_hi - 1)/2 (ln x <= x - 1), so a base near one is not charged a
     whole bit per unit of y.  A b above RESULT_BITS_CAP raises
     OracleFailureError rather than square integers of about b bits.  The
-    base is read as ticks of 2^-w, the exponent as rationals.
+    base is read as ticks of 2^-w, rounded outward by models._grid, which
+    shifts a read's power-of-two denominator out before it divides, and
+    the exponent as rationals.
     """
 
     __slots__ = ()
@@ -255,7 +258,8 @@ class _Power(_Node):
             xl, xh = ends[x]
         else:
             xi = x if x.__class__ is PosRat else x.approx(w)
-            xl, xh = _ticks(xi.lo, w, 0), _ticks(xi.hi, w, 1)
+            lo, hi = xi.lo, xi.hi
+            xl, xh = _grid(lo.num, lo.den, w, 0), _grid(hi.num, hi.den, w, 1)
         if y in ends:  # the exponent's rational ends pick _scaled_pow's route
             yl, yh = (PosRat(t, 1 << w) for t in ends[y])
         else:
@@ -273,10 +277,6 @@ class _Power(_Node):
 # Scaled-integer arithmetic: an int a stands for a/2^w.  ``up`` is 0 to
 # round down and 1 to round up; for positive k, (k - 1) // d + 1 is the
 # ceiling of k/d, and the same shift turns floor roots into ceiling roots.
-
-
-def _ticks(q: PosRat, w: int, up: int) -> int:
-    return ((q.num << w) - up) // q.den + up
 
 
 def _mul(a: int, b: int, w: int, up: int) -> int:
@@ -311,7 +311,7 @@ def _scaled_pow(a: int, e: PosRat, w: int, up: int) -> int:
             k = a**r << (w * (e.den - r))
             out = _mul(out, int_nth_root(k - up, e.den) + up, w, up)
         return out
-    k = _ticks(e, w, up)
+    k = _grid(e.num, e.den, w, up)
     out = _int_pow(a, k >> w, w, up)
     for i in range(w - 1, -1, -1):
         a = isqrt((a << w) - up) + up

@@ -29,7 +29,7 @@ from typing import Optional, Tuple
 from . import core
 from .core import Record, Rel
 from .mediants import _simplest
-from .models import Interval, PosRat, _num_den, _pin, certify, int_to_text, ladder, model_by_id, model_of
+from .models import REAL, Interval, PosRat, _num_den, _point, certify, int_to_text, ladder, model_by_id, model_of
 
 __all__ = [
     "Ratio",
@@ -168,28 +168,28 @@ def ratio_value_exact(r: Ratio) -> PosRat:
     return PosRat(*model_by_id(r.model_id).ratio_pair(r.antecedent, r.consequent))
 
 
-def _point_ratio(a, b) -> Optional[Tuple[int, int]]:
-    """a : b as integers a.num*b.den : a.den*b.num when both are exact points,
-    else None (a real pair); ModelMismatchError unless b is of a's model.  Two
-    ints >= 1 or two PosRat are read by class, others by model_of and _num_den."""
+def _pair(a, b):
+    """The pair a : b as ratio_compare reads it: (True, n, m) when both terms
+    are exact points, with a : b = n : m = a.num*b.den : a.den*b.num as
+    integers; else (False, x, y), each term as the ladder reads it, a real
+    or the point [q, q] of an exact one.  ModelMismatchError unless b is of
+    a's model.  Two ints >= 1 or two PosRat are read by class, a real pair
+    by its ``exact`` slots, read once, and others by ``_num_den``."""
     c = a.__class__
     if c is b.__class__:
         if c is PosRat:
-            return a.num * b.den, a.den * b.num
+            return True, a.num * b.den, a.den * b.num
         if c is int and a >= 1 and b >= 1:
-            return a, b
-    model_of(a).check(b)
-    na, nb = _num_den(a), _num_den(b)
-    return (na[0] * nb[1], na[1] * nb[0]) if na and nb else None
-
-
-def _ladder_terms(a, b, r):
-    """The pair as the ladder reads it: a point ratio r = n : m as the points n
-    and m, whose enclosure ends are r's integers, else each term, pinned if exact."""
-    if r:
-        return _pin((r[0], 1)), _pin((r[1], 1))
-    qa, qb = a.exact, b.exact
-    return (a if qa is None else Interval(qa, qa)), (b if qb is None else Interval(qb, qb))
+            return True, a, b
+    model = model_of(a)
+    model.check(b)
+    if model is REAL:
+        qa, qb = a.exact, b.exact
+        if qa is None or qb is None:
+            return False, (a if qa is None else _point(qa)), (b if qb is None else _point(qb))
+        return True, qa.num * qb.den, qa.den * qb.num
+    (na, da), (nb, db) = _num_den(a), _num_den(b)
+    return True, na * db, da * nb
 
 
 def ratio_compare(a, b, a2, b2, fuel: int = 64) -> RatioRel:
@@ -201,16 +201,18 @@ def ratio_compare(a, b, a2, b2, fuel: int = 64) -> RatioRel:
     (m, n) is the simplest n/m with lower <= n/m < upper, read by the
     continued-fraction walk (``mediants._simplest``) straight off those
     pairs, which need not be in lowest terms: the walk reads them as
-    values, and its answer always is in lowest terms.  Two ints >= 1 or
-    two PosRat are read as a pair by class; any other pair is checked by
-    ``model_of(a).check(b)`` (ModelMismatchError) and read by ``_num_den``.
+    values, and its answer always is in lowest terms.  Each pair is read
+    once, by ``_pair``: two ints >= 1 or two PosRat by class; any other pair
+    is checked by ``model_of(a).check(b)`` (ModelMismatchError), and a real
+    pair's exactness is read from its ``exact`` slots once.
 
     Otherwise an exact pair is pinned once as the points n1 and m1, whose
     enclosure ends are those integers, and an exact term of a real pair as
-    the point Interval(q, q); at each rung p of ``ladder(max(16, 4*fuel))``
-    only the real terms are read.  The terms' intervals u, v, u2, v2
-    enclose x/y in [u.lo/v.hi, u.hi/v.lo] and x2/y2 likewise, each end kept
-    as an unreduced integer pair and the ends compared by cross-multiplication.
+    the point [q, q], both built unchecked; at each rung p of
+    ``ladder(max(16, 4*fuel))`` only the real terms are read.  The terms'
+    intervals u, v, u2, v2 enclose x/y in [u.lo/v.hi, u.hi/v.lo] and x2/y2
+    likewise, each end kept as an unreduced integer pair and the ends
+    compared by cross-multiplication.
     At the first rung where hi2 = u2.hi/v2.lo < lo1 = u.lo/v.hi, the
     simplest n/m with hi2 <= n/m < lo1 is the Greater witness: m*x > n*y
     and m*x2 <= n*y2 follow from the intervals already read, so nothing is
@@ -221,19 +223,23 @@ def ratio_compare(a, b, a2, b2, fuel: int = 64) -> RatioRel:
     if fuel.__class__ is not int or fuel < 1:
         if isinstance(fuel, bool) or not isinstance(fuel, int) or fuel < 1:
             raise ValueError("fuel must be an integer >= 1")
-    r1, r2 = _point_ratio(a, b), _point_ratio(a2, b2)
-    if r1 and r2:
-        (n1, m1), (n2, m2) = r1, r2
-        lhs, rhs = n1 * m2, n2 * m1
+    e1, x, y = _pair(a, b)
+    e2, x2, y2 = _pair(a2, b2)
+    if e1 and e2:
+        lhs, rhs = x * y2, x2 * y
         if lhs == rhs:
             return _RATIO_EQUAL
         if lhs > rhs:
-            n, m = _simplest(n2, m2, n1, m1, True, False)
+            n, m = _simplest(x2, y2, x, y, True, False)
             return RatioRel.greater(Witness(m, n))
-        n, m = _simplest(n1, m1, n2, m2, True, False)
+        n, m = _simplest(x, y, x2, y2, True, False)
         return RatioRel.less(Witness(m, n))
-
-    (x, y), (x2, y2) = _ladder_terms(a, b, r1), _ladder_terms(a2, b2, r2)
+    # an exact pair n : m is read as the points n and m, whose enclosure
+    # ends are its integers
+    if e1:
+        x, y = _point(PosRat._reduced(x, 1)), _point(PosRat._reduced(y, 1))
+    if e2:
+        x2, y2 = _point(PosRat._reduced(x2, 1)), _point(PosRat._reduced(y2, 1))
     cap = max(16, 4 * fuel)
     for p in ladder(cap):
         u = x if x.__class__ is Interval else x.approx(p)

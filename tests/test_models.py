@@ -8,7 +8,7 @@ from fractions import Fraction
 from types import SimpleNamespace
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from magnitudes import core, models
@@ -31,6 +31,7 @@ from magnitudes.models import (
     PosRat,
     PosRealValue,
     _flatten,
+    _fold,
     _interval,
     _Linear,
     _Monomial,
@@ -155,10 +156,38 @@ class TestPosRat:
         assert PosRat(7, 1).decimal(0) == "7"
 
 
+@st.composite
+def close_ends(draw):
+    """Two ends of 1 to 5,000 bits of denominator, at most two ticks apart
+    either way, as a read's ends are: dyadic over one denominator or two, or
+    over 3 * 2^e, so Interval's shift path and both of its fallbacks run."""
+    e, f = draw(st.integers(0, 5000)), draw(st.integers(0, 5000))
+    m1, m2 = draw(st.sampled_from((1, 3))), draw(st.sampled_from((1, 3)))
+    a = Fraction(draw(st.integers(1, 1 << min(e + 8, 5000))), m1 << e)
+    b = a + Fraction(draw(st.integers(-2, 2)), m2 << f)
+    assume(b > 0)
+    return PosRat(a.numerator, a.denominator), PosRat(b.numerator, b.denominator)
+
+
 class TestInterval:
     def test_order_enforced(self):
         with pytest.raises(ValueError):
             Interval(PosRat(2, 1), PosRat(1, 1))
+
+    @given(close_ends())
+    @example((PosRat(3, 1 << 4000), PosRat(1, 1 << 3999)))  # one dyadic denominator, ordered
+    @example((PosRat(3, 1 << 4000), PosRat(1, 1 << 4000 - 2)))  # two, out of order
+    @example((PosRat(5, 1 << 300), PosRat(5, 1 << 300)))  # equal ends
+    @example((PosRat(7, 3 << 300), PosRat(9, 1 << 300)))  # a denominator that is not dyadic
+    @example((PosRat(1, 1 << 5000), PosRat(1, 1)))  # the largest and the smallest
+    def test_raises_exactly_when_out_of_order(self, ends):
+        lo, hi = ends
+        if Fraction(lo.num, lo.den) > Fraction(hi.num, hi.den):
+            with pytest.raises(ValueError, match="interval endpoints out of order"):
+                Interval(lo, hi)
+        else:
+            iv = Interval(lo, hi)
+            assert iv.lo is lo and iv.hi is hi
 
     def test_width_zero_allowed(self):
         point = Interval(PosRat(1, 3), PosRat(1, 3))
@@ -285,6 +314,39 @@ class TestWidthCheck:
                     value.approx(p)
         # passes and failures, dyadic and not, with equal and unequal denominators
         assert len(kinds) == 8
+
+
+class TestRepeatReads:
+    """approx intersects a refinement that sticks out of the best interval so
+    far and refuses a disjoint one, on either path of its containment test."""
+
+    @pytest.mark.parametrize("p", [30, models.SHIFT_CHECK_BITS - 1, models.SHIFT_CHECK_BITS, 1000])
+    @pytest.mark.parametrize("o", [1, 3])  # ticks of 2^-q, or of 1/(3 * 2^q)
+    def test_sticking_out_intersects_and_disjoint_fails(self, p, o):
+        q, t = p + 4, 5 << (p + 4)
+
+        def end(k):
+            return PosRat(t + k, o << q)
+
+        # by precision: a refinement as wide as its precision allows, each
+        # after the first sticking out of the best so far, below then above,
+        # then one inside it, and last one past it
+        reads = {
+            p: Interval(end(0), end(16)),
+            p + 1: Interval(end(-4), end(4)),
+            p + 2: Interval(end(3), end(7)),
+            p + 3: Interval(end(3), end(4)),
+            p + 4: Interval(end(5), end(6)),
+        }
+        x = PosRealValue(reads.__getitem__)
+        assert x.approx(p) is reads[p]
+        assert x.approx(p + 1) == Interval(end(0), end(4))
+        assert x.approx(p + 2) == Interval(end(3), end(4))
+        assert x.approx(p + 3) is reads[p + 3]
+        with pytest.raises(OracleFailureError, match="inconsistent refinement oracle"):
+            x.approx(p + 4)
+        # what was cached stays as it was
+        assert x.approx(p + 1) == Interval(end(0), end(4)) and x._best is reads[p + 3]
 
 
 class Int(int):
@@ -462,7 +524,66 @@ def linear_dags(draw):
     return nodes, refs
 
 
+def tick_oracle(v: Fraction, o: int) -> PosRealValue:
+    """v >= 1 read at p as the ticks k and k + 1 of 1/(o * 2^(p + 2)) around
+    it: dyadic ends for o = 1, and ends over 3 * 2^(p + 2) for o = 3."""
+
+    def refine(p: int) -> Interval:
+        m = o << (p + 2)
+        k = v.numerator * m // v.denominator
+        return Interval(PosRat(k, m), PosRat(k + 1, m))
+
+    return PosRealValue(refine)
+
+
+@st.composite
+def weighted_linear(draw):
+    """A linear node over one to three leaves with signed rational weights,
+    built as real_scale, real_subtract and fourth_proportional build them,
+    each leaf a tick_oracle."""
+
+    def leaf():
+        v = 1 + Fraction(draw(st.integers(0, 1 << 72)), draw(st.integers(1, 1 << 64)))
+        return tick_oracle(v, draw(st.sampled_from((1, 3))))
+
+    def q():
+        return PosRat(draw(st.integers(1, 1 << 32)), draw(st.integers(1, 1 << 32)))
+
+    shape = draw(st.integers(0, 4))
+    if shape == 0:
+        node = real_scale(leaf(), q())
+    elif shape == 1:
+        node = real_subtract(leaf(), leaf())
+    elif shape == 2:
+        node = fourth_proportional(q(), q(), leaf(), 4)
+    elif shape == 3:
+        node = real_subtract(real_scale(leaf(), q()), real_scale(leaf(), q()))
+    else:
+        node = real_add(real_scale(leaf(), q()), real_subtract(leaf(), real_scale(leaf(), q())))
+    assume(node.__class__ is _Linear)
+    return node
+
+
 class TestLinearNodes:
+    @given(weighted_linear(), st.integers(0, 4000))
+    def test_weighted_ticks_are_fraction_floors_and_ceilings(self, node, w):
+        # each leaf's ends times its weight c, floored into lo and ceiled
+        # into hi, its upper end into lo when c < 0, summed in ticks of 2^-w
+        node._setup()
+        try:
+            got = node._ends(w, ())[:2]
+        except OracleFailureError:
+            got = None
+        lo = hi = 0
+        for leaf in node._leaves:
+            src, num, den, extra = leaf if leaf.__class__ is tuple else (leaf, 1, 1, 0)
+            iv = src.approx(w + extra)  # the read _ends made
+            c = Fraction(num << w, den)
+            a, b = Fraction(iv.lo.num, iv.lo.den) * c, Fraction(iv.hi.num, iv.hi.den) * c
+            lo += math.floor(min(a, b))
+            hi += math.ceil(max(a, b))
+        assert got == ((lo, hi) if hi >= 1 else None)
+
     @pytest.mark.parametrize("depth", [1000, 10000])
     @pytest.mark.parametrize("p", [4, 30, 300])
     def test_deep_add_chain(self, depth, p):
@@ -1289,6 +1410,22 @@ class TestFlatten:
         for node in dag[0]:
             if node.__class__ is _Monomial:
                 assert flat(node._terms, _Monomial) == reference_flatten(node._terms, _Monomial)
+
+    @given(monomial_dags())
+    def test_fold_keeps_what_flatten_gives_less_its_points(self, dag):
+        # _fold takes the exact points out in _flatten's one pass; the
+        # reference folds them out of _flatten's leaves afterwards
+        for node in dag[0]:
+            if node.__class__ is _Monomial:
+                leaves, nodes = _flatten(node._terms, _Monomial)
+                kept, coef = [], RAT_ONE
+                for leaf in leaves:
+                    src, k = (leaf[0], leaf[1]) if leaf.__class__ is tuple else (leaf, 1)
+                    if src.__class__ is PosRat:
+                        coef *= src**k if k > 0 else src.reciprocal() ** -k
+                    else:
+                        kept.append(leaf)
+                assert _fold(node._terms) == (kept, nodes, coef)
 
     @given(mixed_dags())
     def test_mixed_dags_match_reference(self, dag):
