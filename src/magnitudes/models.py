@@ -273,10 +273,11 @@ def rat_make(num: int, den: int) -> PosRat:
     return PosRat(num, den)
 
 
-# From this many bits of denominator up, two dyadic ends are ordered and
-# tested by aligning them with shifts (see _less and _wider): two products
-# of such numbers cost more than the shifts above about 128-200 bits, and
-# less below.
+# From this many bits up, of hi's denominator in Interval and of the
+# precision in approx, whose reads have denominators about that long, dyadic
+# ends are ordered and tested by aligning them with shifts (see _less and
+# _wider): two products of such numbers cost more than the shifts above
+# about 128-200 bits, and less below.
 SHIFT_CHECK_BITS = 192
 _SHIFT_CHECK_DEN = 1 << SHIFT_CHECK_BITS
 
@@ -530,19 +531,16 @@ class _Node(PosRealValue):
         self._leaves = None
 
     def _first_read(self, p: int) -> Interval:
-        """approx(p) on the node's first read, which makes its lock and cache.
-
-        The lock is taken before it is published, the cache first, so a
-        thread that finds the lock finds the cache, and waits for this read.
-        A pass meets the width it was asked for by construction, and no read
-        came before this one to disagree with, so the interval is cached as
-        it is.  If another thread published first, this read is an approx.
-        """
+        """approx(p) on the node's first read: make its lock, taken, and its
+        cache, and publish both, the cache first, so that a thread that finds
+        the lock finds the cache and waits for this read.  A pass meets its
+        width by construction, and no read came before to disagree with, so
+        the interval is cached as it is.  A node another thread published
+        first is read by approx."""
         _FIRST_REFINE.acquire()
         try:
-            if self._lock is not None:
-                lock = None
-            else:
+            lock = None
+            if self._lock is None:
                 lock = threading.Lock()
                 lock.acquire()  # a fresh lock: this never waits
                 self._cache = {}
@@ -552,12 +550,10 @@ class _Node(PosRealValue):
         if lock is None:
             return self.approx(p)
         try:
-            try:
-                iv = self._refine(p)
-            except RecursionError:
-                raise OracleFailureError(f"oracle nesting too deep at precision {p}") from None
-            self._best = self._cache[p] = iv
+            self._best = self._cache[p] = iv = self._refine(p)
             return iv
+        except RecursionError:
+            raise OracleFailureError(f"oracle nesting too deep at precision {p}") from None
         finally:
             lock.release()
 

@@ -175,8 +175,9 @@ class TestInterval:
             Interval(PosRat(2, 1), PosRat(1, 1))
 
     @given(close_ends())
-    @example((PosRat(3, 1 << 4000), PosRat(1, 1 << 3999)))  # one dyadic denominator, ordered
-    @example((PosRat(3, 1 << 4000), PosRat(1, 1 << 4000 - 2)))  # two, out of order
+    @example((PosRat(3, 1 << 4000), PosRat(5, 1 << 4000)))  # one dyadic denominator
+    @example((PosRat(3, 1 << 4000), PosRat(1, 1 << 3999)))  # two, out of order by a tick
+    @example((PosRat(3, 1 << 4000), PosRat(1, 1 << 3998)))  # two, ordered
     @example((PosRat(5, 1 << 300), PosRat(5, 1 << 300)))  # equal ends
     @example((PosRat(7, 3 << 300), PosRat(9, 1 << 300)))  # a denominator that is not dyadic
     @example((PosRat(1, 1 << 5000), PosRat(1, 1)))  # the largest and the smallest
