@@ -13,12 +13,11 @@ from magnitudes import (
     PosRat,
     into_mul,
     mul_combine,
-    mul_compare,
     mul_multiple,
     nth_root,
     real_from_rat,
 )
-from magnitudes.power import pow as mul_pow
+from magnitudes.power import MUL, pow as mul_pow
 
 print("== membership is certified, not assumed ==")
 x = into_mul(real_from_rat(PosRat(3, 2)))
@@ -64,4 +63,4 @@ print("x^(y1+y2) vs x^y1 * x^y2 intersect:",
 print("\n== monotone in the exponent ==")
 low = mul_pow(two, PosRat(1, 3), 30)
 high = mul_pow(two, PosRat(1, 2), 30)
-print("2^(1/3) vs 2^(1/2):", mul_compare(low, high).value)
+print("2^(1/3) vs 2^(1/2):", MUL.order(low, high).tag.value)

@@ -85,7 +85,7 @@ from .models import (
     real_mul,
     real_scale,
 )
-from .power import MulReal, into_mul, int_nth_root, mul_combine, mul_compare, mul_multiple, nth_root, pow
+from .power import MulReal, into_mul, int_nth_root, mul_combine, mul_multiple, nth_root, pow
 from .ratio import (
     Ratio,
     RatioRel,

@@ -179,13 +179,6 @@ def _elems_mults(elems, mults, bound=1 << 10):
     return gen
 
 
-def _mul(model, n, a):
-    """n*a by the model's ``multiple``, unchecked: every caller passes an a the
-    model drew or computed, and an int n >= 1 (a drawn multiplier, a sum,
-    product or positive difference of them, or a multiple search's count)."""
-    return model.multiple(n, a)
-
-
 # ---------------------------------------------------------------------------
 # suite runner
 

@@ -5,7 +5,7 @@ from __future__ import annotations
 from .. import core, embed, mediants
 from ..core import Rel
 from ..models import NAT, PosRat, real_from_rat, real_scale
-from . import _elems, _elems_mults, _expect, _law, _mul, _same, _same_tag
+from . import _elems, _elems_mults, _expect, _law, _same, _same_tag
 
 
 def _gen_unit_embedding(model, rng):
@@ -49,8 +49,8 @@ def _embed_multiple_commutes(model, v, tol):
         rhs = core.multiple(v["n"], embed.evaluate(phi, v["a"]), model)
     else:
         phi = embed.anchor_embedding(PosRat(1, 1), v["image"])
-        lhs = embed.evaluate(phi, _mul(model, v["n"], v["a"]))
-        rhs = _mul(model, v["n"], embed.evaluate(phi, v["a"]))
+        lhs = embed.evaluate(phi, model.multiple(v["n"], v["a"]))
+        rhs = model.multiple(v["n"], embed.evaluate(phi, v["a"]))
     _same(model, lhs, rhs, tol)
 
 

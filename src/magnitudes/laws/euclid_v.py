@@ -4,11 +4,11 @@ from __future__ import annotations
 
 from .. import core, hom, ratio
 from ..core import Rel
-from . import _elems, _elems_mults, _expect, _law, _mul, _same, _same_tag
+from . import _elems, _elems_mults, _expect, _law, _same, _same_tag
 
 
 def _scaled_pair(model, a, b, k):
-    return _mul(model, k, a), _mul(model, k, b)
+    return model.multiple(k, a), model.multiple(k, b)
 
 
 @_law(
@@ -18,8 +18,8 @@ def _scaled_pair(model, a, b, k):
     _elems_mults(("a", "b"), ("n",)),
 )
 def _v1(model, v, tol):
-    lhs = _mul(model, v["n"], model.combine(v["a"], v["b"]))
-    rhs = model.combine(_mul(model, v["n"], v["a"]), _mul(model, v["n"], v["b"]))
+    lhs = model.multiple(v["n"], model.combine(v["a"], v["b"]))
+    rhs = model.combine(model.multiple(v["n"], v["a"]), model.multiple(v["n"], v["b"]))
     _same(model, lhs, rhs, tol)
 
 
@@ -30,8 +30,8 @@ def _v1(model, v, tol):
     _elems_mults(("a",), ("m", "n")),
 )
 def _v2(model, v, tol):
-    lhs = _mul(model, v["m"] + v["n"], v["a"])
-    rhs = model.combine(_mul(model, v["m"], v["a"]), _mul(model, v["n"], v["a"]))
+    lhs = model.multiple(v["m"] + v["n"], v["a"])
+    rhs = model.combine(model.multiple(v["m"], v["a"]), model.multiple(v["n"], v["a"]))
     _same(model, lhs, rhs, tol)
 
 
@@ -44,8 +44,8 @@ def _v2(model, v, tol):
 def _v3(model, v, tol):
     _same(
         model,
-        _mul(model, v["m"] * v["n"], v["a"]),
-        _mul(model, v["m"], _mul(model, v["n"], v["a"])),
+        model.multiple(v["m"] * v["n"], v["a"]),
+        model.multiple(v["m"], model.multiple(v["n"], v["a"])),
         tol,
     )
 
@@ -60,10 +60,10 @@ def _v4(model, v, tol):
     a, b = v["a"], v["b"]
     a2, b2 = _scaled_pair(model, a, b, v["f"])
     verdict = ratio.ratio_compare(
-        _mul(model, v["j"], a),
-        _mul(model, v["k"], b),
-        _mul(model, v["j"], a2),
-        _mul(model, v["k"], b2),
+        model.multiple(v["j"], a),
+        model.multiple(v["k"], b),
+        model.multiple(v["j"], a2),
+        model.multiple(v["k"], b2),
     )
     _expect(verdict.is_equal, verdict.kind, "equal")
 
@@ -76,11 +76,11 @@ def _v4(model, v, tol):
 )
 def _v5(model, v, tol):
     a, b, n = v["a"], v["b"], v["n"]
-    na, nb = _mul(model, n, a), _mul(model, n, b)
+    na, nb = model.multiple(n, a), model.multiple(n, b)
     _same_tag(core.compare(na, nb, model).tag, core.compare(a, b, model).tag)
     if core.compare(a, b, model).is_greater:
         diff = core.subtract(na, nb, model)
-        _same(model, diff, _mul(model, n, core.subtract(a, b, model)), tol)
+        _same(model, diff, model.multiple(n, core.subtract(a, b, model)), tol)
 
 
 @_law(
@@ -91,11 +91,11 @@ def _v5(model, v, tol):
 )
 def _v6(model, v, tol):
     a, m, n = v["a"], v["m"], v["n"]
-    ma, na = _mul(model, m, a), _mul(model, n, a)
+    ma, na = model.multiple(m, a), model.multiple(n, a)
     want = Rel.EQUAL if m == n else (Rel.GREATER if m > n else Rel.LESS)
     _same_tag(core.compare(ma, na, model).tag, want)
     if m > n:
-        _same(model, core.subtract(ma, na, model), _mul(model, m - n, a), tol)
+        _same(model, core.subtract(ma, na, model), model.multiple(m - n, a), tol)
 
 
 @_law(
@@ -289,7 +289,7 @@ def _v19(model, v, tol):
 def _v20(model, v, tol):
     a, b, c = v["a"], v["b"], v["c"]
     a2, b2 = _scaled_pair(model, a, b, v["f"])
-    c2 = _mul(model, v["f"], c)
+    c2 = model.multiple(v["f"], c)
     _same_tag(core.compare(a, c, model).tag, core.compare(a2, c2, model).tag)
 
 
@@ -302,7 +302,7 @@ def _perturbed_chain(model, a, b, c, k):
     ab = hom.product(a, b)
     ac = hom.product(a, c)
     bc = hom.product(b, c)
-    return _mul(model, k, ab), _mul(model, k, ac), _mul(model, k, bc)
+    return model.multiple(k, ab), model.multiple(k, ac), model.multiple(k, bc)
 
 
 @_law(
@@ -327,7 +327,7 @@ def _v21(model, v, tol):
 )
 def _v22(model, v, tol):
     a, b, c = v["a"], v["b"], v["c"]
-    a2, b2, c2 = (_mul(model, v["f"], x) for x in (a, b, c))
+    a2, b2, c2 = (model.multiple(v["f"], x) for x in (a, b, c))
     _expect(ratio.ratio_compare(a, c, a2, c2).is_equal, "strict", "equal")
 
 
@@ -353,7 +353,7 @@ def _v24(model, v, tol):
     a, e, b = v["a"], v["e"], v["b"]
     k = v["k"]
     c, d = _scaled_pair(model, a, b, k)
-    f = _mul(model, k, e)
+    f = model.multiple(k, e)
     verdict = ratio.ratio_compare(
         model.combine(a, e), b, model.combine(c, f), d
     )

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from .. import core, ratio
 from ..models import REAL, certify, real_from_rat
-from . import _elems, _elems_mults, _expect, _law, _mul, _same, _same_tag
+from . import _elems, _elems_mults, _expect, _law, _same, _same_tag
 
 
 @_law(
@@ -42,9 +42,9 @@ def _multiple_vs_naive(model, v, tol):
 def _least_exceeding(model, v, tol):
     a, b = v["a"], v["b"]
     n = core.find_multiple_exceeding(a, b, model)
-    _expect(core.compare(_mul(model, n, a), b, model).is_greater, n, "exceeding multiple")
+    _expect(core.compare(model.multiple(n, a), b, model).is_greater, n, "exceeding multiple")
     if n > 1:
-        prev = core.compare(_mul(model, n - 1, a), b, model)
+        prev = core.compare(model.multiple(n - 1, a), b, model)
         _expect(not prev.is_greater, n - 1, "no smaller multiple exceeds")
 
 
@@ -59,12 +59,12 @@ def _ratio_existence(model, v, tol):
     _expect(m >= 1 and n >= 1, (m, n), "positive witnesses")
     if model.descriptor.exact_order:
         _expect(
-            core.compare(_mul(model, m, v["a"]), v["b"], model).is_greater,
+            core.compare(model.multiple(m, v["a"]), v["b"], model).is_greater,
             m,
             "m*a > b",
         )
         _expect(
-            core.compare(_mul(model, n, v["b"]), v["a"], model).is_greater,
+            core.compare(model.multiple(n, v["b"]), v["a"], model).is_greater,
             n,
             "n*b > a",
         )
@@ -93,7 +93,7 @@ def _discrete_gap(model, v, tol):
 def _shrink_below(model, v, tol):
     small = core.shrink_below(v["a"], v["n"], model)
     _expect(
-        core.compare(_mul(model, v["n"], small), v["a"], model).is_less,
+        core.compare(model.multiple(v["n"], small), v["a"], model).is_less,
         small,
         f"n copies below {v['a']}",
     )

@@ -1062,6 +1062,19 @@ def certify(
     return None, p
 
 
+def _certified_order(a: PosRealValue, b: PosRealValue, gap: Callable) -> Ordering3:
+    """The order of a real-valued model: certified on ``ladder()``, the
+    witness built by gap(larger, smaller).  Equality of reals is
+    undecidable, so EQUAL is never returned: sides still overlapping at the
+    top rung, equal ones included, raise UndecidedError."""
+    out, p = certify(a, b, ladder())
+    if out is Rel.LESS:
+        return Ordering3.less_by(gap(b, a))
+    if out is Rel.GREATER:
+        return Ordering3.greater_by(gap(a, b))
+    raise UndecidedError(f"real comparison overlapped through precision {p}")
+
+
 def real_compare(x: PosRealValue, y: PosRealValue, p: int) -> Union[Rel, Overlap]:
     """Certified comparison at one precision.
 
@@ -1243,16 +1256,8 @@ class RealModel(Model):
         return real_scale(a, PosRat._reduced(n, 1))
 
     def order(self, a: PosRealValue, b: PosRealValue) -> Ordering3:
-        """Certified on ``ladder()``, with the difference node as the gap.
-        Equality of reals is undecidable, so EQUAL is never returned: sides
-        still overlapping at the top rung, equal ones included, raise
-        UndecidedError."""
-        out, p = certify(a, b, ladder())
-        if out is Rel.LESS:
-            return Ordering3.less_by(real_subtract(b, a))
-        if out is Rel.GREATER:
-            return Ordering3.greater_by(real_subtract(a, b))
-        raise UndecidedError(f"real comparison overlapped through precision {p}")
+        """Certified, with the difference node as the gap (see _certified_order)."""
+        return _certified_order(a, b, real_subtract)
 
     def scale(self, a: PosRealValue, q: PosRat) -> PosRealValue:
         return real_scale(a, q)

@@ -1,8 +1,10 @@
 """Powers and roots through the multiplicative magnitude space.
 
 The reals greater than one form a magnitude space under multiplication:
-its "integral multiple" is x^n, its trichotomy witness is a quotient, and
-its order agrees with the additive one.  Because that space is continuous
+its "integral multiple" is x^n, and its order agrees with the additive one.
+That order is certified as the additive one is (models._certified_order):
+LESS or GREATER with the quotient, above one, as the trichotomy witness,
+and UndecidedError while the sides overlap.  Because that space is continuous
 at oracle level, every base x > 1 determines a unique embedding of the
 additive positive reals into it sending 1 to x; evaluating that embedding
 at y is x^y.
@@ -27,27 +29,23 @@ intervals are queried.
 from __future__ import annotations
 
 from math import isqrt
-from typing import Union
 
 from . import core
 from .core import ModelDescriptor, Ordering3, Record, Rel, check_precision
-from .errors import (
-    InexactModelError,
-    NotAboveOneError,
-    OracleFailureError,
-)
+from .errors import NotAboveOneError, OracleFailureError
 from .models import (
     RAT_ONE,
     Interval,
     Model,
-    Overlap,
     PosRat,
     PosRealValue,
+    _certified_order,
     _Node,
     _grid,
     _monomial,
     certify,
     ladder,
+    real_div,
     real_from_rat,
     real_mul,
 )
@@ -57,7 +55,6 @@ __all__ = [
     "MUL",
     "into_mul",
     "mul_combine",
-    "mul_compare",
     "mul_multiple",
     "int_nth_root",
     "nth_root",
@@ -100,7 +97,8 @@ def into_mul(x: PosRealValue) -> MulReal:
 
 
 class _MulRealModel(Model):
-    """The multiplicative space as a model: combine is product."""
+    """The multiplicative space as a model: combine is product, and the order
+    is certified, with the quotient of the larger by the smaller as its gap."""
 
     descriptor = ModelDescriptor(
         model_id="mul-real",
@@ -120,24 +118,30 @@ class _MulRealModel(Model):
         # one monomial node a^n; above one by closure (a^n >= a > 1)
         return MulReal(_monomial(((a.value, n, 1),)))
 
-    def order(self, a, b) -> Ordering3:
-        raise InexactModelError("multiplicative order is certified; use mul_compare")
+    def order(self, a: MulReal, b: MulReal) -> Ordering3:
+        # the quotient of members is above one by closure (x > y > 1 gives x/y > 1)
+        return _certified_order(a.value, b.value, lambda x, y: MulReal(real_div(x, y)))
 
     def least_multiple_exceeding(self, a: MulReal, b: MulReal) -> int:
         """Least n with a^n certainly above b: doubling, then bisection.
 
         A multiple here is a power, which no enclosure of the ratio b/a
-        answers, so each probe certifies one monomial node a^n against b.
+        answers, so each probe certifies one monomial node a^n, or a itself
+        for n = 1, against b on ``ladder()``.
         """
-        if mul_compare(a, b) is Rel.GREATER:
+
+        def above(n: int) -> bool:
+            x = a if n == 1 else self.multiple(n, a)
+            return certify(x.value, b.value, ladder())[0] is Rel.GREATER
+
+        if above(1):
             return 1
         lo, hi = 1, 2  # known: a^lo is not certified above b
-        while mul_compare(self.multiple(hi, a), b) is not Rel.GREATER:
+        while not above(hi):
             lo, hi = hi, hi << 1
         while hi - lo > 1:
             mid = (lo + hi) // 2
-            above = mul_compare(self.multiple(mid, a), b) is Rel.GREATER
-            lo, hi = (lo, mid) if above else (mid, hi)
+            lo, hi = (lo, mid) if above(mid) else (mid, hi)
         return hi
 
 
@@ -147,12 +151,6 @@ MUL = _MulRealModel()
 def mul_combine(x: MulReal, y: MulReal) -> MulReal:
     """Product, one monomial node; above one by closure (x*y > y > 1)."""
     return MulReal(real_mul(x.value, y.value))
-
-
-def mul_compare(x: MulReal, y: MulReal) -> Union[Rel, Overlap]:
-    """Certified comparison; multiplicative order agrees with additive order."""
-    rel, p = certify(x.value, y.value, ladder())
-    return Overlap(p) if rel is None else rel
 
 
 def mul_multiple(n: int, x: MulReal) -> MulReal:

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from magnitudes import core
 from magnitudes.core import Rel
-from magnitudes.errors import NotAboveOneError, OracleFailureError
+from magnitudes.errors import NotAboveOneError, NotGreaterError, OracleFailureError, UndecidedError
 from magnitudes.models import RAT_ONE, Interval, PosRat, certify, ladder, real_from_rat, real_mul, real_scale
 from magnitudes.power import (
     MUL,
@@ -15,7 +15,6 @@ from magnitudes.power import (
     int_nth_root,
     into_mul,
     mul_combine,
-    mul_compare,
     mul_multiple,
     nth_root,
     pow as mul_pow,
@@ -69,7 +68,7 @@ class TestMulCombine:
 
     def test_product_exceeds_factor(self, sqrt2):
         x, y = into_mul(sqrt2), as_mul(3, 2)
-        assert mul_compare(mul_combine(x, y), y) is Rel.GREATER
+        assert MUL.order(mul_combine(x, y), y).tag is Rel.GREATER
 
 
 class TestClosure:
@@ -157,7 +156,60 @@ class TestMulSearch:
         assert core.find_multiple_exceeding(a, b, MUL) == 7
         assert core.find_multiple_exceeding(b, a, MUL) == 1
         # sqrt(2)^6 = 8 is certified below 10, so 7 is the least
-        assert mul_compare(mul_multiple(6, a), b) is Rel.LESS
+        assert MUL.order(mul_multiple(6, a), b).tag is Rel.LESS
+
+
+def _mul_elements():
+    """A base above one with its square, which orders bases as they order:
+    an exact point (d + n)/d, or sqrt(k), k not a square, on a fresh oracle."""
+    exact = st.builds(lambda d, n: PosRat(d + n, d), st.integers(1, 16), st.integers(1, 1000))
+    roots = st.integers(2, 300).filter(lambda k: math.isqrt(k) ** 2 != k)
+    return st.one_of(
+        exact.map(lambda q: (as_mul(q.num, q.den), q * q)),
+        roots.map(lambda k: (into_mul(isqrt_real(k)), PosRat(k))),
+    )
+
+
+class TestMulOrder:
+    """MUL.order certifies as REAL.order does, with the quotient as its gap."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(_mul_elements(), _mul_elements())
+    def test_agrees_with_rational_order(self, x, y):
+        (a, a2), (b, b2) = x, y
+        if a2 == b2:
+            with pytest.raises(UndecidedError):
+                MUL.order(a, b)
+            return
+        out = MUL.order(a, b)
+        assert out.tag is (Rel.LESS if a2 < b2 else Rel.GREATER)
+        assert core.compare(a, b, MUL).tag is out.tag
+        small, large = (a, b) if out.is_less else (b, a)
+        into_mul(out.gap.value)  # the quotient is certified above one
+        for gap in (out.gap, core.subtract(large, small, MUL)):
+            assert mul_combine(small, gap).approx(60).intersects(large.approx(60))
+        with pytest.raises(NotGreaterError):
+            core.subtract(small, large, MUL)
+
+    def test_equal_sides_refused(self, sqrt2):
+        x = into_mul(sqrt2)
+        for a, b in ((x, x), (x, into_mul(isqrt_real(2)))):
+            with pytest.raises(UndecidedError, match="overlapped through precision 256"):
+                MUL.order(a, b)
+            with pytest.raises(UndecidedError):
+                core.compare(a, b, MUL)
+
+    @settings(max_examples=40, deadline=None)
+    @given(_mul_elements(), _mul_elements())
+    def test_least_multiple_exceeding(self, x, y):
+        (a, _), (b, _) = x, y
+        n = core.find_multiple_exceeding(a, b, MUL)
+        assert MUL.order(mul_multiple(n, a), b).is_greater
+        if n > 1:  # a^(n-1) is certified below b, or overlaps it
+            try:
+                assert MUL.order(mul_multiple(n - 1, a), b).is_less
+            except UndecidedError:
+                pass
 
 
 class TestIntNthRoot:
@@ -316,7 +368,7 @@ class TestPow:
     def test_monotone_in_exponent(self):
         low = mul_pow(as_mul(2), PosRat(1, 3), 30)
         high = mul_pow(as_mul(2), PosRat(1, 2), 30)
-        assert mul_compare(low, high) is Rel.LESS
+        assert MUL.order(low, high).tag is Rel.LESS
 
     def test_validation(self):
         with pytest.raises(ValueError):
