@@ -57,8 +57,6 @@ from .errors import (
     UnsupportedCodomainError,
 )
 from .hom import (
-    EndoElement,
-    HomElement,
     hom_add,
     hom_compare,
     hom_compose,

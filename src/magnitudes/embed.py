@@ -70,11 +70,15 @@ class ApproxPolicy(Record):
 
 
 class EmbeddingRepr(Record):
-    """Base class for embedding representations."""
+    """Base class for embedding representations; each one is the map itself,
+    and the element of its hom space (see :mod:`magnitudes.hom`)."""
 
     __slots__ = ()
     domain: Model
     codomain: Model
+
+    def __call__(self, b):
+        return evaluate(self, b)
 
 
 class UnitMultiple(EmbeddingRepr):
@@ -155,10 +159,10 @@ def nat_embedding(a_prime) -> UnitMultiple:
 def anchor_embedding(a, a_prime) -> Anchor:
     """The unique embedding mapping a to a_prime, when one is representable.
 
-    Supported signatures: any domain anchored into the real model; exact
-    rational domain and codomain (evaluated by exact division); naturals
-    into naturals when the anchor divides its image.  A real-domain anchor
-    must be an exact rational point.
+    Supported signatures: a nat or rat domain into rat, real or the
+    multiplicative space (the image scaled by b : anchor, a power on the
+    last), and naturals into naturals when the anchor divides its image; a
+    real domain into the reals, from an exact rational anchor.
     """
     domain = model_of(a)
     codomain = model_of(a_prime)
@@ -171,6 +175,8 @@ def anchor_embedding(a, a_prime) -> Anchor:
             raise UnsupportedCodomainError(
                 "real-domain anchors must be exact rational points mapping into reals"
             )
+    elif not domain.descriptor.exact_order:
+        raise UnsupportedCodomainError(f"no anchored embeddings out of {domain!r}")
     return Anchor(anchor=a, image=a_prime, domain=domain, codomain=codomain)
 
 
@@ -261,21 +267,17 @@ def check_homomorphism(
     if samples < 1:
         raise ValueError("samples must be >= 1")
     if isinstance(phi, EmbeddingRepr):
-        domain = phi.domain
-        codomain = phi.codomain
-        fn = lambda x: evaluate(phi, x)
-    else:
-        if domain is None or codomain is None:
-            raise ValueError("callable maps need explicit domain and codomain models")
-        fn = phi
+        domain, codomain = phi.domain, phi.codomain
+    elif domain is None or codomain is None:
+        raise ValueError("callable maps need explicit domain and codomain models")
 
     rng = random.Random(seed)
     exact = codomain.descriptor.exact_order
     for _ in range(samples):
         b = domain.random_element(rng)
         c = domain.random_element(rng)
-        lhs = fn(domain.combine(b, c))
-        rhs = codomain.combine(fn(b), fn(c))
+        lhs = phi(domain.combine(b, c))
+        rhs = codomain.combine(phi(b), phi(c))
         if exact:
             additive = codomain.order(lhs, rhs).is_equal
         else:
@@ -283,7 +285,7 @@ def check_homomorphism(
         if not additive:
             kind = "additivity"
         elif exact and domain.descriptor.exact_order and (
-            domain.order(b, c).tag is not codomain.order(fn(b), fn(c)).tag
+            domain.order(b, c).tag is not codomain.order(phi(b), phi(c)).tag
         ):
             kind = "order"
         else:
@@ -302,9 +304,13 @@ def embeddings_compare(phi: EmbeddingRepr, chi: EmbeddingRepr, probe) -> Rel:
     assumption.  The real model's order is certified and refuses while the
     images still overlap (see ``RealModel.order``).
     """
-    if phi.domain is not chi.domain or phi.codomain is not chi.codomain:
-        raise ModelMismatchError("embeddings of different signatures are not comparable")
+    _same_signature(phi, chi)
     return phi.codomain.order(evaluate(phi, probe), evaluate(chi, probe)).tag
+
+
+def _same_signature(phi: EmbeddingRepr, chi: EmbeddingRepr) -> None:
+    if phi.domain is not chi.domain or phi.codomain is not chi.codomain:
+        raise ModelMismatchError("embeddings of different signatures")
 
 
 # ---------------------------------------------------------------------------
@@ -316,6 +322,8 @@ def _element_to_text(x, model: Model) -> str:
         if x.exact is None:
             raise ValueError("only exact rational points serialize")
         return str(x.exact)
+    if not model.descriptor.exact_order:
+        raise ModelMismatchError(f"cannot serialize elements of {model!r}")
     return str(x)
 
 

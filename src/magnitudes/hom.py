@@ -6,6 +6,12 @@ a strict inequality yields a difference embedding reconstructing the larger
 side.  Endomorphisms additionally compose, and composition is commutative,
 associative, distributes over sum, and preserves order.
 
+An element of that space is the reified map itself, an
+:class:`~magnitudes.embed.EmbeddingRepr`, called at a domain element to
+evaluate it.  Sums and composites are ``SumOf`` and ``ComposeOf`` nodes
+over their operands, and ``psi`` builds a ``UnitMultiple`` or an
+``Anchor``, so every result serializes by ``embedding_to_json``.
+
 When the domain carries a designated unit, the map sending a' to the unique
 embedding with unit -> a' is an isomorphism onto the embedding space; it
 induces the product a * b = (embedding for b)(a) and, in symmetric models,
@@ -20,7 +26,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from .core import Ordering3, Record
+from .core import Ordering3
 from .errors import ModelMismatchError, NoUnitError, NotSymmetricError
 from .embed import (
     ApproxPolicy,
@@ -28,6 +34,7 @@ from .embed import (
     EmbeddingRepr,
     IdentityRepr,
     SumOf,
+    _same_signature,
     anchor_embedding,
     evaluate,
     nat_embedding,
@@ -43,10 +50,7 @@ from .models import (
 )
 
 __all__ = [
-    "HomElement",
-    "EndoElement",
     "identity_endo",
-    "hom",
     "hom_add",
     "hom_compose",
     "hom_compare",
@@ -56,63 +60,21 @@ __all__ = [
 ]
 
 
-class HomElement(Record):
-    """An embedding as an element of its hom magnitude space."""
-
-    __slots__ = ("mapping",)
-
-    def __init__(self, mapping: EmbeddingRepr):
-        object.__setattr__(self, "mapping", mapping)
-
-    @property
-    def domain(self) -> Model:
-        return self.mapping.domain
-
-    @property
-    def codomain(self) -> Model:
-        return self.mapping.codomain
-
-    def __call__(self, b):
-        return evaluate(self.mapping, b)
+def identity_endo(model: Model) -> IdentityRepr:
+    return IdentityRepr(model)
 
 
-class EndoElement(HomElement):
-    """An embedding of a model into itself."""
-
-    __slots__ = ()
-
-    def __init__(self, mapping: EmbeddingRepr):
-        if mapping.domain is not mapping.codomain:
-            raise ModelMismatchError("endomorphisms need domain = codomain")
-        super().__init__(mapping)
-
-
-def hom(mapping: EmbeddingRepr) -> HomElement:
-    if mapping.domain is mapping.codomain:
-        return EndoElement(mapping)
-    return HomElement(mapping)
-
-
-def identity_endo(model: Model) -> EndoElement:
-    return EndoElement(IdentityRepr(model))
-
-
-def _require_same_signature(phi: HomElement, chi: HomElement):
-    if phi.domain is not chi.domain or phi.codomain is not chi.codomain:
-        raise ModelMismatchError("hom elements of different signatures")
-
-
-def hom_add(phi: HomElement, chi: HomElement) -> HomElement:
+def hom_add(phi: EmbeddingRepr, chi: EmbeddingRepr) -> SumOf:
     """Pointwise sum; the sum of two embeddings is again an embedding."""
-    _require_same_signature(phi, chi)
-    return hom(SumOf(phi.mapping, chi.mapping))
+    _same_signature(phi, chi)
+    return SumOf(phi, chi)
 
 
-def hom_compose(phi: HomElement, chi: HomElement) -> HomElement:
+def hom_compose(phi: EmbeddingRepr, chi: EmbeddingRepr) -> ComposeOf:
     """phi after chi."""
     if chi.codomain is not phi.domain:
         raise ModelMismatchError("composition signatures do not chain")
-    return hom(ComposeOf(outer=phi.mapping, inner=chi.mapping))
+    return ComposeOf(outer=phi, inner=chi)
 
 
 def _canonical_probe(model: Model):
@@ -124,16 +86,16 @@ def _canonical_probe(model: Model):
     return probe
 
 
-def hom_compare(phi: HomElement, chi: HomElement) -> Ordering3:
+def hom_compare(phi: EmbeddingRepr, chi: EmbeddingRepr) -> Ordering3:
     """Trichotomy in the hom space, witnessed by the difference embedding.
 
     One probe evaluation decides (embeddings agreeing at one point agree
     everywhere), by the codomain's order, which on the real model is
     certified and refuses rather than answer EQUAL.  On strict inequality
-    the witness delta is itself a HomElement with delta(b) = larger(b) -
-    smaller(b) for every b.
+    the witness is psi of the gap between the two images of the unit: the
+    embedding delta with delta(b) = larger(b) - smaller(b) for every b.
     """
-    _require_same_signature(phi, chi)
+    _same_signature(phi, chi)
     probe = _canonical_probe(phi.domain)
     outcome = phi.codomain.order(phi(probe), chi(probe))
     if outcome.is_equal:
@@ -141,19 +103,20 @@ def hom_compare(phi: HomElement, chi: HomElement) -> Ordering3:
     return Ordering3(outcome.tag, psi(phi.domain, outcome.gap))
 
 
-def psi(model: Model, a_prime) -> HomElement:
+def psi(model: Model, a_prime) -> EmbeddingRepr:
     """The unique embedding of `model` sending its unit to a_prime.
 
     This map is an isomorphism from the codomain onto the hom space: it is
     additive, order-preserving, and every embedding out of `model` arises
-    as psi of its value at the unit.
+    as psi of its value at the unit.  The result is the reified map, a
+    ``UnitMultiple`` out of the naturals and an ``Anchor`` otherwise.
     """
     unit = model.descriptor.unit
     if unit is None:
         raise NoUnitError(f"model {model!r} has no designated unit")
     if model is NAT:
-        return hom(nat_embedding(a_prime))
-    return hom(anchor_embedding(unit, a_prime))
+        return nat_embedding(a_prime)
+    return anchor_embedding(unit, a_prime)
 
 
 def product(a, b, policy: Optional[ApproxPolicy] = None):
@@ -170,19 +133,21 @@ def product(a, b, policy: Optional[ApproxPolicy] = None):
     model.check(b)
     if model is REAL:
         return real_mul(a, b)
-    return evaluate(psi(model, b).mapping, a)
+    return evaluate(psi(model, b), a)
 
 
 def quotient(b, a, policy: Optional[ApproxPolicy] = None):
-    """The unique d with product(d, a) = b.  Symmetric models only.
+    """The unique d with product(d, a) = b.  Symmetric models with a unit only.
 
     policy is accepted and unread: a rat quotient is exact, and a real one
     is a node that refines when it is read.
     """
     model = model_of(b)
     model.check(a)
+    if model is RAT:
+        return b / a
+    if model is REAL:
+        return real_div(b, a)
     if not model.descriptor.symmetric:
-        raise NotSymmetricError(
-            f"model '{model.descriptor.model_id}' has no quotients"
-        )
-    return b / a if model is RAT else real_div(b, a)
+        raise NotSymmetricError(f"model '{model.descriptor.model_id}' has no quotients")
+    raise NoUnitError(f"model {model!r} has no designated unit")

@@ -5,17 +5,17 @@ from __future__ import annotations
 from .. import hom, power
 from ..core import Rel
 from ..errors import UndecidedError
-from ..models import PosRat, REAL, randint, real_from_rat
+from ..models import PosRat, REAL, real_from_rat
 from . import _law, _same, _same_tag
 
 
 def _gen_mul(model, rng):
     # bases above one; exponents with modest denominators
-    base = PosRat(randint(rng, 2, 64), 1) + PosRat(rng.getrandbits(6) + 1, 64)
-    other = PosRat(randint(rng, 2, 64), 1) + PosRat(rng.getrandbits(6) + 1, 64)
+    base = PosRat(rng.randint(2, 64), 1) + PosRat(rng.getrandbits(6) + 1, 64)
+    other = PosRat(rng.randint(2, 64), 1) + PosRat(rng.getrandbits(6) + 1, 64)
     y = PosRat(rng.getrandbits(3) + 1, rng.getrandbits(3) + 1)
     y2 = PosRat(rng.getrandbits(3) + 1, rng.getrandbits(3) + 1)
-    n = randint(rng, 1, 10)
+    n = rng.randint(1, 10)
     return {"x1": base, "x2": other, "y": y, "y2": y2, "n": n}
 
 

@@ -238,25 +238,6 @@ class PosRat:
 RAT_ONE = PosRat._reduced(1, 1)
 
 
-def randint(rng, lo: int, hi: int) -> int:
-    """A draw from lo..hi making exactly the calls ``rng.randint(lo, hi)`` makes.
-
-    ``random.Random.randint`` draws getrandbits(k), k the bit length of the
-    width, until the draw is below the width; this does the same without
-    its three layers of argument checks, so a seeded stream yields the same
-    values in the same order.  A range of width 2^b is drawn cheaper, with
-    no rejection, as ``rng.getrandbits(b) + lo``; this serves the rest.
-    """
-    width = hi - lo + 1
-    if width < 1:
-        raise ValueError(f"empty range {lo}..{hi}")
-    k = width.bit_length()
-    r = rng.getrandbits(k)
-    while r >= width:
-        r = rng.getrandbits(k)
-    return lo + r
-
-
 def nat_make(text: str) -> int:
     """Parse a strictly positive decimal integer."""
     s = text.strip()
@@ -1295,6 +1276,10 @@ def model_of(x) -> Model:
         return NAT
     if isinstance(x, PosRat):
         return RAT
+    from .power import MUL, MulReal  # power imports this module
+
+    if isinstance(x, MulReal):
+        return MUL
     raise ModelMismatchError(f"no shipped model owns {type(x).__name__} values")
 
 

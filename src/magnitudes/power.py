@@ -97,8 +97,9 @@ def into_mul(x: PosRealValue) -> MulReal:
 
 
 class _MulRealModel(Model):
-    """The multiplicative space as a model: combine is product, and the order
-    is certified, with the quotient of the larger by the smaller as its gap."""
+    """The multiplicative space as a model: combine is product, scale is a
+    power, and the order is certified, with the quotient of the larger by
+    the smaller as its gap.  ``models.model_of`` infers it for a MulReal."""
 
     descriptor = ModelDescriptor(
         model_id="mul-real",
@@ -117,6 +118,9 @@ class _MulRealModel(Model):
     def multiple(self, n: int, a: MulReal) -> MulReal:
         # one monomial node a^n; above one by closure (a^n >= a > 1)
         return MulReal(_monomial(((a.value, n, 1),)))
+
+    def scale(self, a: MulReal, q: PosRat) -> MulReal:
+        return pow(a, q)
 
     def order(self, a: MulReal, b: MulReal) -> Ordering3:
         # the quotient of members is above one by closure (x > y > 1 gives x/y > 1)

@@ -29,7 +29,7 @@ from typing import Optional, Tuple
 from . import core
 from .core import Record, Rel
 from .mediants import _simplest
-from .models import REAL, Interval, PosRat, _num_den, _point, certify, int_to_text, ladder, model_by_id, model_of
+from .models import REAL, Interval, PosRat, _point, certify, int_to_text, ladder, model_by_id, model_of
 
 __all__ = [
     "Ratio",
@@ -174,7 +174,8 @@ def _pair(a, b):
     integers; else (False, x, y), each term as the ladder reads it, a real
     or the point [q, q] of an exact one.  ModelMismatchError unless b is of
     a's model.  Two ints >= 1 or two PosRat are read by class, a real pair
-    by its ``exact`` slots, read once, and others by ``_num_den``."""
+    by its ``exact`` slots, read once, and others by ``model.ratio_pair``,
+    which refuses the multiplicative space (InexactModelError)."""
     c = a.__class__
     if c is b.__class__:
         if c is PosRat:
@@ -188,8 +189,7 @@ def _pair(a, b):
         if qa is None or qb is None:
             return False, (a if qa is None else _point(qa)), (b if qb is None else _point(qb))
         return True, qa.num * qb.den, qa.den * qb.num
-    (na, da), (nb, db) = _num_den(a), _num_den(b)
-    return True, na * db, da * nb
+    return (True, *model.ratio_pair(a, b))
 
 
 def ratio_compare(a, b, a2, b2, fuel: int = 64) -> RatioRel:
@@ -266,14 +266,15 @@ def verify_witness(w: Witness, a, b, a2, b2, fuel: int = 64) -> bool:
 
     m*a > n*b must be exactly or certificate-grade strict; m*a2 <= n*b2 is
     decided exactly on exact points, and otherwise accepted when no strict
-    'greater' certificate is obtainable on the precision ladder.
+    'greater' certificate is obtainable on the precision ladder.  Each pair
+    is checked as ``ratio_compare`` reads it (``_pair``).
     """
     if w.m < 1 or w.n < 1:
         return False
     core.check_positive_int(w.m, "multiplier")
     core.check_positive_int(w.n, "multiplier")
-    model_of(a).check(b)
-    model_of(a2).check(b2)
+    _pair(a, b)
+    _pair(a2, b2)
     rungs = ladder(max(16, 4 * fuel))
     if certify(a, b, rungs, w.m, w.n)[0] is not Rel.GREATER:
         return False

@@ -1,3 +1,4 @@
+import json
 import math
 from fractions import Fraction
 
@@ -6,10 +7,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from magnitudes.core import compare
-from magnitudes.embed import ApproxPolicy, evaluate
+from magnitudes.embed import (
+    Anchor,
+    ApproxPolicy,
+    ComposeOf,
+    IdentityRepr,
+    SumOf,
+    UnitMultiple,
+    anchor_embedding,
+    embedding_from_json,
+    embedding_to_json,
+    evaluate,
+    nat_embedding,
+)
 from magnitudes.errors import ModelMismatchError, NotSymmetricError, UndecidedError
 from magnitudes.hom import (
-    EndoElement,
     hom_add,
     hom_compare,
     hom_compose,
@@ -42,12 +54,6 @@ class TestIdentity:
     def test_psi_discrete_domain(self):
         mapping = psi(NAT, PosRat(2, 5))
         assert mapping(3) == PosRat(6, 5)
-
-    def test_endo_validation(self):
-        from magnitudes.embed import nat_embedding
-
-        with pytest.raises(ModelMismatchError):
-            EndoElement(nat_embedding(PosRat(1, 2)))
 
 
 class TestHomAdd:
@@ -137,8 +143,41 @@ class TestHomCompare:
         x = isqrt_real(2)
         outcome = hom_compare(psi(REAL, real_add(x, real_from_rat(gap))), psi(REAL, x))
         assert outcome.is_greater
-        iv = outcome.gap.mapping.image.approx(30)
+        iv = outcome.gap.image.approx(30)
         assert iv.width_at_most(30) and iv.contains(gap)
+
+
+class TestReprIsTheElement:
+    """The reified map is the hom-space element: callable, and serializable."""
+
+    @given(rationals, rationals)
+    def test_calling_agrees_with_evaluate(self, image, probe):
+        anchored = anchor_embedding(PosRat(3, 2), image)
+        ide = IdentityRepr(RAT)
+        n = probe.num
+        unit = nat_embedding(image)
+        assert unit(n) == evaluate(unit, n)
+        for phi in (anchored, ide, SumOf(anchored, ide), ComposeOf(anchored, ide)):
+            assert phi(probe) == evaluate(phi, probe)
+
+    def test_results_are_reprs(self):
+        phi, chi = psi(RAT, PosRat(5, 2)), psi(RAT, PosRat(2, 3))
+        assert isinstance(phi, Anchor) and isinstance(psi(NAT, 3), UnitMultiple)
+        assert isinstance(hom_add(phi, chi), SumOf)
+        assert isinstance(hom_compose(phi, chi), ComposeOf)
+        assert identity_endo(RAT) == IdentityRepr(RAT)
+        assert hom_compare(phi, chi).gap == psi(RAT, PosRat(11, 6))
+
+    @given(rationals, rationals, rationals, st.integers(1, 1 << 10))
+    def test_results_round_trip_through_json(self, x, y, probe, n):
+        phi, chi = psi(RAT, x), psi(RAT, y)
+        results = [phi, hom_add(phi, chi), hom_compose(phi, chi), psi(NAT, x)]
+        if x != y:
+            results.append(hom_compare(phi, chi).gap)
+        for got in results:
+            back = embedding_from_json(json.loads(json.dumps(embedding_to_json(got))))
+            b = n if got.domain is NAT else probe
+            assert back(b) == got(b)
 
 
 class TestProduct:

@@ -44,7 +44,6 @@ from magnitudes.models import (
     model_of,
     nat_make,
     parse_element,
-    randint,
     rat_make,
     real_add,
     real_compare,
@@ -1708,24 +1707,6 @@ class TestMembership:
             assert model.check(good) is good
         assert NAT.check(Int(5)) == 5  # an int subclass is an int
         assert REAL.check(real_add(OWNED[REAL], OWNED[REAL])).exact == PosRat(4, 3)
-
-
-class TestRandint:
-    WIDTHS = [1, 2] + [w for k in (10, 16, 32) for w in (1 << k, (1 << k) + 1)] + [(1 << 64) + 3]
-
-    @pytest.mark.parametrize("width", WIDTHS)
-    def test_same_stream_as_random_randint(self, width):
-        for seed in range(60):
-            ours, theirs = random.Random(seed), random.Random(seed)
-            lo = seed % 3 + 1
-            for _ in range(8):
-                assert randint(ours, lo, lo + width - 1) == theirs.randint(lo, lo + width - 1)
-            # the streams stay in step: the same number of bits was drawn
-            assert ours.getrandbits(64) == theirs.getrandbits(64)
-
-    def test_empty_range(self):
-        with pytest.raises(ValueError):
-            randint(random.Random(0), 5, 4)
 
 
 class _Words:

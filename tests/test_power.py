@@ -5,10 +5,36 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from magnitudes import core
+from magnitudes import core, hom
+from magnitudes.embed import (
+    anchor_embedding,
+    check_homomorphism,
+    embedding_to_json,
+    embeddings_compare,
+    evaluate_naive,
+    fourth_proportional,
+    nat_embedding,
+)
 from magnitudes.core import Rel
-from magnitudes.errors import NotAboveOneError, NotGreaterError, OracleFailureError, UndecidedError
-from magnitudes.models import RAT_ONE, Interval, PosRat, certify, ladder, real_from_rat, real_mul, real_scale
+from magnitudes.errors import (
+    MagnitudeError,
+    NotAboveOneError,
+    NotGreaterError,
+    OracleFailureError,
+    UndecidedError,
+)
+from magnitudes.models import (
+    RAT_ONE,
+    Interval,
+    PosRat,
+    certify,
+    format_element,
+    ladder,
+    model_of,
+    real_from_rat,
+    real_mul,
+    real_scale,
+)
 from magnitudes.power import (
     MUL,
     MulReal,
@@ -18,6 +44,14 @@ from magnitudes.power import (
     mul_multiple,
     nth_root,
     pow as mul_pow,
+)
+from magnitudes.ratio import (
+    Witness,
+    have_ratio_witness,
+    make_ratio,
+    ratio_compare,
+    ratio_value_exact,
+    verify_witness,
 )
 
 from conftest import isqrt_real, opaque, recorded
@@ -209,6 +243,75 @@ class TestMulOrder:
             try:
                 assert MUL.order(mul_multiple(n - 1, a), b).is_less
             except UndecidedError:
+                pass
+
+
+class TestInferredModel:
+    """model_of finds MUL, so the generic entry points need no model argument."""
+
+    def test_model_of(self, sqrt2):
+        assert model_of(as_mul(3, 2)) is MUL and model_of(into_mul(sqrt2)) is MUL
+
+    def test_generic_core_without_model(self):
+        two, root3 = as_mul(2), into_mul(isqrt_real(3))
+        out = core.compare(two, root3)
+        assert out.is_greater and mul_combine(root3, out.gap).approx(60).intersects(two.approx(60))
+        # the gap 2 / sqrt 3, whose square is 4/3
+        assert mul_multiple(2, core.subtract(two, root3)).approx(30).contains(PosRat(4, 3))
+        # 2^1 > sqrt 3, and sqrt 3^2 = 3 > 2
+        assert core.find_multiple_exceeding(two, root3) == 1
+        assert core.find_multiple_exceeding(root3, two) == 2
+        assert have_ratio_witness(two, root3) == (1, 2)
+
+    def test_scaling_is_a_power(self):
+        # b = 2^(1/4): three of them make 2^(3/4), certified below 2
+        two = as_mul(2)
+        b = core.shrink_below(two, 3)
+        assert MUL.order(core.multiple(3, b), two).is_less
+        # the anchored map 1 -> 2 is q -> 2^q
+        phi = anchor_embedding(PosRat(1), two)
+        iv = phi(PosRat(1, 2)).approx(40)
+        s = math.isqrt(2 << 80)
+        assert iv.lo <= PosRat(s + 1, 1 << 40) and PosRat(s, 1 << 40) <= iv.hi
+        assert check_homomorphism(phi, samples=5).passed
+
+    def test_every_entry_point_answers_or_refuses_typed(self):
+        x, y = as_mul(2), into_mul(isqrt_real(3))
+        calls = [
+            lambda: core.combine(x, y),
+            lambda: core.compare(x, y),
+            lambda: core.subtract(x, y),
+            lambda: core.multiple(3, x),
+            lambda: core.multiple_naive(3, x),
+            lambda: core.find_multiple_exceeding(y, x),
+            lambda: core.shrink_below(x, 3),
+            lambda: format_element(x),
+            lambda: nat_embedding(x)(3),
+            lambda: evaluate_naive(nat_embedding(x), 3),
+            lambda: anchor_embedding(PosRat(1), x)(PosRat(1, 2)),
+            lambda: anchor_embedding(x, y),
+            lambda: embeddings_compare(nat_embedding(x), nat_embedding(y), 2),
+            lambda: embedding_to_json(nat_embedding(x)),
+            lambda: fourth_proportional(x, y, real_from_rat(PosRat(2)), 30),
+            lambda: fourth_proportional(PosRat(1), PosRat(2), x, 30),
+            lambda: hom.psi(MUL, x),
+            lambda: hom.hom_compare(nat_embedding(x), nat_embedding(y)),
+            lambda: hom.product(x, y),
+            lambda: hom.quotient(x, y),
+            lambda: make_ratio(x, y),
+            lambda: have_ratio_witness(x, y),
+            lambda: ratio_value_exact(make_ratio(x, y)),
+            lambda: ratio_compare(x, y, x, y),
+            lambda: ratio_compare(PosRat(1), PosRat(2), x, y),
+            lambda: verify_witness(Witness(1, 1), x, y, x, y),
+            lambda: mul_multiple(2, x),
+            lambda: nth_root(x, 2, 30),
+            lambda: mul_pow(x, PosRat(1, 3)),
+        ]
+        for call in calls:
+            try:
+                call()
+            except MagnitudeError:
                 pass
 
 

@@ -15,10 +15,8 @@ from magnitudes.embed import (
     SumOf,
     UnitMultiple,
 )
-from magnitudes.errors import ModelMismatchError
-from magnitudes.hom import EndoElement, HomElement
 from magnitudes.laws import LawReport, LawSpec
-from magnitudes.models import NAT, RAT, Overlap
+from magnitudes.models import NAT, Overlap
 from magnitudes.power import MulReal
 from magnitudes.ratio import Ratio, RatioRel, Witness
 
@@ -41,8 +39,6 @@ RECORDS = [
         (False, 7, {"a": "1"}),
         "HomCheckReport(passed=False, samples=7, counterexample={'a': '1'})",
     ),
-    (HomElement, ("phi",), "HomElement(mapping='phi')"),
-    (EndoElement, (IdentityRepr("m"),), "EndoElement(mapping=IdentityRepr(model='m'))"),
     (
         LawSpec,
         ("id", "text", "set", ("rat",), len, abs),
@@ -99,8 +95,8 @@ def test_frozen_records_hash_and_refuse_changes(cls, args, text):
 
 def test_no_equality_across_classes():
     mapping = IdentityRepr(NAT)
-    assert HomElement(mapping) != EndoElement(mapping)
-    assert EndoElement(mapping) == EndoElement(mapping)
+    assert SumOf(mapping, mapping) != ComposeOf(mapping, mapping)
+    assert SumOf(mapping, mapping) == SumOf(mapping, mapping)
     assert Overlap(3) != Witness(3, 3) and Witness(3, 4) != (3, 4)
 
 
@@ -120,8 +116,6 @@ def test_construction_checks():
     with pytest.raises(ValueError, match=">= 0"):
         ApproxPolicy(precision=-1)
     assert ApproxPolicy(precision=40) == ApproxPolicy(40)
-    with pytest.raises(ModelMismatchError):
-        EndoElement(UnitMultiple(2, NAT, RAT))
 
 
 def test_law_report_is_mutable_with_its_own_failures():
