@@ -17,8 +17,8 @@ from magnitudes import (
     embedding_to_json,
     embeddings_compare,
     evaluate,
-    evaluate_naive,
     fourth_proportional,
+    multiple_naive,
     nat_embedding,
     real_from_rat,
 )
@@ -26,7 +26,7 @@ from magnitudes import (
 print("== unit-multiple embeddings out of the naturals ==")
 phi = nat_embedding(PosRat(2, 5))
 print("1 ->", evaluate(phi, 1), " 3 ->", evaluate(phi, 3), " 13 ->", evaluate(phi, 13))
-print("naive recursion agrees:", evaluate_naive(phi, 13))
+print("naive recursion agrees:", multiple_naive(13, phi.image))
 
 print("\n== the same map two ways: uniqueness ==")
 chi = anchor_embedding(1, PosRat(2, 5))

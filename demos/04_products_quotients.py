@@ -10,6 +10,7 @@ fall out wherever every element is an anchor (symmetric models).
 import math
 
 from magnitudes import (
+    IdentityRepr,
     Interval,
     PosRat,
     PosRealValue,
@@ -17,7 +18,6 @@ from magnitudes import (
     hom_add,
     hom_compare,
     hom_compose,
-    identity_endo,
     product,
     psi,
     quotient,
@@ -33,7 +33,7 @@ print("composition is the map for the product:",
 print("sum is the map for the sum:",
       hom_compare(hom_add(double, triple), psi(RAT, PosRat(5, 1))).tag.value)
 print("the unit's map is the identity:",
-      hom_compare(psi(RAT, PosRat(1, 1)), identity_endo(RAT)).tag.value)
+      hom_compare(psi(RAT, PosRat(1, 1)), IdentityRepr(RAT)).tag.value)
 
 print("\n== comparing maps yields a difference map ==")
 outcome = hom_compare(psi(RAT, PosRat(5, 1)), psi(RAT, PosRat(2, 1)))

@@ -38,7 +38,6 @@ from .embed import (
     embedding_to_json,
     embeddings_compare,
     evaluate,
-    evaluate_naive,
     fourth_proportional,
     nat_embedding,
 )
@@ -60,7 +59,6 @@ from .hom import (
     hom_add,
     hom_compare,
     hom_compose,
-    identity_endo,
     product,
     psi,
     quotient,
@@ -75,8 +73,6 @@ from .models import (
     PosRealValue,
     model_by_id,
     model_of,
-    nat_make,
-    rat_make,
     real_add,
     real_compare,
     real_from_rat,
@@ -85,13 +81,10 @@ from .models import (
 )
 from .power import MulReal, into_mul, int_nth_root, mul_combine, mul_multiple, nth_root, pow
 from .ratio import (
-    Ratio,
     RatioRel,
     Witness,
     have_ratio_witness,
-    make_ratio,
     ratio_compare,
-    ratio_value_exact,
     verify_witness,
 )
 

@@ -119,10 +119,6 @@ class Ordering3(Record):
     def is_greater(self) -> bool:
         return self.tag is Rel.GREATER
 
-    def swapped(self) -> "Ordering3":
-        """The outcome for the pair in reverse order; same witness."""
-        return Ordering3(self.tag.swapped(), self.gap)
-
 
 # records are immutable, so every EQUAL outcome can be this one
 _ORDER_EQUAL = Ordering3(Rel.EQUAL, None)
@@ -217,9 +213,12 @@ def multiple(n: int, a, model=None):
 
 
 def multiple_naive(n: int, a, model=None):
-    """n-fold sum by literal repeated addition.  Cross-check oracle only.
+    """n-fold sum by an addition chain over ``model.combine`` alone.
+    Cross-check oracle only: it never calls the model's ``multiple``.
 
-    Guarded to n <= 2**16 because it is linear.
+    The chain reads n's bits from the top: each bit after the leading one
+    doubles the sum, acc + acc, and each set bit then adds a, so it takes
+    at most 2*floor(log2 n) sums.  Guarded to n <= 2**16.
     """
     if model is None:
         model = _models.model_of(a)
@@ -229,8 +228,10 @@ def multiple_naive(n: int, a, model=None):
         raise ValueError(f"naive multiple guarded to n <= {NAIVE_GUARD}")
     combine = model.combine
     acc = a
-    for _ in range(n - 1):
-        acc = combine(acc, a)
+    for bit in bin(n)[3:]:
+        acc = combine(acc, acc)
+        if bit == "1":
+            acc = combine(acc, a)
     return acc
 
 

@@ -48,7 +48,6 @@ __all__ = [
     "nat_embedding",
     "anchor_embedding",
     "evaluate",
-    "evaluate_naive",
     "fourth_proportional",
     "check_homomorphism",
     "HomCheckReport",
@@ -227,16 +226,6 @@ def _evaluate_anchor(phi: Anchor, b):
         return (phi.image // phi.anchor) * b
     # the image scaled by b : anchor, exact in a nat or rat domain
     return codomain.scale(phi.image, PosRat(*domain.ratio_pair(b, phi.anchor)))
-
-
-def evaluate_naive(phi: UnitMultiple, n: int):
-    """Evaluate a unit-multiple embedding by literal recursion: test oracle.
-
-    phi(n) = phi(n - 1) + image, guarded to n <= 2**16.
-    """
-    if not isinstance(phi, UnitMultiple):
-        raise TypeError("naive evaluation is defined for unit-multiple maps")
-    return core.multiple_naive(n, phi.image, phi.codomain)
 
 
 class HomCheckReport(Record):

@@ -32,7 +32,6 @@ from .embed import (
     ApproxPolicy,
     ComposeOf,
     EmbeddingRepr,
-    IdentityRepr,
     SumOf,
     _same_signature,
     anchor_embedding,
@@ -50,7 +49,6 @@ from .models import (
 )
 
 __all__ = [
-    "identity_endo",
     "hom_add",
     "hom_compose",
     "hom_compare",
@@ -58,10 +56,6 @@ __all__ = [
     "product",
     "quotient",
 ]
-
-
-def identity_endo(model: Model) -> IdentityRepr:
-    return IdentityRepr(model)
 
 
 def hom_add(phi: EmbeddingRepr, chi: EmbeddingRepr) -> SumOf:

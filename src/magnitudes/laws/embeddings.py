@@ -20,7 +20,7 @@ def _gen_unit_embedding(model, rng):
 )
 def _embed_fast_naive(model, v, tol):
     phi = embed.nat_embedding(v["image"])
-    _same(model, embed.evaluate(phi, v["n"]), embed.evaluate_naive(phi, v["n"]), tol)
+    _same(model, embed.evaluate(phi, v["n"]), core.multiple_naive(v["n"], v["image"], model), tol)
 
 
 @_law(

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from .. import hom
+from ..embed import IdentityRepr
 from . import _elems, _expect, _law, _same, _same_tag
 
 
@@ -110,7 +111,7 @@ def _endo_dist_right(model, v, tol):
 )
 def _endo_identity(model, v, tol):
     a = hom.psi(model, v["x"])
-    i = hom.identity_endo(model)
+    i = IdentityRepr(model)
     _same(model, hom.hom_compose(a, i)(v["probe"]), a(v["probe"]), tol)
     _same(model, hom.hom_compose(i, a)(v["probe"]), a(v["probe"]), tol)
 
@@ -160,7 +161,7 @@ def _psi_compose(model, v, tol):
 )
 def _psi_unit(model, v, tol):
     unit_map = hom.psi(model, model.descriptor.unit)
-    _expect(hom.hom_compare(unit_map, hom.identity_endo(model)).is_equal, "strict", "equal")
+    _expect(hom.hom_compare(unit_map, IdentityRepr(model)).is_equal, "strict", "equal")
 
 
 @_law(

@@ -18,9 +18,10 @@ def _engine_vs_oracle(model, v, tol):
     a, b, c, d = v["a"], v["b"], v["c"], v["d"]
     got = ratio.ratio_compare(a, b, c, d)
     _expect(not got.is_unknown, got.kind, "decided on exact models")
-    v1 = ratio.ratio_value_exact(ratio.make_ratio(a, b))
-    v2 = ratio.ratio_value_exact(ratio.make_ratio(c, d))
-    want = Rel.EQUAL if v1 == v2 else (Rel.GREATER if v1 > v2 else Rel.LESS)
+    n1, m1 = model.ratio_pair(a, b)
+    n2, m2 = model.ratio_pair(c, d)
+    x, y = n1 * m2, n2 * m1
+    want = Rel.EQUAL if x == y else (Rel.GREATER if x > y else Rel.LESS)
     _same_tag(got.kind_tag(), want)
 
 

@@ -37,8 +37,6 @@ __all__ = [
     "Interval",
     "PosRealValue",
     "Overlap",
-    "nat_make",
-    "rat_make",
     "real_from_rat",
     "real_add",
     "real_subtract",
@@ -210,8 +208,9 @@ class PosRat:
     def __hash__(self):
         return hash((self.num, self.den))
 
-    # A rational is its own degenerate interval [self, self].  Kept public;
-    # the ladders pin a point once as Interval(q, q) and never read these.
+    # A rational is its own degenerate interval [self, self]: the ladders pin
+    # a point once as Interval(q, q), and _Linear._ends and _Power._ends read
+    # an exact leaf's ends through these, as they read an Interval's.
     @property
     def lo(self) -> "PosRat":
         return self
@@ -236,22 +235,6 @@ class PosRat:
 
 
 RAT_ONE = PosRat._reduced(1, 1)
-
-
-def nat_make(text: str) -> int:
-    """Parse a strictly positive decimal integer."""
-    s = text.strip()
-    if not s.isdecimal():
-        raise ParseError(f"not a decimal natural: {text!r}")
-    value = text_to_int(s)
-    if value < 1:
-        raise ParseError("naturals start at 1; there is no zero magnitude")
-    return value
-
-
-def rat_make(num: int, den: int) -> PosRat:
-    """Positive rational from positive integer parts, reduced."""
-    return PosRat(num, den)
 
 
 # From this many bits up, of hi's denominator in Interval and of the
@@ -1290,7 +1273,13 @@ def parse_element(model: Model, text: str):
     exact real point (arbitrary oracles have no text form).
     """
     if model is NAT:
-        return nat_make(text)
+        s = text.strip()
+        if not s.isdecimal():
+            raise ParseError(f"not a decimal natural: {text!r}")
+        value = text_to_int(s)
+        if value < 1:
+            raise ParseError("naturals start at 1; there is no zero magnitude")
+        return value
     if model is RAT:
         return PosRat.from_text(text)
     if model is REAL:

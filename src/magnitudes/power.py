@@ -35,6 +35,7 @@ from .core import ModelDescriptor, Ordering3, Record, Rel, check_precision
 from .errors import NotAboveOneError, OracleFailureError
 from .models import (
     RAT_ONE,
+    REAL,
     Interval,
     Model,
     PosRat,
@@ -86,8 +87,10 @@ def into_mul(x: PosRealValue) -> MulReal:
     Walks precision 0 and then the default ladder: the first interval with
     lower endpoint above 1 certifies membership; an interval entirely at or
     below 1 refutes it; exhaustion of the ladder is an honest refusal (x may
-    be 1, below 1, or undecidable at this policy).
+    be 1, below 1, or undecidable at this policy).  Anything but a
+    PosRealValue raises ModelMismatchError.
     """
+    REAL.check(x)
     verdict, p = certify(x, RAT_ONE, (0, *ladder()))
     if verdict is Rel.GREATER:
         return MulReal(x)

@@ -29,35 +29,15 @@ from typing import Optional, Tuple
 from . import core
 from .core import Record, Rel
 from .mediants import _simplest
-from .models import REAL, Interval, PosRat, _point, certify, int_to_text, ladder, model_by_id, model_of
+from .models import REAL, Interval, PosRat, _point, certify, int_to_text, ladder, model_of
 
 __all__ = [
-    "Ratio",
     "Witness",
     "RatioRel",
-    "make_ratio",
     "have_ratio_witness",
-    "ratio_value_exact",
     "ratio_compare",
     "verify_witness",
 ]
-
-
-class Ratio(Record):
-    """An ordered pair of elements from one model, read antecedent : consequent."""
-
-    __slots__ = ("antecedent", "consequent", "model_id")
-
-    def __init__(self, antecedent, consequent, model_id: str):
-        object.__setattr__(self, "antecedent", antecedent)
-        object.__setattr__(self, "consequent", consequent)
-        object.__setattr__(self, "model_id", model_id)
-
-
-def make_ratio(antecedent, consequent) -> Ratio:
-    model = model_of(antecedent)
-    model.check(consequent)
-    return Ratio(antecedent, consequent, model.descriptor.model_id)
 
 
 class Witness(Record):
@@ -157,15 +137,6 @@ def have_ratio_witness(a, b) -> Tuple[int, int]:
         core.find_multiple_exceeding(a, b, model),
         core.find_multiple_exceeding(b, a, model),
     )
-
-
-def ratio_value_exact(r: Ratio) -> PosRat:
-    """Collapse an exact-model ratio to its reduced fraction a/b.
-
-    Two exact-model ratios are same-ratio precisely when these values match;
-    scaling both terms by a common multiplier leaves the value unchanged.
-    """
-    return PosRat(*model_by_id(r.model_id).ratio_pair(r.antecedent, r.consequent))
 
 
 def _pair(a, b):

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from magnitudes import core
-from magnitudes.core import Ordering3, Rel
+from magnitudes.core import Rel
 from magnitudes.errors import (
     DiscreteModelError,
     ModelMismatchError,
@@ -126,6 +126,23 @@ class TestMultiple:
     def test_naive_guard(self):
         with pytest.raises(ValueError):
             core.multiple_naive((1 << 16) + 1, 1)
+
+    def test_naive_is_an_addition_chain(self):
+        class Counting:
+            calls = 0
+
+            def check(self, x):
+                return RAT.check(x)
+
+            def combine(self, a, b):
+                self.calls += 1
+                return RAT.combine(a, b)
+
+        a = PosRat(2, 7)
+        for n in (*range(1, 301), 1 << 16):
+            model = Counting()
+            assert core.multiple_naive(n, a, model) == PosRat(2 * n, 7)
+            assert model.calls <= 2 * (n.bit_length() - 1)
 
     def test_multiplier_validation(self):
         with pytest.raises(ValueError):
@@ -251,8 +268,9 @@ def test_refusals_keep_their_exception_types(call, kind):
 
 class TestOrdering3:
     def test_swapped(self):
-        assert Ordering3.less_by(PosRat(1, 2)).swapped().tag is Rel.GREATER
-        assert Ordering3.equal().swapped().tag is Rel.EQUAL
+        assert Rel.LESS.swapped() is Rel.GREATER
+        assert Rel.GREATER.swapped() is Rel.LESS
+        assert Rel.EQUAL.swapped() is Rel.EQUAL
 
     def test_descriptor_invariants(self):
         assert NAT.descriptor.discrete and NAT.descriptor.smallest == 1

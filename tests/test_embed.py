@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from magnitudes.core import Rel, multiple
+from magnitudes.core import Rel, multiple, multiple_naive
 from magnitudes.embed import (
     ApproxPolicy,
     IdentityRepr,
@@ -15,7 +15,6 @@ from magnitudes.embed import (
     embedding_to_json,
     embeddings_compare,
     evaluate,
-    evaluate_naive,
     fourth_proportional,
     nat_embedding,
 )
@@ -59,21 +58,25 @@ class TestUnitMultiple:
         for n in (1, 7, 1 << 20):
             assert evaluate(phi, n) == n
 
+    # the naive oracle of a unit-multiple map n -> n*image is the addition
+    # chain multiple_naive(n, image, codomain)
     def test_naive_oracle(self):
         phi = nat_embedding(PosRat(2, 7))
-        assert evaluate_naive(phi, 13) == PosRat(26, 7)
-        assert evaluate_naive(phi, 1) == PosRat(2, 7)
-        assert evaluate_naive(nat_embedding(5), 2) == 10
+        assert multiple_naive(13, phi.image, phi.codomain) == PosRat(26, 7)
+        assert multiple_naive(1, phi.image, phi.codomain) == PosRat(2, 7)
+        assert multiple_naive(2, 5, nat_embedding(5).codomain) == 10
 
     def test_naive_guard(self):
+        phi = nat_embedding(1)
+        assert multiple_naive(1 << 16, phi.image, phi.codomain) == evaluate(phi, 1 << 16)
         with pytest.raises(ValueError):
-            evaluate_naive(nat_embedding(1), (1 << 16) + 1)
+            multiple_naive((1 << 16) + 1, phi.image, phi.codomain)
 
     @settings(max_examples=40)
     @given(rationals, st.integers(1, 1 << 10))
     def test_fast_equals_naive(self, image, n):
         phi = nat_embedding(image)
-        assert evaluate(phi, n) == evaluate_naive(phi, n)
+        assert evaluate(phi, n) == multiple_naive(n, image, phi.codomain)
 
 
 class TestAnchor:

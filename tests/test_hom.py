@@ -25,7 +25,6 @@ from magnitudes.hom import (
     hom_add,
     hom_compare,
     hom_compose,
-    identity_endo,
     product,
     psi,
     quotient,
@@ -39,17 +38,17 @@ rationals = st.builds(PosRat, st.integers(1, 1 << 10), st.integers(1, 1 << 10))
 
 class TestIdentity:
     def test_probe(self):
-        ide = identity_endo(RAT)
+        ide = IdentityRepr(RAT)
         assert ide(PosRat(7, 3)) == PosRat(7, 3)
 
     def test_neutral_for_composition(self):
         phi = psi(RAT, PosRat(5, 3))
-        ide = identity_endo(RAT)
+        ide = IdentityRepr(RAT)
         assert hom_compare(hom_compose(ide, phi), phi).is_equal
         assert hom_compare(hom_compose(phi, ide), phi).is_equal
 
     def test_psi_unit_is_identity(self):
-        assert hom_compare(psi(RAT, PosRat(1, 1)), identity_endo(RAT)).is_equal
+        assert hom_compare(psi(RAT, PosRat(1, 1)), IdentityRepr(RAT)).is_equal
 
     def test_psi_discrete_domain(self):
         mapping = psi(NAT, PosRat(2, 5))
@@ -165,7 +164,6 @@ class TestReprIsTheElement:
         assert isinstance(phi, Anchor) and isinstance(psi(NAT, 3), UnitMultiple)
         assert isinstance(hom_add(phi, chi), SumOf)
         assert isinstance(hom_compose(phi, chi), ComposeOf)
-        assert identity_endo(RAT) == IdentityRepr(RAT)
         assert hom_compare(phi, chi).gap == psi(RAT, PosRat(11, 6))
 
     @given(rationals, rationals, rationals, st.integers(1, 1 << 10))

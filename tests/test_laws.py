@@ -7,7 +7,7 @@ import pytest
 
 from magnitudes import cli, core, laws, ratio
 from magnitudes.errors import NotAboveOneError, NotGreaterError, UndecidedError
-from magnitudes.models import REAL, PosRat, model_of
+from magnitudes.models import RAT, REAL, PosRat, model_of
 
 
 class TestRegistry:
@@ -112,6 +112,19 @@ class TestMutationDetection:
         reports = laws.run_suite("rat", "ratio_engine", trials=50, seed=3)
         failed = {r.law_id for r in reports if not r.passed}
         assert "engine-witness-soundness" in failed
+
+    def test_sparse_wrong_multiple_fails_multiple_vs_naive(self, monkeypatch):
+        # wrong on one n in 37; the naive oracle sums by combine alone, so it
+        # does not share the mutant
+        original = type(RAT).multiple
+
+        def off_by_one(self, n, a):
+            return original(self, n + 1 if n % 37 == 5 else n, a)
+
+        monkeypatch.setattr(type(RAT), "multiple", off_by_one)
+        reports = laws.run_suite(RAT, "structure", trials=300, seed=1)
+        failed = {r.law_id for r in reports if not r.passed}
+        assert "multiple-vs-naive" in failed
 
 
 def _doubled_subtract(b, a, model=None, _original=core.subtract):

@@ -42,9 +42,7 @@ from magnitudes.models import (
     int_to_text,
     ladder,
     model_of,
-    nat_make,
     parse_element,
-    rat_make,
     real_add,
     real_compare,
     real_div,
@@ -63,15 +61,18 @@ rationals = st.builds(PosRat, st.integers(1, 1 << 16), st.integers(1, 1 << 16))
 
 
 class TestNatMake:
+    """Making a natural from text: parse_element(NAT, ...)."""
+
     def test_parse(self):
-        assert nat_make("17") == 17
-        assert nat_make("340282366920938463463374607431768211456") == 1 << 128
+        assert parse_element(NAT, "17") == 17
+        assert parse_element(NAT, " 17\n") == 17
+        assert parse_element(NAT, "340282366920938463463374607431768211456") == 1 << 128
 
     # "²" passes str.isdigit but not int(): a parse error, not int's ValueError
     @pytest.mark.parametrize("bad", ["0", "-3", "+2", "2.5", "x", "", "²", "1²"])
     def test_rejects(self, bad):
         with pytest.raises(ParseError):
-            nat_make(bad)
+            parse_element(NAT, bad)
 
 
 class TestDigitLimit:
@@ -85,7 +86,7 @@ class TestDigitLimit:
         if limit is not None and old is not None:
             sys.set_int_max_str_digits(limit)
         try:
-            assert nat_make(text) == n and int_to_text(n) == text
+            assert parse_element(NAT, text) == n and int_to_text(n) == text
             assert format_element(n) == text
             assert PosRat.from_text(f"{text}/3") == PosRat(n, 3)
             assert str(PosRat(n, 3)) == f"{text}/3"
@@ -99,9 +100,9 @@ class TestDigitLimit:
 
 class TestPosRat:
     def test_reduction(self):
-        assert rat_make(4, 6) == PosRat(2, 3)
-        assert str(rat_make(7, 1)) == "7/1"
-        assert rat_make(100, 100) == PosRat(1, 1)
+        assert PosRat(4, 6) == PosRat(2, 3)
+        assert str(PosRat(7, 1)) == "7/1"
+        assert PosRat(100, 100) == PosRat(1, 1)
 
     def test_no_zero(self):
         with pytest.raises(ValueError):

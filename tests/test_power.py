@@ -11,13 +11,13 @@ from magnitudes.embed import (
     check_homomorphism,
     embedding_to_json,
     embeddings_compare,
-    evaluate_naive,
     fourth_proportional,
     nat_embedding,
 )
 from magnitudes.core import Rel
 from magnitudes.errors import (
     MagnitudeError,
+    ModelMismatchError,
     NotAboveOneError,
     NotGreaterError,
     OracleFailureError,
@@ -48,9 +48,7 @@ from magnitudes.power import (
 from magnitudes.ratio import (
     Witness,
     have_ratio_witness,
-    make_ratio,
     ratio_compare,
-    ratio_value_exact,
     verify_witness,
 )
 
@@ -89,6 +87,12 @@ class TestIntoMul:
         # [1, 1] never separates from 1, so the refusal comes from hi <= 1
         with pytest.raises(NotAboveOneError, match="^value certified not greater than one$"):
             into_mul(real_from_rat(PosRat(1, 1)))
+
+    def test_non_reals_refused(self):
+        # an int or a PosRat above one is still not a real: no MulReal holds it
+        for x in (3, PosRat(3, 2), None, "x", as_mul(2)):
+            with pytest.raises(ModelMismatchError):
+                into_mul(x)
 
 
 class TestMulCombine:
@@ -287,7 +291,6 @@ class TestInferredModel:
             lambda: core.shrink_below(x, 3),
             lambda: format_element(x),
             lambda: nat_embedding(x)(3),
-            lambda: evaluate_naive(nat_embedding(x), 3),
             lambda: anchor_embedding(PosRat(1), x)(PosRat(1, 2)),
             lambda: anchor_embedding(x, y),
             lambda: embeddings_compare(nat_embedding(x), nat_embedding(y), 2),
@@ -298,9 +301,8 @@ class TestInferredModel:
             lambda: hom.hom_compare(nat_embedding(x), nat_embedding(y)),
             lambda: hom.product(x, y),
             lambda: hom.quotient(x, y),
-            lambda: make_ratio(x, y),
             lambda: have_ratio_witness(x, y),
-            lambda: ratio_value_exact(make_ratio(x, y)),
+            lambda: MUL.ratio_pair(x, y),
             lambda: ratio_compare(x, y, x, y),
             lambda: ratio_compare(PosRat(1), PosRat(2), x, y),
             lambda: verify_witness(Witness(1, 1), x, y, x, y),

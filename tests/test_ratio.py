@@ -8,14 +8,12 @@ from hypothesis import strategies as st
 from magnitudes.core import Rel
 from magnitudes.errors import InexactModelError, ModelMismatchError
 from magnitudes.mediants import simplest_in
-from magnitudes.models import PosRat, PosRealValue, certify, ladder, real_add, real_from_rat, real_scale
+from magnitudes.models import NAT, RAT, REAL, PosRat, PosRealValue, certify, ladder, real_add, real_from_rat, real_scale
 from magnitudes.ratio import (
     RatioRel,
     Witness,
     have_ratio_witness,
-    make_ratio,
     ratio_compare,
-    ratio_value_exact,
     verify_witness,
 )
 
@@ -75,15 +73,19 @@ class TestHaveRatioWitness:
 
 
 class TestRatioValueExact:
+    """An exact ratio a : b is the integer pair Model.ratio_pair(a, b)."""
+
     def test_examples(self):
-        assert ratio_value_exact(make_ratio(2, 3)) == PosRat(2, 3)
-        assert ratio_value_exact(make_ratio(PosRat(3, 2), PosRat(4, 3))) == PosRat(9, 8)
-        assert ratio_value_exact(make_ratio(4, 6)) == ratio_value_exact(make_ratio(2, 3))
+        assert NAT.ratio_pair(2, 3) == (2, 3)
+        assert RAT.ratio_pair(PosRat(3, 2), PosRat(4, 3)) == (9, 8)
+        # 4 : 6 and 2 : 3 are one ratio: their pairs cross-multiply equal
+        n, m = NAT.ratio_pair(4, 6)
+        n2, m2 = NAT.ratio_pair(2, 3)
+        assert n * m2 == n2 * m
 
     def test_real_refused(self):
-        r = make_ratio(real_from_rat(PosRat(1, 2)), real_from_rat(PosRat(1, 3)))
         with pytest.raises(InexactModelError):
-            ratio_value_exact(r)
+            REAL.ratio_pair(real_from_rat(PosRat(1, 2)), real_from_rat(PosRat(1, 3)))
 
 
 class TestRatioCompareExact:

@@ -22,6 +22,12 @@ def test_library_tour():
     exec(compile(source, "README.md:Library tour", "exec"), ns)
 
     out, v, x, two, mul_pow = ns["out"], ns["v"], ns["x"], ns["two"], ns["mul_pow"]
+    assert "# (17, '2/3')" in source
+    assert (ns["parse_element"](ns["NAT"], "17"), str(PosRat(4, 6))) == (17, "2/3")
+    assert "# (9, 8)" in source and ns["RAT"].ratio_pair(PosRat(3, 2), PosRat(4, 3)) == (9, 8)
+    assert "# ('26/7', '26/7')" in source
+    assert str(ns["multiple_naive"](13, PosRat(2, 7))) == "26/7"
+    assert "# '7/3'" in source and str(ns["IdentityRepr"](ns["RAT"])(PosRat(7, 3))) == "7/3"
     assert "# ('less', '1/6')" in source
     assert (out.tag.value, str(out.gap)) == ("less", "1/6")
     assert "# 'm=3 n=4'" in source

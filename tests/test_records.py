@@ -18,7 +18,7 @@ from magnitudes.embed import (
 from magnitudes.laws import LawReport, LawSpec
 from magnitudes.models import NAT, Overlap
 from magnitudes.power import MulReal
-from magnitudes.ratio import Ratio, RatioRel, Witness
+from magnitudes.ratio import RatioRel, Witness
 
 # (class, positional fields, repr); fields are plain values so reprs are stable
 RECORDS = [
@@ -53,7 +53,6 @@ RECORDS = [
     ),
     (Overlap, (30,), "Overlap(precision=30)"),
     (MulReal, ("v",), "MulReal(value='v')"),
-    (Ratio, (1, 2, "nat"), "Ratio(antecedent=1, consequent=2, model_id='nat')"),
     (Witness, (3, 4), "Witness(m=3, n=4)"),
     (
         RatioRel,
