@@ -64,7 +64,7 @@ class TestUnitMultiple:
         phi = nat_embedding(PosRat(2, 7))
         assert multiple_naive(13, phi.image, phi.codomain) == PosRat(26, 7)
         assert multiple_naive(1, phi.image, phi.codomain) == PosRat(2, 7)
-        assert multiple_naive(2, 5, nat_embedding(5).codomain) == 10
+        assert multiple_naive(2, 5, NAT) == 10
 
     def test_naive_guard(self):
         phi = nat_embedding(1)
